@@ -1,6 +1,6 @@
 """Collective-drive entanglement of multi-level atoms via a shared
-bosonic mode, with exact effective propagators, full time-dependent
-integration, thermal-mode robustness checks, and a decay channel.
+bosonic mode, with exact effective propagators, exact full-model stage
+propagation, thermal-mode robustness checks, and a decay channel.
 """
 
 from .algebra import (
@@ -35,6 +35,7 @@ from .dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
+    evolve_exact,
     evolve_lindblad,
     evolve_td,
     evolve_td_multi,
@@ -71,6 +72,7 @@ from .protocols import (
     PLANNERS,
     ProtocolPlan,
     ProtocolResult,
+    StageRecord,
     Timings,
     drive_population_series,
     plan_ghz_four_level,

@@ -369,13 +369,18 @@ def check_leakage(space: SpaceDescriptor, amplitudes: np.ndarray) -> float:
     """Raise TruncationError if the top two Fock levels hold >= 1e-6
     population; returns the leaked population.
 
+    amplitudes is one state vector or a (dim, k) block of ensemble
+    columns, each scaled by the square root of its weight; the
+    population is summed over the columns, i.e. taken on the weighted
+    mixture, as check_leakage_dm takes it on a density matrix.
+
     The monitor is active only for mode dimensions of at least 4; below
     that the cutoff IS the physical space and the check is meaningless.
     """
     if space.no_mode or space.mode_dim < LEAKAGE_MIN_MODE_DIM:
         return 0.0
-    leak = mode_population(space, amplitudes, space.fock_cutoff)
-    leak += mode_population(space, amplitudes, space.fock_cutoff - 1)
+    amps = np.asarray(amplitudes).reshape(space.atoms_dim, space.mode_dim, -1)
+    leak = float(np.sum(np.abs(amps[:, -2:]) ** 2))
     if leak >= LEAKAGE_TOL:
         raise TruncationError(
             f"population {leak:.3e} in the top two Fock levels; raise fock_cutoff"

@@ -1,18 +1,29 @@
-"""Propagators: Schroedinger integration, matrix exponentials, the
-factored drive/effective propagator, a Lindblad master-equation solver,
-and thermal-state preparation.
+"""Propagators: the exact mode-frame stage propagator of the full
+engines, the factored drive/effective propagator, a reference
+Schroedinger integrator, a Lindblad master-equation solver, and
+thermal-state preparation.
 
 Numerical policy:
 
-* Time-dependent integration uses an adaptive 8th-order Runge-Kutta
-  method (DOP853) with tight tolerances and a step cap tied to the
-  fastest drive frequency, so the e^{+-2 i omega t} sidebands are never
-  aliased.
-* After every propagation the state norm (or trace) is checked: drift
-  up to 1e-6 is repaired by renormalizing, anything larger raises
-  NormDriftError as an integrator failure.
+* Every full-model generator is static in the mode frame:
+  H(t) = e^{i H0 t} V e^{-i H0 t} with H0 = -delta adag a and V = H(0),
+  because each e^{-+i delta t} term raises or lowers the Fock number by
+  exactly one (also on the hard-truncated ladder).  ``evolve_exact``
+  therefore propagates a drive stage with one eigendecomposition of
+  H0 + V, pushing every state column through it at once.  It checks the
+  column norms and raises NormDriftError on drift beyond 1e-6; it never
+  renormalizes.
+* ``evolve_td`` / ``evolve_td_multi`` integrate H(t) with adaptive
+  DOP853 and are kept as the independent reference the exact propagator
+  is tested against; the pure engines do not call them.
+* The Lindblad solver integrates with DOP853 under a step cap tied to
+  the fastest drive frequency, so the e^{+-2 i omega t} sidebands are
+  never aliased; trace drift up to 1e-6 is repaired by rescaling,
+  anything larger raises NormDriftError.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
-  algebra.check_leakage.
+  algebra.check_leakage (check_leakage_dm for density matrices).  State
+  columns of one ensemble carry the square roots of their weights, so
+  the check sees the population of the weighted mixture.
 """
 
 from __future__ import annotations
@@ -37,10 +48,10 @@ from .algebra import (
     check_leakage_dm,
     collective_sx,
 )
-from .hamiltonians import DriveParams, TermList
+from .hamiltonians import DriveParams, TermList, terms_matrix
 
-#: norm/trace drift beyond this is treated as an integrator failure;
-#: smaller drift is repaired by renormalizing
+#: norm/trace drift beyond this is a propagation failure; the reference
+#: integrator and the Lindblad solver repair smaller drift by rescaling
 NORM_HARD = 1e-6
 
 
@@ -85,15 +96,17 @@ def default_max_step(params: DriveParams) -> float | None:
 class ThermalSpec:
     """Bose-Einstein mode preparation: p_n = nbar^n / (1 + nbar)^(n+1).
 
-    The cutoff must leave a raw tail mass below 1e-8; the distribution
-    is NOT renormalized after truncation, so truncation error shows up
-    as a trace deficit instead of being hidden.
+    The cutoff must leave a raw tail mass below 1e-9, the trace
+    tolerance of DensityMatrix, so every accepted spec prepares a valid
+    thermal_state; the distribution is NOT renormalized after
+    truncation, so truncation error shows up as a trace deficit instead
+    of being hidden.
     """
 
     nbar: float
     cutoff: int
 
-    TAIL_TOL = 1e-8
+    TAIL_TOL = 1e-9
 
     def __post_init__(self):
         if self.nbar < 0:
@@ -162,6 +175,72 @@ def _norm_check_and_fix(amps: np.ndarray) -> np.ndarray:
     if drift > NORM_HARD:
         raise NormDriftError(f"state norm drifted by {drift:.3e} (> {NORM_HARD:.0e})")
     return amps / norm
+
+
+@dataclass(frozen=True)
+class Propagation:
+    """What ``evolve_exact`` returns.
+
+    columns is the (dim, k) block at the stage end, or the
+    (len(t_eval), dim, k) trajectory; leak is the top-Fock population of
+    the ensemble that check_leakage returned (at the worst sampled time);
+    drift is the largest relative change of a column norm.
+    """
+
+    columns: np.ndarray
+    leak: float
+    drift: float
+
+
+def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
+    """Largest relative change from the column norms ``before`` to the
+    norms ``after`` (any leading time axis); empty columns are skipped.
+    Raises NormDriftError beyond NORM_HARD and never renormalizes."""
+    live = before > 0
+    if not np.any(live):
+        return 0.0
+    drift = float(np.max(np.abs(after[..., live] - before[live]) / before[live]))
+    if drift > NORM_HARD:
+        raise NormDriftError(f"column norm drifted by {drift:.3e} (> {NORM_HARD:.0e})")
+    return drift
+
+
+def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
+                 columns: np.ndarray, t0: float, t1: float,
+                 t_eval=None) -> Propagation:
+    """Exact propagation of a generator that is static in the mode frame.
+
+    ``terms`` must satisfy H(t) = e^{i H0 t} V e^{-i H0 t} with
+    H0 = -delta adag a and V = H(0), as every full-engine builder in
+    ``hamiltonians`` does.  Then
+
+        U(t, t0) = e^{i H0 t} e^{-i (H0 + V)(t - t0)} e^{-i H0 t0},
+
+    and one eigendecomposition of H0 + V serves every column and every
+    requested time.  ``columns`` (dim, k) are the members of one
+    ensemble, each scaled by the square root of its weight, so leakage
+    is checked on the weighted mixture.  Returns the block at t1, or the
+    trajectory at the times ``t_eval`` (taken from the same
+    eigendecomposition), with the leak and norm drift found.
+    """
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    v = terms_matrix(terms, 0.0)
+    herm = np.max(np.abs(v - v.conj().T))
+    if herm > 1e-10:
+        raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
+    h0 = -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim)
+    w, vecs = eigh(v + np.diag(h0))
+    coeffs = vecs.conj().T @ (np.exp(-1j * h0 * t0)[:, None] * columns)
+    times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
+    phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
+    traj = np.exp(1j * np.outer(times, h0))[:, :, None] * (vecs @ (phases * coeffs))
+
+    drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(traj, axis=1))
+    top = traj.reshape(len(times), space.atoms_dim, space.mode_dim, -1)[:, :, -2:]
+    worst = int(np.argmax(np.sum(np.abs(top) ** 2, axis=(1, 2, 3))))
+    leak = check_leakage(space, traj[worst])
+    return Propagation(traj[0] if t_eval is None else traj, leak, drift)
 
 
 def evolve_td(h_of_t, state: StateVector, t0: float, t1: float,
@@ -378,7 +457,7 @@ def thermal_state(space: SpaceDescriptor, spec: ThermalSpec,
 
     The mode factor is sum_n p_n |n><n| truncated at the space's cutoff;
     the raw Bose-Einstein weights are kept without renormalization (the
-    trace deficit equals the tail mass, checked < 1e-8 by ThermalSpec).
+    trace deficit equals the tail mass, checked < 1e-9 by ThermalSpec).
     atom_state defaults to all atoms in |g>.
     """
     if space.no_mode:

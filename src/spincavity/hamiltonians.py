@@ -20,7 +20,12 @@ the frames the analysis moves through:
 Builders come in two flavours: ``h_*(space, params, t)`` returns the
 operator at one time, while ``*_terms(space, params)`` returns a list of
 ``(coefficient_function, constant_matrix)`` pairs with
-``H(t) = sum_k coeff_k(t) * M_k``, which integrators exploit.
+``H(t) = sum_k coeff_k(t) * M_k``.  Every term of the full-engine
+builders (interaction picture, slow frame, both ion frames) carries
+e^{-+i delta t} exactly when its matrix raises or lowers the Fock number
+by one, so ``H(t) = e^{i H0 t} H(0) e^{-i H0 t}`` with
+``H0 = -delta adag a``: the generator is static in the mode frame, which
+is what dynamics.evolve_exact relies on.
 
 All builders treat |f> and |h> as spectators: the cavity and the drive
 couple only the g/e block.
@@ -66,9 +71,10 @@ class DriveParams:
     eta : float
         Lamb-Dicke parameter (dimensionless, ion only).
     nu : float
-        Trap frequency (rad/time, ion only); enters only the step-size
-        heuristic, the builders already live in the frame where nu has
-        been absorbed.
+        Trap frequency (rad/time, ion only).  The builders already live
+        in the frame where nu has been absorbed, so nu changes no
+        pure-engine result; it enters only the step cap of the adaptive
+        integrators (dynamics.default_max_step).
     lamb_dicke_order : int
         Largest displacement-series index j kept by the full ion
         builder (j = 0..order, i.e. order + 1 terms).

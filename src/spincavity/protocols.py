@@ -9,18 +9,25 @@ Engines:
 * ``Effective`` runs each drive stage through the factored propagator
   exp(-i H0 t) exp(-i 2 lam Sx^2 t), which factorizes from the mode and
   is therefore exactly photon-number independent.
-* ``FullCavity`` integrates the driven interaction-picture Hamiltonian
+* ``FullCavity`` propagates the driven interaction-picture Hamiltonian
   (or its slow frame) on an attached Fock mode.
-* ``FullIon`` integrates the sideband Hamiltonian (displacement series
+* ``FullIon`` propagates the sideband Hamiltonian (displacement series
   or its first-order form) on the attached vibrational mode.  The ion
   system has no separate classical drive, so the rotating-frame Rabi
   bookkeeping of the stage is not part of the ion generator; with the
   planner's even-k timing both readings give the same target.
-* ``Lindblad`` propagates a density matrix under the cavity Hamiltonian
+* ``Lindblad`` integrates a density matrix under the cavity Hamiltonian
   with cavity decay.
+
+Both full engines propagate each drive stage exactly with
+dynamics.evolve_exact: their generators are static in the mode frame
+exp(-i delta adag a t), so a stage is one eigendecomposition that every
+column of every branch (thermal columns included) goes through.
 
 Drive stages of one plan run at consecutive absolute times so that the
 e^{i delta t} drive phases stay continuous across stage boundaries.
+Every drive stage leaves a StageRecord in
+``ProtocolResult.diagnostics["stages"]``.
 """
 
 from __future__ import annotations
@@ -32,13 +39,13 @@ import numpy as np
 
 from .algebra import (
     DensityMatrix,
-    NormDriftError,
     Operator,
     SpaceDescriptor,
     StateVector,
     LEVEL_LABELS,
     basis_index,
     basis_state,
+    check_leakage_dm,
     embed_atom_op,
     make_space,
 )
@@ -48,11 +55,14 @@ from .dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
+    evolve_exact,
     evolve_lindblad,
-    evolve_td_multi,
+    norm_drift,
     propagator_u,
     thermal_state,
 )
+# unused here; perfbench/spans.py wraps this name to count integrator calls
+from .dynamics import evolve_td_multi  # noqa: F401
 from .hamiltonians import (
     DriveParams,
     FrameTag,
@@ -148,6 +158,27 @@ class Branch:
     label: str
     probability: float
     state: object  # StateVector | DensityMatrix | None for empty branches
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """What one drive stage did; holds no wall times.
+
+    dim is the dimension of the space the generator acts on (Liouville
+    space for the decay engine); method is "factored" (Effective),
+    "eigh" (exact full-engine propagation) or "dop853" (Lindblad
+    integration); leak is the top-Fock population the leakage check
+    returned (None where the stage cannot leak); drift is the largest
+    relative column-norm change (None for Lindblad, whose solver
+    rescales trace drift up to 1e-6 itself).
+    """
+
+    engine: str
+    frame: str
+    dim: int
+    method: str
+    leak: float | None
+    drift: float | None
 
 
 @dataclass(frozen=True)
@@ -453,12 +484,11 @@ PLANNERS = {
 class Effective:
     """Factored-propagator engine: exact, photon-number independent."""
 
-    integrator: IntegratorConfig | None = None
-
 
 @dataclass(frozen=True)
 class FullCavity:
-    """Integrates the driven cavity Hamiltonian on an attached Fock mode.
+    """Propagates the driven cavity Hamiltonian on an attached Fock mode,
+    one exact eigendecomposition per drive stage.
 
     initial_mode is a Fock number or a ThermalSpec; frame selects the
     interaction picture (default) or the slow frame.
@@ -468,7 +498,6 @@ class FullCavity:
     fock_cutoff: int = 12
     initial_mode: object = 0
     frame: FrameTag = FrameTag.INTERACTION_PICTURE
-    integrator: IntegratorConfig | None = None
 
     def lam(self) -> float:
         return lambda_cavity(self.params.g, self.params.delta)
@@ -476,13 +505,13 @@ class FullCavity:
 
 @dataclass(frozen=True)
 class FullIon:
-    """Integrates the sideband Hamiltonian on the vibrational mode."""
+    """Propagates the sideband Hamiltonian on the vibrational mode, one
+    exact eigendecomposition per drive stage."""
 
     params: DriveParams
     fock_cutoff: int = 10
     initial_mode: object = 0
     frame: FrameTag = FrameTag.ION_INTERACTION
-    integrator: IntegratorConfig | None = None
 
     def lam(self) -> float:
         return lambda_ion(self.params.omega, self.params.eta, self.params.delta)
@@ -524,12 +553,6 @@ def _transfer_full(space: SpaceDescriptor, stage: LocalTransfer) -> np.ndarray:
     ).matrix
 
 
-def _stage_config(engine, merged: DriveParams) -> IntegratorConfig:
-    cfg = engine.integrator or IntegratorConfig()
-    resolved = cfg.resolved_max_step(merged)
-    return replace(cfg, max_step=resolved)
-
-
 def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
     """Execute every stage of a plan and collect measurement branches.
 
@@ -545,21 +568,25 @@ def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
 
 
 def _initial_columns(plan: ProtocolPlan, initial, engine):
-    """Resolve (space_run, columns (dim, k), weights (k,)) for pure engines."""
+    """Resolve (space_run, columns (dim, k)) for pure engines.
+
+    The columns are the members of the initial ensemble, each scaled by
+    the square root of its weight (one unit column for a pure start).
+    """
     if isinstance(engine, Effective):
         if initial is None:
             space_run = plan.space
             cols = basis_state(space_run, "g" * plan.space.atom_count).amplitudes[:, None]
-            return space_run, cols, np.ones(1)
+            return space_run, cols
         if isinstance(initial, StateVector):
-            return initial.space, initial.amplitudes[:, None].copy(), np.ones(1)
+            return initial.space, initial.amplitudes[:, None].copy()
         raise TypeError("Effective engine takes a StateVector initial (or None)")
 
     space_run = plan.space.with_mode(engine.fock_cutoff)
     if isinstance(initial, StateVector) and not initial.space.no_mode:
         if initial.space != space_run:
             raise ValueError("initial state does not match the engine's space")
-        return space_run, initial.amplitudes[:, None].copy(), np.ones(1)
+        return space_run, initial.amplitudes[:, None].copy()
     if initial is None:
         atoms = basis_state(plan.space, "g" * plan.space.atom_count).amplitudes
     elif isinstance(initial, StateVector) and initial.space.no_mode:
@@ -583,52 +610,55 @@ def _initial_columns(plan: ProtocolPlan, initial, engine):
     cols = np.zeros((space_run.dim, len(ns)), dtype=complex)
     for j, n in enumerate(ns):
         mode = np.zeros(nm, dtype=complex)
-        mode[n] = 1.0
+        mode[n] = math.sqrt(weights[j])
         cols[:, j] = np.kron(atoms, mode)
-    return space_run, cols, weights
+    return space_run, cols
 
 
 def _drive_terms(space_run: SpaceDescriptor, stage: CollectiveDrive, engine):
-    """Terms and merged params for one drive stage under a full engine."""
-    if isinstance(engine, FullIon):
-        merged = engine.params
-        _check_lam(engine.lam(), stage.lam)
-        frame = engine.frame
-        if frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
-            raise ValueError(f"FullIon cannot run frame {frame}")
-        return ion_terms(space_run, merged, frame), merged
-    merged = replace(engine.params, omega=stage.params.omega)
+    """Terms and detuning of one drive stage under a full engine."""
     _check_lam(engine.lam(), stage.lam)
+    if isinstance(engine, FullIon):
+        if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
+            raise ValueError(f"FullIon cannot run frame {engine.frame}")
+        return ion_terms(space_run, engine.params, engine.frame)
+    merged = replace(engine.params, omega=stage.params.omega)
     if engine.frame == FrameTag.SLOW_FRAME:
-        # the slow generator carries no drive oscillation, so the step
-        # cap only needs to resolve the detuning
-        return slow_terms(space_run, merged), replace(merged, omega=0.0)
+        return slow_terms(space_run, merged)
     if engine.frame == FrameTag.INTERACTION_PICTURE:
-        return interaction_terms(space_run, merged), merged
+        return interaction_terms(space_run, merged)
     raise ValueError(f"cavity engine cannot run frame {engine.frame}")
 
 
 def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
-    space_run, cols, weights = _initial_columns(plan, initial, engine)
+    space_run, cols = _initial_columns(plan, initial, engine)
     branches = [{"label": "", "cols": cols}]
     t_abs = 0.0
-    diagnostics: dict = {"engine": type(engine).__name__}
+    engine_name = type(engine).__name__
+    records = []
 
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
             if isinstance(engine, Effective):
                 u = propagator_u(plan.space, stage.lam, stage.params.omega,
                                  stage.duration).matrix
+                before = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
                 for br in branches:
                     br["cols"] = _apply_atoms(space_run, u, br["cols"])
+                after = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
+                records.append(StageRecord(engine_name, FrameTag.EFFECTIVE.value,
+                                           plan.space.atoms_dim, "factored", None,
+                                           norm_drift(before, after)))
             else:
-                terms, merged = _drive_terms(space_run, stage, engine)
-                config = _stage_config(engine, merged)
-                for br in branches:
-                    norms = np.linalg.norm(br["cols"], axis=0)
-                    out = evolve_td_multi(terms, space_run, br["cols"], t_abs,
-                                          t_abs + stage.duration, config)
-                    br["cols"] = _repair_norms(out, norms)
+                terms = _drive_terms(space_run, stage, engine)
+                block = np.hstack([br["cols"] for br in branches])
+                prop = evolve_exact(terms, engine.params.delta, space_run, block,
+                                    t_abs, t_abs + stage.duration)
+                splits = np.cumsum([br["cols"].shape[1] for br in branches])[:-1]
+                for br, part in zip(branches, np.split(prop.columns, splits, axis=1)):
+                    br["cols"] = part
+                records.append(StageRecord(engine_name, engine.frame.value, space_run.dim,
+                                           "eigh", prop.leak, prop.drift))
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
             u = _transfer_full(space_run, stage)
@@ -641,15 +671,12 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
 
     out_branches = []
     out_fids = []
-    target = plan.target
     for br in branches:
-        cols = br["cols"]
-        col_norms2 = np.sum(np.abs(cols) ** 2, axis=0)
-        prob = float(np.dot(weights, col_norms2))
-        state, fid = _branch_state_fidelity(space_run, cols, weights, prob, target)
+        state, prob, fid = _branch_state_fidelity(space_run, br["cols"], plan.target)
         out_branches.append(Branch(br["label"] or "all", prob, state))
         out_fids.append(fid)
-    diagnostics["absolute_duration"] = t_abs
+    diagnostics = {"engine": engine_name, "absolute_duration": t_abs,
+                   "stages": tuple(records)}
     return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
 
 
@@ -657,21 +684,6 @@ def _apply_atoms(space: SpaceDescriptor, u_atoms: np.ndarray, cols: np.ndarray) 
     out = np.empty_like(cols)
     for j in range(cols.shape[1]):
         out[:, j] = apply_atomic(space, u_atoms, cols[:, j])
-    return out
-
-
-def _repair_norms(cols: np.ndarray, norms_before: np.ndarray) -> np.ndarray:
-    norms_after = np.linalg.norm(cols, axis=0)
-    out = cols.copy()
-    for j in range(cols.shape[1]):
-        before = norms_before[j]
-        after = norms_after[j]
-        if before == 0:
-            continue
-        drift = abs(after - before) / before
-        if drift > 1e-6:
-            raise NormDriftError(f"column norm drifted by {drift:.3e}")
-        out[:, j] *= before / after
     return out
 
 
@@ -697,26 +709,20 @@ def _atom_level_mask(space: SpaceDescriptor, atom_index: int, level: int) -> np.
     return (idx // shift) % space.atom_dim == level
 
 
-def _branch_state_fidelity(space_run, cols, weights, prob, target):
-    """Normalized branch state plus its fidelity against the atomic target."""
+def _branch_state_fidelity(space_run, cols, target):
+    """Normalized branch state, its probability, and its fidelity against
+    the atomic target; the columns carry their ensemble weights."""
+    prob = float(np.sum(np.abs(cols) ** 2))
     if prob <= 1e-30:
-        return None, 0.0
-    dim, k = cols.shape
-    t = target.amplitudes
-    overlap2 = 0.0
-    for j in range(k):
-        block = cols[:, j].reshape(space_run.atoms_dim, space_run.mode_dim)
-        proj = t.conj() @ block
-        overlap2 += float(weights[j] * np.sum(np.abs(proj) ** 2))
-    fid = min(1.0, overlap2 / prob)
-    if k == 1:
-        state = StateVector(space_run, cols[:, 0] / np.linalg.norm(cols[:, 0]))
+        return None, prob, 0.0
+    blocks = cols.T.reshape(-1, space_run.atoms_dim, space_run.mode_dim)
+    proj = target.amplitudes.conj() @ blocks
+    fid = min(1.0, float(np.sum(np.abs(proj) ** 2)) / prob)
+    if cols.shape[1] == 1:
+        state = StateVector(space_run, cols[:, 0] / math.sqrt(prob))
     else:
-        rho = np.zeros((dim, dim), dtype=complex)
-        for j in range(k):
-            rho += weights[j] * np.outer(cols[:, j], cols[:, j].conj())
-        state = DensityMatrix(space_run, rho / prob)
-    return state, fid
+        state = DensityMatrix(space_run, (cols @ cols.conj().T) / prob)
+    return state, prob, fid
 
 
 def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResult:
@@ -748,12 +754,15 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
 
     branches = [{"label": "", "mat": rho.matrix, "prob": 1.0}]
     t_abs = 0.0
+    records = []
+    cfg = engine.integrator or IntegratorConfig()
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
             merged = replace(engine.params, omega=stage.params.omega)
             _check_lam(engine.lam(), stage.lam)
             terms = interaction_terms(space_run, merged)
-            config = _stage_config(engine, merged)
+            config = replace(cfg, max_step=cfg.resolved_max_step(merged))
+            leak = 0.0
             for br in branches:
                 if br["prob"] <= 1e-30:
                     continue
@@ -761,6 +770,9 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
                 out = evolve_lindblad(terms, engine.decay, dm, t_abs,
                                       t_abs + stage.duration, config)
                 br["mat"] = out.matrix * br["prob"]
+                leak += br["prob"] * check_leakage_dm(space_run, out.matrix)
+            records.append(StageRecord("Lindblad", FrameTag.INTERACTION_PICTURE.value,
+                                       space_run.dim ** 2, "dop853", leak, None))
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
             u = _transfer_full(space_run, stage)
@@ -806,7 +818,8 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
         fid = float(min(1.0, max(0.0, (t.conj() @ red @ t).real)))
         out_branches.append(Branch(br["label"] or "all", prob, state))
         out_fids.append(fid)
-    diagnostics = {"engine": "Lindblad", "absolute_duration": t_abs}
+    diagnostics = {"engine": "Lindblad", "absolute_duration": t_abs,
+                   "stages": tuple(records)}
     return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
 
 
@@ -835,23 +848,22 @@ def sample_outcome(result: ProtocolResult, seed: int) -> str:
 
 def drive_population_series(params: DriveParams, n_start: int, duration: float,
                             sample_count: int = 1200, fock_cutoff: int = 10,
-                            atom_count: int = 2,
-                            config: IntegratorConfig | None = None) -> TimeSeries:
+                            atom_count: int = 2) -> TimeSeries:
     """Population of |e..e> (any Fock level) along a full-cavity drive,
     read in the frame co-rotating with the classical drive.
 
     Starting from |g..g, n>, the co-rotating population oscillates at
     twice the effective collective rate, 2 lam = g^2/delta, with only a
     weak dependence on n; this is the observable behind the effective
-    model's Rabi frequency and its photon-number independence.
+    model's Rabi frequency and its photon-number independence.  Every
+    sample comes from one exact eigendecomposition of the stage.
     """
     space = make_space(atom_count, 2, fock_cutoff)
     terms = interaction_terms(space, params)
-    config = config or IntegratorConfig()
-    config = replace(config, max_step=config.resolved_max_step(params))
     psi0 = basis_state(space, "g" * atom_count, n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
-    traj = evolve_td_multi(terms, space, psi0, 0.0, duration, config, t_eval=times)
+    traj = evolve_exact(terms, params.delta, space, psi0, 0.0, duration,
+                        t_eval=times).columns
 
     e_all = basis_index(space.atoms_only(), "e" * atom_count, 0)
     omega = params.omega

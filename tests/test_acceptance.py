@@ -200,8 +200,7 @@ def test_criterion_06_collective_rabi_rate():
 
 def test_criterion_07_full_vs_effective_fidelity():
     start = time.monotonic()
-    engine = FullCavity(params=_cavity_params(), fock_cutoff=8,
-                        integrator=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+    engine = FullCavity(params=_cavity_params(), fock_cutoff=8)
     fid = run_plan(_cavity_plan(), engine=engine).branch_fidelity("all")
     elapsed = time.monotonic() - start
     _verdict(7, "full-vs-effective", [

@@ -2,9 +2,11 @@
 byte-stable reports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from spincavity import cli
 from spincavity.cli import main
 
 
@@ -84,6 +86,27 @@ def test_protocol_seed_samples_outcome(capsys):
 def test_protocol_output_byte_stable(capsys):
     _, out1, _ = _run(capsys, "protocol", "ghz", "--n", "3")
     _, out2, _ = _run(capsys, "protocol", "ghz", "--n", "3")
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_never_shows_diagnostics(capsys, monkeypatch, fmt):
+    # the stage records stay in ProtocolResult.diagnostics: replacing
+    # them (here with wall-time-like junk) leaves the report bytes alone
+    argv = ("protocol", "ghz", "--n", "2", "--engine", "full", "--g", "1",
+            "--delta", "5", "--fock-cutoff", "8", "--format", fmt)
+    code, out1, _ = _run(capsys, *argv)
+    assert code == 0
+    run_plan = cli.run_plan
+
+    def scrambled(*args, **kwargs):
+        result = run_plan(*args, **kwargs)
+        assert len(result.diagnostics["stages"]) == 1
+        return replace(result, diagnostics={"stages": ("took 0.123 s",), "wall_s": 9.9})
+
+    monkeypatch.setattr(cli, "run_plan", scrambled)
+    code, out2, _ = _run(capsys, *argv)
+    assert code == 0
     assert out1 == out2
 
 
@@ -215,6 +238,18 @@ def test_thermal_needs_large_cutoff_exit_1(capsys):
                         "--delta", "10", "--nbar", "1", "--fock-cutoff", "12")
     assert code == 1
     assert "fock-cutoff" in err
+
+
+def test_thermal_start_checks_leakage_on_the_mixture(capsys):
+    # the n = 10 column (weight 1e-11) leaks 0.19 into the top Fock
+    # levels, but the thermal mixture leaks only ~1e-10
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "2", "--engine", "full",
+                          "--g", "1", "--delta", "5", "--nbar", "0.1",
+                          "--fock-cutoff", "12")
+    assert code == 0, err
+    branch = json.loads(out)["branches"][0]
+    assert branch["probability"] == pytest.approx(1.0, abs=1e-9)
+    assert branch["fidelity"] > 0.9
 
 
 # ------------------------------------------------------------ physics errors

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincavity.algebra import (
     DensityMatrix,
     NormDriftError,
     StateVector,
+    TruncationError,
     basis_index,
     basis_state,
     make_space,
@@ -19,9 +22,12 @@ from spincavity.dynamics import (
     ThermalSpec,
     apply_atomic,
     default_max_step,
+    evolve_exact,
     evolve_lindblad,
     evolve_td,
+    evolve_td_multi,
     evolve_ti,
+    norm_drift,
     propagator_u,
     thermal_state,
 )
@@ -32,6 +38,9 @@ from spincavity.hamiltonians import (
     h_effective,
     h_ion,
     interaction_terms,
+    ion_terms,
+    slow_terms,
+    terms_matrix,
 )
 
 
@@ -274,6 +283,27 @@ def test_thermal_spec_rejects_fat_tail():
         ThermalSpec(-0.5, 10)
 
 
+def test_thermal_spec_tail_within_density_matrix_trace_tolerance():
+    # nbar = 1, cutoff 26 leaves 0.5^27 = 7.5e-9 above the cutoff, more
+    # than the 1e-9 trace tolerance of DensityMatrix: the spec itself
+    # must refuse it instead of thermal_state failing downstream
+    with pytest.raises(ValueError, match="raise the cutoff"):
+        thermal_state(make_space(1, 2, 26), ThermalSpec(1.0, 26))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nbar=st.floats(0.01, 3.0))
+def test_smallest_accepted_thermal_cutoff_prepares_a_state(nbar):
+    # the cutoff with the fattest tail the spec accepts still gives a
+    # valid density matrix, and one level less is refused by the spec
+    spec = ThermalSpec.for_nbar(nbar, tail=ThermalSpec.TAIL_TOL)
+    rho = thermal_state(make_space(1, 2, spec.cutoff), spec)
+    assert 1.0 - np.trace(rho.matrix).real < 1e-9
+    if spec.cutoff > 0:
+        with pytest.raises(ValueError, match="raise the cutoff"):
+            ThermalSpec(nbar, spec.cutoff - 1)
+
+
 def test_thermal_spec_for_nbar_is_minimal():
     spec = ThermalSpec.for_nbar(1.0, tail=1e-11)
     assert spec.tail_mass() < 1e-11
@@ -419,3 +449,120 @@ def test_ion_series_evolution_close_to_first_order():
     b = evolve_td(lambda s: h_ion(space, params, s, FrameTag.ION_LAMB_DICKE), psi, 0.0, t)
     overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     assert overlap >= 1.0 - 1e-4
+
+
+# ------------------------------------------------------- exact propagation
+
+EXACT_FRAMES = {
+    "interaction": lambda space, p: interaction_terms(space, p),
+    "slow": lambda space, p: slow_terms(space, p),
+    "ion-series": lambda space, p: ion_terms(space, p, FrameTag.ION_INTERACTION),
+    "ion-first-order": lambda space, p: ion_terms(space, p, FrameTag.ION_LAMB_DICKE),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    frame=st.sampled_from(sorted(EXACT_FRAMES)),
+    atom_dim=st.sampled_from([2, 3]),
+    cutoff=st.integers(2, 6),
+    g=st.floats(0.1, 2.0),
+    delta=st.floats(-12.0, 12.0).filter(lambda d: abs(d) > 0.1),
+    omega=st.floats(0.0, 50.0),
+    eta=st.floats(0.0, 0.3),
+    phi=st.floats(0.0, 2 * math.pi),
+    t=st.floats(0.0, 200.0),
+)
+def test_full_engine_generators_static_in_mode_frame(frame, atom_dim, cutoff, g, delta,
+                                                     omega, eta, phi, t):
+    # the identity evolve_exact rests on: H(t) = e^{i H0 t} H(0) e^{-i H0 t}
+    # with H0 = -delta adag a, on the hard-truncated ladder too
+    space = make_space(2, atom_dim, cutoff)
+    params = DriveParams(g=g, delta=delta, omega=omega, eta=eta, phi=phi,
+                         lamb_dicke_order=2)
+    terms = EXACT_FRAMES[frame](space, params)
+    n = np.tile(np.arange(space.mode_dim), space.atoms_dim)
+    phase = np.exp(-1j * delta * t * n)  # diagonal of e^{i H0 t}
+    framed = phase[:, None] * terms_matrix(terms, 0.0) * phase.conj()[None, :]
+    assert np.max(np.abs(terms_matrix(terms, t) - framed)) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    frame=st.sampled_from(sorted(EXACT_FRAMES)),
+    g=st.floats(0.3, 1.0),
+    delta=st.floats(2.0, 8.0),
+    omega=st.floats(0.0, 20.0),
+    nbar=st.floats(0.05, 0.5),
+    t0=st.floats(0.5, 30.0),
+    duration=st.floats(0.05, 0.3),
+    seed=st.integers(0, 2**16),
+)
+def test_exact_propagator_matches_reference_integrator(frame, g, delta, omega, nbar,
+                                                        t0, duration, seed):
+    # a thermal block (Fock 0..2 with Bose-Einstein weights, random atom
+    # states) propagated over a short interval that starts at t0 != 0,
+    # so the mode-frame phases must carry across stage boundaries
+    space = make_space(2, 2, 9)
+    params = DriveParams(g=g, delta=delta, omega=omega, eta=0.05, phi=0.4,
+                         lamb_dicke_order=2)
+    terms = EXACT_FRAMES[frame](space, params)
+    rng = np.random.default_rng(seed)
+    ratio = nbar / (1.0 + nbar)
+    cols = np.zeros((space.dim, 3), dtype=complex)
+    for n in range(3):
+        atoms = rng.normal(size=space.atoms_dim) + 1j * rng.normal(size=space.atoms_dim)
+        mode = np.zeros(space.mode_dim)
+        mode[n] = math.sqrt(ratio**n / (1.0 + nbar))
+        cols[:, n] = np.kron(atoms / np.linalg.norm(atoms), mode)
+    t1 = t0 + duration
+    config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14,
+                              max_step=default_max_step(params))
+    reference = evolve_td_multi(terms, space, cols, t0, t1, config)
+    exact = evolve_exact(terms, delta, space, cols, t0, t1)
+    assert np.max(np.abs(exact.columns - reference)) <= 1e-9
+    # two consecutive stages compose to the single stage, and a sampled
+    # trajectory ends where the stage does
+    mid = evolve_exact(terms, delta, space, cols, t0, t0 + duration / 3).columns
+    halves = evolve_exact(terms, delta, space, mid, t0 + duration / 3, t1).columns
+    assert np.max(np.abs(halves - exact.columns)) <= 1e-12
+    traj = evolve_exact(terms, delta, space, cols, t0, t1,
+                        t_eval=np.linspace(t0, t1, 4)).columns
+    assert np.max(np.abs(traj[-1] - exact.columns)) <= 1e-12
+    assert np.max(np.abs(traj[0] - cols)) <= 1e-12
+
+
+def test_exact_propagator_checks_leakage_on_the_weighted_mixture():
+    # near resonance the light column pumps photons into the top two
+    # Fock levels (4, 5); weighted by 1e-10 the mixture stays faithful,
+    # alone it trips the monitor
+    space = make_space(2, 2, 5)
+    terms = interaction_terms(space, DriveParams(g=1.0, delta=1.2))
+    heavy = basis_state(space, "gg", 0).amplitudes
+    light = basis_state(space, "ee", 3).amplitudes
+    w = 1e-10
+    block = np.column_stack([math.sqrt(1.0 - w) * heavy, math.sqrt(w) * light])
+    prop = evolve_exact(terms, 1.2, space, block, 0.0, 3.0)
+    top = prop.columns.reshape(space.atoms_dim, space.mode_dim, 2)[:, -2:]
+    per_column = np.sum(np.abs(top) ** 2, axis=(0, 1))
+    assert per_column[1] / w >= 1e-6
+    assert prop.leak == pytest.approx(per_column.sum(), rel=1e-12)
+    assert prop.leak < 1e-6
+    with pytest.raises(TruncationError):
+        evolve_exact(terms, 1.2, space, light[:, None], 0.0, 3.0)
+
+
+def test_exact_propagator_rejects_non_hermitian_generator():
+    space = make_space(1, 2, 2)
+    terms = [(lambda t: 1.0, -0.1j * np.eye(space.dim))]
+    psi = basis_state(space, "g", 0).amplitudes[:, None]
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_exact(terms, 1.0, space, psi, 0.0, 1.0)
+
+
+def test_norm_drift_is_relative_and_raises_beyond_1e_6():
+    # empty (measured-away) columns are skipped
+    before = np.array([1.0, 0.5, 0.0])
+    assert norm_drift(before, np.array([1.0 + 4e-7, 0.5, 0.0])) == pytest.approx(4e-7)
+    with pytest.raises(NormDriftError):
+        norm_drift(before, np.array([1.0, 0.5 * (1.0 - 2e-6), 0.0]))

@@ -13,7 +13,9 @@ import pytest
 from scipy.linalg import expm
 
 from spincavity.algebra import (
+    DensityMatrix,
     StateVector,
+    TruncationError,
     basis_index,
     basis_state,
     make_space,
@@ -21,12 +23,20 @@ from spincavity.algebra import (
 )
 from spincavity.analysis import extract_frequency, fidelity, leg_populations
 from spincavity.dynamics import DecaySpec, ThermalSpec
-from spincavity.hamiltonians import DriveParams, h0_drive, h_effective, lambda_cavity
+from spincavity.hamiltonians import (
+    DriveParams,
+    FrameTag,
+    h0_drive,
+    h_effective,
+    lambda_cavity,
+    lambda_ion,
+)
 from spincavity.protocols import (
     ARCSIN_1_SQRT3,
     CollectiveDrive,
     Effective,
     FullCavity,
+    FullIon,
     Lindblad,
     LocalTransfer,
     Measurement,
@@ -41,6 +51,7 @@ from spincavity.protocols import (
     reduce_rotation_matrix,
     run_plan,
     sample_outcome,
+    StageRecord,
     swap_ef_matrix,
     swap_gf_eh_matrix,
 )
@@ -367,6 +378,67 @@ def test_lindblad_zero_decay_close_to_target():
     result = run_plan(plan, engine=engine)
     assert result.branch("all").probability == pytest.approx(1.0, abs=1e-8)
     assert result.branch_fidelity("all") >= 0.95
+    (record,) = result.diagnostics["stages"]
+    assert (record.engine, record.frame, record.dim, record.method) == (
+        "Lindblad", "interaction_picture", 20 ** 2, "dop853")
+    assert 0.0 <= record.leak < 1e-6
+    assert record.drift is None
+
+
+def test_stage_records_one_per_drive_stage():
+    # one record per drive stage, naming how it was propagated; records
+    # carry no wall times
+    assert list(StageRecord.__dataclass_fields__) == [
+        "engine", "frame", "dim", "method", "leak", "drift"]
+    plan = plan_measure_reduce(4, LAM)
+    records = run_plan(plan).diagnostics["stages"]
+    assert [(r.engine, r.frame, r.dim, r.method, r.leak) for r in records] == [
+        ("Effective", "effective", 81, "factored", None)] * 2
+    assert all(r.drift <= 1e-12 for r in records)
+
+    cavity = FullCavity(params=_cavity_params(), fock_cutoff=6,
+                        frame=FrameTag.SLOW_FRAME)
+    records = run_plan(plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0),
+                       engine=cavity).diagnostics["stages"]
+    assert [(r.engine, r.frame, r.dim, r.method) for r in records] == [
+        ("FullCavity", "slow_frame", 63, "eigh")] * 2
+    assert all(0.0 <= r.leak < 1e-6 and r.drift <= 1e-12 for r in records)
+
+    ion_params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0,
+                             lamb_dicke_order=2)
+    ion = FullIon(params=ion_params, fock_cutoff=6)
+    (record,) = run_plan(plan_ghz_two_level(2, lambda_ion(1.0, 0.05, 2.0), delta=2.0),
+                         engine=ion).diagnostics["stages"]
+    assert (record.engine, record.frame, record.dim, record.method) == (
+        "FullIon", "ion_interaction", 28, "eigh")
+
+
+def test_full_cavity_thermal_start_is_the_weighted_mixture():
+    # the thermal run equals the Bose-Einstein average of the Fock runs
+    lam = lambda_cavity(1.0, 10.0)
+    plan = plan_ghz_two_level(2, lam, delta=10.0)
+    spec = ThermalSpec.for_nbar(0.1)
+    thermal = run_plan(plan, engine=FullCavity(params=_cavity_params(), fock_cutoff=18,
+                                               initial_mode=spec))
+    probs = spec.probabilities()
+    fids = [run_plan(plan, engine=FullCavity(params=_cavity_params(), fock_cutoff=18,
+                                             initial_mode=n)).branch_fidelity("all")
+            for n in range(spec.cutoff + 1)]
+    branch = thermal.branch("all")
+    assert isinstance(branch.state, DensityMatrix)
+    assert branch.probability == pytest.approx(probs.sum(), abs=1e-12)
+    assert thermal.branch_fidelity("all") == pytest.approx(
+        np.dot(probs, fids) / probs.sum(), abs=1e-12)
+
+
+def test_full_cavity_thermal_mixture_that_leaks_raises():
+    # near resonance the heavy vacuum column itself reaches the top Fock
+    # levels, so the weighted mixture leaks
+    plan = plan_ghz_two_level(2, lambda_cavity(1.0, 1.2), delta=1.2)
+    engine = FullCavity(params=DriveParams(g=1.0, delta=1.2), fock_cutoff=5,
+                        initial_mode=ThermalSpec.for_nbar(0.01))
+    with pytest.raises(TruncationError):
+        run_plan(plan, engine=engine)
 
 
 # ------------------------------------------------------ population series
