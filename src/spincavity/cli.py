@@ -99,7 +99,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--omega-k", dest="omega_k", type=int,
                        help="integer index fixing the drive strength")
         p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
-        p.add_argument("--nu", type=float, help="trap frequency")
+        p.add_argument("--nu", type=float,
+                       help="trap frequency (echoed in the report; changes no result, "
+                            "since the ion generators live in the frame that absorbs it)")
         p.add_argument("--nbar", type=float, help="thermal mode occupation")
         p.add_argument("--kappa", type=float, help="mode decay rate")
         p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,

@@ -1,7 +1,6 @@
-"""Propagators: the exact mode-frame stage propagator of the full
-engines, the factored drive/effective propagator, a reference
-Schroedinger integrator, a Lindblad master-equation solver, and
-thermal-state preparation.
+"""Propagators: the exact mode-frame stage propagators of the full and
+decay engines, the factored drive/effective propagator, a reference
+Schroedinger integrator, and thermal-state preparation.
 
 Numerical policy:
 
@@ -10,20 +9,25 @@ Numerical policy:
   because each e^{-+i delta t} term raises or lowers the Fock number by
   exactly one (also on the hard-truncated ladder).  ``evolve_exact``
   therefore propagates a drive stage with one eigendecomposition of
-  H0 + V, pushing every state column through it at once.  It checks the
-  column norms and raises NormDriftError on drift beyond 1e-6; it never
-  renormalizes.
+  H0 + V, pushing every state column through it at once.
+* The cavity collapse operators a and adag only pick up a phase in the
+  same frame, so the master equation is static there too.
+  ``evolve_lindblad`` builds the Liouvillian L = -i[H0 + V, .] + D once
+  per stage and applies e^{L (t1 - t0)} to every density matrix of the
+  stage at once with ``expm_action``, a truncated Taylor series whose
+  scaling comes from the exact 1-norm, so identical calls give
+  bitwise-identical results.
+* Neither exact propagator renormalizes, symmetrizes or clips: norm or
+  trace drift beyond 1e-6 raises NormDriftError, and the engines
+  validate final density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td`` / ``evolve_td_multi`` integrate H(t) with adaptive
   DOP853 and are kept as the independent reference the exact propagator
-  is tested against; the pure engines do not call them.
-* The Lindblad solver integrates with DOP853 under a step cap tied to
-  the fastest drive frequency, so the e^{+-2 i omega t} sidebands are
-  never aliased; trace drift up to 1e-6 is repaired by rescaling,
-  anything larger raises NormDriftError.
+  is tested against; no engine calls them.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
-  algebra.check_leakage (check_leakage_dm for density matrices).  State
-  columns of one ensemble carry the square roots of their weights, so
-  the check sees the population of the weighted mixture.
+  algebra.check_leakage (check_leakage_dm for density matrices).  The
+  states of one ensemble carry their weights (columns the square roots,
+  density matrices the weights themselves), so the check sees the
+  population of the weighted mixture.
 """
 
 from __future__ import annotations
@@ -48,22 +52,34 @@ from .algebra import (
     check_leakage_dm,
     collective_sx,
 )
-from .hamiltonians import DriveParams, TermList, terms_matrix
+from .hamiltonians import TermList, terms_matrix
 
 #: norm/trace drift beyond this is a propagation failure; the reference
-#: integrator and the Lindblad solver repair smaller drift by rescaling
+#: integrator repairs smaller drift by rescaling
 NORM_HARD = 1e-6
+
+#: theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput.
+#: 33, 488 (2011), Table 3.1; m <= 30 from Higham, Functions of Matrices,
+#: Table A.3): m Taylor terms of e^X meet a backward error of 2^-53
+#: whenever ||X||_1 <= theta_m
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+TAYLOR_TOL = 2.0**-53
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive-integrator settings.
+    """Settings of the reference integrator (evolve_td, evolve_td_multi).
 
-    max_step defaults to 2 pi / (20 * omega_max), where omega_max is the
-    fastest angular frequency of the active stage,
-    max(2 omega, |delta|, g, nu); pass an explicit value to override, or
-    leave it None in contexts without a known stage (the solver then
-    chooses its own steps).
+    max_step caps the DOP853 step; None lets the solver choose its own
+    steps.
     """
 
     rel_tol: float = 1e-10
@@ -75,21 +91,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
-
-    def resolved_max_step(self, params: DriveParams | None) -> float | None:
-        if self.max_step is not None:
-            return self.max_step
-        if params is None:
-            return None
-        return default_max_step(params)
-
-
-def default_max_step(params: DriveParams) -> float | None:
-    """Step cap 2 pi / (20 omega_max) for the stage's fastest frequency."""
-    omega_max = max(2.0 * params.omega, abs(params.delta), params.g, params.nu)
-    if omega_max == 0.0:
-        return None
-    return 2.0 * math.pi / (20.0 * omega_max)
 
 
 @dataclass(frozen=True)
@@ -179,23 +180,26 @@ def _norm_check_and_fix(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Propagation:
-    """What ``evolve_exact`` returns.
+    """What ``evolve_exact`` and ``evolve_lindblad`` return.
 
-    columns is the (dim, k) block at the stage end, or the
-    (len(t_eval), dim, k) trajectory; leak is the top-Fock population of
-    the ensemble that check_leakage returned (at the worst sampled time);
-    drift is the largest relative change of a column norm.
+    states is the propagated ensemble: the (dim, k) column block at the
+    stage end, or the (len(t_eval), dim, k) trajectory, for
+    evolve_exact; the (k, dim, dim) stack of density matrices for
+    evolve_lindblad.  leak is the top-Fock population of the ensemble
+    that the leakage check returned (at the worst sampled time); drift
+    is the largest relative change of a column norm or a trace.
     """
 
-    columns: np.ndarray
+    states: np.ndarray
     leak: float
     drift: float
 
 
 def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
-    """Largest relative change from the column norms ``before`` to the
-    norms ``after`` (any leading time axis); empty columns are skipped.
-    Raises NormDriftError beyond NORM_HARD and never renormalizes."""
+    """Largest relative change from the column norms (or traces)
+    ``before`` to ``after`` (any leading time axis); empty members are
+    skipped.  Raises NormDriftError beyond NORM_HARD and never
+    renormalizes."""
     live = before > 0
     if not np.any(live):
         return 0.0
@@ -203,6 +207,17 @@ def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
     if drift > NORM_HARD:
         raise NormDriftError(f"column norm drifted by {drift:.3e} (> {NORM_HARD:.0e})")
     return drift
+
+
+def _mode_frame(terms: TermList, delta: float, space: SpaceDescriptor):
+    """The static mode-frame generator H0 + V (dense) and the diagonal of
+    H0 = -delta adag a; V = H(0) must be Hermitian."""
+    v = terms_matrix(terms, 0.0)
+    herm = np.max(np.abs(v - v.conj().T))
+    if herm > 1e-10:
+        raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
+    h0 = -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim)
+    return v + np.diag(h0), h0
 
 
 def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
@@ -225,12 +240,8 @@ def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    v = terms_matrix(terms, 0.0)
-    herm = np.max(np.abs(v - v.conj().T))
-    if herm > 1e-10:
-        raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
-    h0 = -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim)
-    w, vecs = eigh(v + np.diag(h0))
+    gen, h0 = _mode_frame(terms, delta, space)
+    w, vecs = eigh(gen)
     coeffs = vecs.conj().T @ (np.exp(-1j * h0 * t0)[:, None] * columns)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
     phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
@@ -358,87 +369,102 @@ def propagator_u(space: SpaceDescriptor, lam: float, omega: float, t: float) -> 
 
 
 def apply_atomic(space: SpaceDescriptor, u_atoms: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply an atoms-only operator to a full-space state without forming
-    the Kronecker product (exact mode factorization)."""
-    block = amplitudes.reshape(space.atoms_dim, space.mode_dim)
-    return (u_atoms @ block).ravel()
+    """Apply an atoms-only operator to a full-space state, or to every
+    column of a (dim, k) block, without forming the Kronecker product
+    (exact mode factorization)."""
+    block = amplitudes.reshape(space.atoms_dim, -1)
+    return (u_atoms @ block).reshape(amplitudes.shape)
 
 
-def evolve_lindblad(h_of_t, decay: DecaySpec, rho: DensityMatrix, t0: float, t1: float,
-                    config: IntegratorConfig | None = None) -> DensityMatrix:
-    """Integrate the master equation
+def liouvillian(generator: np.ndarray, space: SpaceDescriptor,
+                decay: DecaySpec) -> sp.csr_matrix:
+    """The Liouvillian L rho = -i [H, rho] + sum_c (c rho c^dag
+    - {c^dag c, rho}/2) of a static generator H as a sparse matrix on
+    row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
+    h = sp.csr_matrix(generator)
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    out = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+    for c in _collapse_ops(space, decay):
+        c = sp.csr_matrix(c)
+        cdc = c.conj().T @ c
+        out = out + sp.kron(c, c.conj()) - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
+    return out.tocsr()
+
+
+def expm_action(a: sp.csr_matrix, b: np.ndarray, t: float) -> np.ndarray:
+    """e^{t a} b for a (n, k) block b, by the scaled truncated Taylor
+    series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+    Algorithm 3.2, with its early termination.
+
+    The shift mu = trace(a)/n and the degree m and scaling s come from
+    the exact 1-norm of t (a - mu I): the m minimising m ceil(norm /
+    theta_m).  Nothing is estimated from random vectors (as scipy's
+    expm_multiply does), so identical calls give bitwise-identical
+    results.
+    """
+    n = a.shape[0]
+    mu = a.diagonal().sum() / n
+    a = (a - mu * sp.identity(n, dtype=a.dtype, format="csr")).tocsr()
+    norm = t * float(abs(a).sum(axis=0).max())
+    m, s = min(((m, max(1, math.ceil(norm / theta))) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    eta = np.exp(t * mu / s)
+    f = b
+    for _ in range(s):
+        c1 = _inf_norm(b)
+        for j in range(1, m + 1):
+            b = a @ b
+            b *= t / (s * j)
+            c2 = _inf_norm(b)
+            f = f + b
+            if c1 + c2 <= TAYLOR_TOL * _inf_norm(f):
+                break
+            c1 = c2
+        f *= eta
+        b = f
+    return f
+
+
+def _inf_norm(block: np.ndarray) -> float:
+    return float(np.abs(block).sum(axis=1).max())
+
+
+def evolve_lindblad(terms: TermList, delta: float, decay: DecaySpec, space: SpaceDescriptor,
+                    rhos: np.ndarray, t0: float, t1: float) -> Propagation:
+    """Exact propagation of density matrices under the master equation
 
         drho/dt = -i [H(t), rho] + sum_c (c rho c^dag - {c^dag c, rho}/2)
 
     with collapse operators sqrt(kappa (1+nbar_bath)) a and
-    sqrt(kappa nbar_bath) adag.  Trace drift up to 1e-6 is repaired by
-    rescaling, larger drift raises NormDriftError.
+    sqrt(kappa nbar_bath) adag, for terms with
+    H(t) = e^{i H0 t} V e^{-i H0 t} as in ``evolve_exact``.  The
+    collapse operators only pick up a phase under e^{-+i H0 t}, so
+    sigma = e^{-i H0 t} rho e^{i H0 t} obeys dsigma/dt = L sigma with the
+    static L = -i [H0 + V, .] + D, and
+
+        rho(t1) = e^{i H0 t1} [e^{L (t1 - t0)} sigma(t0)] e^{-i H0 t1}.
+
+    ``rhos`` (k, dim, dim) are the members of one ensemble, each scaled
+    by its weight (trace = weight), so leakage is checked on the
+    weighted mixture; one Taylor action carries all of them.  drift is
+    the largest relative trace change (NormDriftError beyond 1e-6);
+    nothing is renormalized, symmetrized or clipped.
     """
-    space = rho.space
-    config = config or IntegratorConfig()
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return rho
-    dim = space.dim
+        return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0)
+    gen, h0 = _mode_frame(terms, delta, space)
+    k, n = len(rhos), space.dim
+    spread = np.subtract.outer(h0, h0).ravel()  # e^{-i H0 t} . e^{i H0 t} on vec(rho)
+    sigma = np.exp(-1j * spread * t0)[:, None] * rhos.reshape(k, n * n).T
+    sigma = expm_action(liouvillian(gen, space, decay), sigma, t1 - t0)
+    out = (np.exp(1j * spread * t1)[:, None] * sigma).T.reshape(k, n, n)
 
-    if callable(h_of_t):
-        def h_at(t):
-            h = h_of_t(t)
-            return h.matrix if isinstance(h, Operator) else np.asarray(h)
-    else:
-        terms = h_of_t
-
-        def h_at(t):
-            acc = 0
-            for coeff, mat in terms:
-                acc = acc + complex(coeff(t)) * mat
-            return acc
-
-    collapse = _collapse_ops(space, decay)
-    # precompute c, c^dag c for each collapse operator
-    pre = [(c, c.conj().T @ c) for c in collapse]
-
-    def rhs(t, y):
-        r = y.reshape(dim, dim)
-        h = h_at(t)
-        out = -1j * (h @ r - r @ h)
-        for c, cdc in pre:
-            out += (c @ r) @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
-        return out.ravel()
-
-    kwargs = {}
-    if config.max_step is not None:
-        kwargs["max_step"] = config.max_step
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        rho.matrix.astype(complex).ravel(),
-        method="DOP853",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        **kwargs,
-    )
-    if not sol.success:
-        raise NormDriftError(f"integrator failed: {sol.message}")
-    out = sol.y[:, -1].reshape(dim, dim)
-    out = 0.5 * (out + out.conj().T)  # repair roundoff-level hermiticity drift
-    tr = np.trace(out).real
-    if abs(tr - 1.0) > NORM_HARD:
-        raise NormDriftError(f"trace drifted by {abs(tr - 1.0):.3e} (> {NORM_HARD:.0e})")
-    out = out / tr
-    # integration error can leave eigenvalues slightly negative; clip
-    # noise-level dips so the result is a valid density matrix, but treat
-    # anything beyond the norm-drift budget as a real failure
-    w, v = np.linalg.eigh(out)
-    if w[0] < -NORM_HARD:
-        raise NormDriftError(f"density matrix eigenvalue drifted to {w[0]:.3e}")
-    if w[0] < 0:
-        w = np.clip(w, 0.0, None)
-        out = (v * w) @ v.conj().T
-        out = out / np.trace(out).real
-    check_leakage_dm(space, out)
-    return DensityMatrix(space, out)
+    drift = norm_drift(np.trace(rhos, axis1=1, axis2=2).real,
+                       np.trace(out, axis1=1, axis2=2).real)
+    leak = check_leakage_dm(space, out.sum(axis=0))
+    return Propagation(out, leak, drift)
 
 
 def _collapse_ops(space: SpaceDescriptor, decay: DecaySpec) -> list[np.ndarray]:

@@ -72,9 +72,9 @@ class DriveParams:
         Lamb-Dicke parameter (dimensionless, ion only).
     nu : float
         Trap frequency (rad/time, ion only).  The builders already live
-        in the frame where nu has been absorbed, so nu changes no
-        pure-engine result; it enters only the step cap of the adaptive
-        integrators (dynamics.default_max_step).
+        in the frame where nu has been absorbed, so nu feeds no
+        computation; it is kept so that a run's configuration (and the
+        report's config echo) can state it.
     lamb_dicke_order : int
         Largest displacement-series index j kept by the full ion
         builder (j = 0..order, i.e. order + 1 terms).

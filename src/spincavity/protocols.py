@@ -16,13 +16,17 @@ Engines:
   system has no separate classical drive, so the rotating-frame Rabi
   bookkeeping of the stage is not part of the ion generator; with the
   planner's even-k timing both readings give the same target.
-* ``Lindblad`` integrates a density matrix under the cavity Hamiltonian
+* ``Lindblad`` propagates density matrices under the cavity Hamiltonian
   with cavity decay.
 
 Both full engines propagate each drive stage exactly with
 dynamics.evolve_exact: their generators are static in the mode frame
 exp(-i delta adag a t), so a stage is one eigendecomposition that every
-column of every branch (thermal columns included) goes through.
+column of every branch (thermal columns included) goes through.  The
+decay engine does the same in Liouville space with
+dynamics.evolve_lindblad: the cavity dissipator is static in that frame
+too, so a stage is one Liouvillian and one Taylor action that carries
+the density matrices of every live branch at once.
 
 Drive stages of one plan run at consecutive absolute times so that the
 e^{i delta t} drive phases stay continuous across stage boundaries.
@@ -40,19 +44,18 @@ import numpy as np
 from .algebra import (
     DensityMatrix,
     Operator,
+    PhysicsError,
     SpaceDescriptor,
     StateVector,
     LEVEL_LABELS,
     basis_index,
     basis_state,
-    check_leakage_dm,
     embed_atom_op,
     make_space,
 )
 from .analysis import TimeSeries
 from .dynamics import (
     DecaySpec,
-    IntegratorConfig,
     ThermalSpec,
     apply_atomic,
     evolve_exact,
@@ -166,11 +169,11 @@ class StageRecord:
 
     dim is the dimension of the space the generator acts on (Liouville
     space for the decay engine); method is "factored" (Effective),
-    "eigh" (exact full-engine propagation) or "dop853" (Lindblad
-    integration); leak is the top-Fock population the leakage check
-    returned (None where the stage cannot leak); drift is the largest
-    relative column-norm change (None for Lindblad, whose solver
-    rescales trace drift up to 1e-6 itself).
+    "eigh" (exact full-engine propagation) or "taylor" (exact Lindblad
+    propagation by a truncated-Taylor action of the Liouvillian); leak
+    is the top-Fock population the leakage check returned (None where
+    the stage cannot leak); drift is the largest relative change of a
+    column norm (pure engines) or of a branch trace (Lindblad).
     """
 
     engine: str
@@ -519,13 +522,17 @@ class FullIon:
 
 @dataclass(frozen=True)
 class Lindblad:
-    """Density-matrix engine: cavity Hamiltonian plus cavity decay."""
+    """Density-matrix engine: the interaction-picture cavity Hamiltonian
+    plus cavity decay, one exact Liouville-space propagation per drive
+    stage.
+
+    initial_mode is a Fock number or a ThermalSpec.
+    """
 
     params: DriveParams
     decay: DecaySpec
     fock_cutoff: int = 12
     initial_mode: object = 0
-    integrator: IntegratorConfig | None = None
 
     def lam(self) -> float:
         return lambda_cavity(self.params.g, self.params.delta)
@@ -644,7 +651,7 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
                                  stage.duration).matrix
                 before = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
                 for br in branches:
-                    br["cols"] = _apply_atoms(space_run, u, br["cols"])
+                    br["cols"] = apply_atomic(space_run, u, br["cols"])
                 after = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
                 records.append(StageRecord(engine_name, FrameTag.EFFECTIVE.value,
                                            plan.space.atoms_dim, "factored", None,
@@ -655,7 +662,7 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
                 prop = evolve_exact(terms, engine.params.delta, space_run, block,
                                     t_abs, t_abs + stage.duration)
                 splits = np.cumsum([br["cols"].shape[1] for br in branches])[:-1]
-                for br, part in zip(branches, np.split(prop.columns, splits, axis=1)):
+                for br, part in zip(branches, np.split(prop.states, splits, axis=1)):
                     br["cols"] = part
                 records.append(StageRecord(engine_name, engine.frame.value, space_run.dim,
                                            "eigh", prop.leak, prop.drift))
@@ -663,7 +670,7 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
         elif isinstance(stage, LocalTransfer):
             u = _transfer_full(space_run, stage)
             for br in branches:
-                br["cols"] = _apply_atoms(space_run, u, br["cols"])
+                br["cols"] = apply_atomic(space_run, u, br["cols"])
         elif isinstance(stage, Measurement):
             branches = _measure_pure(space_run, branches, stage)
         else:
@@ -678,13 +685,6 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
     diagnostics = {"engine": engine_name, "absolute_duration": t_abs,
                    "stages": tuple(records)}
     return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
-
-
-def _apply_atoms(space: SpaceDescriptor, u_atoms: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        out[:, j] = apply_atomic(space, u_atoms, cols[:, j])
-    return out
 
 
 def _measure_pure(space: SpaceDescriptor, branches, stage: Measurement):
@@ -752,33 +752,32 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
             full = np.kron(amps, mode)
             rho = DensityMatrix(space_run, np.outer(full, full.conj()))
 
-    branches = [{"label": "", "mat": rho.matrix, "prob": 1.0}]
+    # each branch matrix carries its probability as its trace
+    branches = [{"label": "", "mat": rho.matrix}]
     t_abs = 0.0
     records = []
-    cfg = engine.integrator or IntegratorConfig()
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
-            merged = replace(engine.params, omega=stage.params.omega)
             _check_lam(engine.lam(), stage.lam)
-            terms = interaction_terms(space_run, merged)
-            config = replace(cfg, max_step=cfg.resolved_max_step(merged))
-            leak = 0.0
-            for br in branches:
-                if br["prob"] <= 1e-30:
-                    continue
-                dm = DensityMatrix(space_run, br["mat"] / br["prob"])
-                out = evolve_lindblad(terms, engine.decay, dm, t_abs,
-                                      t_abs + stage.duration, config)
-                br["mat"] = out.matrix * br["prob"]
-                leak += br["prob"] * check_leakage_dm(space_run, out.matrix)
+            terms = interaction_terms(space_run, replace(engine.params, omega=stage.params.omega))
+            live = [br for br in branches if np.trace(br["mat"]).real > 1e-30]
+            leak = drift = 0.0
+            if live:
+                prop = evolve_lindblad(terms, engine.params.delta, engine.decay, space_run,
+                                       np.stack([br["mat"] for br in live]),
+                                       t_abs, t_abs + stage.duration)
+                for br, mat in zip(live, prop.states):
+                    br["mat"] = mat
+                leak, drift = prop.leak, prop.drift
             records.append(StageRecord("Lindblad", FrameTag.INTERACTION_PICTURE.value,
-                                       space_run.dim ** 2, "dop853", leak, None))
+                                       space_run.dim ** 2, "taylor", leak, drift))
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
             u = _transfer_full(space_run, stage)
-            u_full = np.kron(u, np.eye(space_run.mode_dim))
             for br in branches:
-                br["mat"] = u_full @ br["mat"] @ u_full.conj().T
+                # (u x 1) rho (u x 1)^dag, both sides by atoms-only reshapes
+                half = apply_atomic(space_run, u, br["mat"])
+                br["mat"] = apply_atomic(space_run, u, half.conj().T).conj().T
         elif isinstance(stage, Measurement):
             new_branches = []
             outcomes = (range(space_run.atom_dim) if stage.mode == "enumerate"
@@ -793,7 +792,6 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
                     new_branches.append({
                         "label": br["label"] + LEVEL_LABELS[level],
                         "mat": sel,
-                        "prob": float(np.trace(sel).real),
                     })
             branches = new_branches
         else:
@@ -809,7 +807,6 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
             out_fids.append(0.0)
             continue
         mat = br["mat"] / prob
-        mat = 0.5 * (mat + mat.conj().T)
         state = DensityMatrix(space_run, mat)
         # <t| rho_atoms |t> without forming the reduced matrix
         r4 = mat.reshape(space_run.atoms_dim, space_run.mode_dim,
@@ -838,11 +835,18 @@ def plan_unitary(plan: ProtocolPlan) -> Operator:
 
 
 def sample_outcome(result: ProtocolResult, seed: int) -> str:
-    """Draw one measurement outcome label; deterministic given the seed."""
+    """Draw one measurement outcome label; deterministic given the seed.
+
+    Raises PhysicsError when every branch has probability 0, since there
+    is then no outcome to draw.
+    """
     rng = np.random.default_rng(seed)
     labels = [b.label for b in result.branches]
     probs = np.array([max(b.probability, 0.0) for b in result.branches])
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if not total > 0.0:
+        raise PhysicsError("every measurement branch has probability 0; nothing to sample")
+    probs = probs / total
     return str(rng.choice(labels, p=probs))
 
 
@@ -863,7 +867,7 @@ def drive_population_series(params: DriveParams, n_start: int, duration: float,
     psi0 = basis_state(space, "g" * atom_count, n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
     traj = evolve_exact(terms, params.delta, space, psi0, 0.0, duration,
-                        t_eval=times).columns
+                        t_eval=times).states
 
     e_all = basis_index(space.atoms_only(), "e" * atom_count, 0)
     omega = params.omega

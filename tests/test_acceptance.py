@@ -21,7 +21,7 @@ from spincavity.analysis import (
     reduce_to_atoms,
     trace_distance,
 )
-from spincavity.dynamics import DecaySpec, IntegratorConfig, ThermalSpec
+from spincavity.dynamics import DecaySpec, ThermalSpec
 from spincavity.hamiltonians import (
     DriveParams,
     FrameTag,
@@ -255,11 +255,9 @@ def test_criterion_09_cavity_decay_robustness():
 
     curve = {}
     checks = []
-    loose = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
     for kappa in (0.0, 0.05, 0.1, 0.15, 0.2):
         engine = Lindblad(params=_cavity_params(), decay=DecaySpec(kappa=kappa),
-                          fock_cutoff=5,
-                          integrator=None if kappa == 0.0 else loose)
+                          fock_cutoff=5)
         result = run_plan(plan, engine=engine)
         curve[kappa] = result.branch_fidelity("all")
         if kappa == 0.0:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from spincavity.algebra import (
     DensityMatrix,
@@ -21,9 +24,9 @@ from spincavity.dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
-    default_max_step,
     evolve_exact,
     evolve_lindblad,
+    expm_action,
     evolve_td,
     evolve_td_multi,
     evolve_ti,
@@ -229,6 +232,10 @@ def test_apply_atomic_matches_kron():
     psi = _random_state(space, 5).amplitudes
     direct = np.kron(u, np.eye(space.mode_dim)) @ psi
     assert np.max(np.abs(apply_atomic(space, u, psi) - direct)) <= 1e-13
+    # a (dim, k) block is transformed column by column
+    block = np.column_stack([psi, _random_state(space, 6).amplitudes])
+    direct = np.kron(u, np.eye(space.mode_dim)) @ block
+    assert np.max(np.abs(apply_atomic(space, u, block) - direct)) <= 1e-13
 
 
 # ------------------------------------------------------------ configuration
@@ -241,20 +248,6 @@ def test_integrator_config_validation():
         IntegratorConfig(abs_tol=-1e-12)
     with pytest.raises(ValueError):
         IntegratorConfig(max_step=0.0)
-
-
-def test_default_max_step_tracks_fastest_frequency():
-    params = DriveParams(g=1.0, delta=20.0, omega=50.0)
-    # fastest angular frequency is 2 omega = 100
-    assert default_max_step(params) == pytest.approx(2.0 * math.pi / 2000.0)
-    still = DriveParams(g=0.0, delta=0.0, omega=0.0)
-    assert default_max_step(still) is None
-
-
-def test_resolved_max_step_prefers_explicit_value():
-    config = IntegratorConfig(max_step=0.125)
-    assert config.resolved_max_step(DriveParams(g=1.0, delta=20.0, omega=50.0)) == 0.125
-    assert IntegratorConfig().resolved_max_step(None) is None
 
 
 # ------------------------------------------------------------- ThermalSpec
@@ -357,6 +350,16 @@ def test_decay_spec_validation():
 # ---------------------------------------------------------- evolve_lindblad
 
 
+def _zero_terms(space):
+    return [(lambda t: 0.0, np.zeros((space.dim, space.dim), dtype=complex))]
+
+
+def _lindblad_one(terms, delta, decay, rho, t0, t1):
+    """evolve_lindblad on one density matrix, its result validated as one."""
+    out = evolve_lindblad(terms, delta, decay, rho.space, rho.matrix[None], t0, t1)
+    return DensityMatrix(rho.space, out.states[0])
+
+
 def test_lindblad_no_decay_matches_unitary():
     space = make_space(2, 2, 2)
     params = DriveParams(g=1.0, delta=0.0, omega=0.0)
@@ -368,7 +371,7 @@ def test_lindblad_no_decay_matches_unitary():
         space, 0.5 * np.outer(psi_a, psi_a.conj()) + 0.5 * np.outer(psi_b, psi_b.conj())
     )
     t = 1.5
-    rho_t = evolve_lindblad(terms, DecaySpec(kappa=0.0), rho0, 0.0, t)
+    rho_t = _lindblad_one(terms, 0.0, DecaySpec(kappa=0.0), rho0, 0.0, t)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     expected = u @ rho0.matrix @ u.conj().T
@@ -382,9 +385,8 @@ def test_lindblad_photon_decay_rate():
     kappa = 0.5
     rho0_amp = basis_state(space, "g", 1).amplitudes
     rho0 = DensityMatrix(space, np.outer(rho0_amp, rho0_amp.conj()))
-    zero = lambda t: np.zeros((space.dim, space.dim))
     t = 1.4
-    rho_t = evolve_lindblad(zero, DecaySpec(kappa=kappa), rho0, 0.0, t)
+    rho_t = _lindblad_one(_zero_terms(space), 0.0, DecaySpec(kappa=kappa), rho0, 0.0, t)
     number = np.kron(np.eye(space.atoms_dim), np.diag(np.arange(space.mode_dim)))
     n_mean = np.trace(number @ rho_t.matrix).real
     assert n_mean == pytest.approx(math.exp(-kappa * t), abs=1e-8)
@@ -398,8 +400,8 @@ def test_lindblad_thermal_steady_state():
     kappa = 1.0
     rho0_amp = basis_state(space, "g", 0).amplitudes
     rho0 = DensityMatrix(space, np.outer(rho0_amp, rho0_amp.conj()))
-    zero = lambda t: np.zeros((space.dim, space.dim))
-    rho_t = evolve_lindblad(zero, DecaySpec(kappa=kappa, nbar_bath=nbar_bath), rho0, 0.0, 40.0)
+    rho_t = _lindblad_one(_zero_terms(space), 0.0, DecaySpec(kappa=kappa, nbar_bath=nbar_bath),
+                          rho0, 0.0, 40.0)
     pops = np.diag(rho_t.matrix).real.reshape(space.atoms_dim, space.mode_dim).sum(axis=0)
     ratio = nbar_bath / (1.0 + nbar_bath)
     geometric = ratio ** np.arange(space.mode_dim)
@@ -411,27 +413,25 @@ def test_lindblad_preserves_trace():
     space = make_space(1, 2, 8)
     rho0_amp = basis_state(space, "g", 1).amplitudes
     rho0 = DensityMatrix(space, np.outer(rho0_amp, rho0_amp.conj()))
-    zero = lambda t: np.zeros((space.dim, space.dim))
-    rho_t = evolve_lindblad(zero, DecaySpec(kappa=0.3, nbar_bath=0.1), rho0, 0.0, 2.0)
+    rho_t = _lindblad_one(_zero_terms(space), 0.0, DecaySpec(kappa=0.3, nbar_bath=0.1),
+                          rho0, 0.0, 2.0)
     assert abs(np.trace(rho_t.matrix).real - 1.0) <= 1e-12
 
 
 def test_lindblad_zero_duration_returns_input():
     space = make_space(1, 2, 2)
     rho0_amp = basis_state(space, "g", 0).amplitudes
-    rho0 = DensityMatrix(space, np.outer(rho0_amp, rho0_amp.conj()))
-    out = evolve_lindblad(lambda t: np.zeros((space.dim, space.dim)),
-                          DecaySpec(kappa=0.2), rho0, 1.0, 1.0)
-    assert out is rho0
+    rhos = np.outer(rho0_amp, rho0_amp.conj())[None]
+    out = evolve_lindblad(_zero_terms(space), 0.0, DecaySpec(kappa=0.2), space, rhos, 1.0, 1.0)
+    assert out.states is rhos
 
 
 def test_lindblad_rejects_reversed_interval():
     space = make_space(1, 2, 2)
     rho0_amp = basis_state(space, "g", 0).amplitudes
-    rho0 = DensityMatrix(space, np.outer(rho0_amp, rho0_amp.conj()))
+    rhos = np.outer(rho0_amp, rho0_amp.conj())[None]
     with pytest.raises(ValueError):
-        evolve_lindblad(lambda t: np.zeros((space.dim, space.dim)),
-                        DecaySpec(kappa=0.2), rho0, 1.0, 0.0)
+        evolve_lindblad(_zero_terms(space), 0.0, DecaySpec(kappa=0.2), space, rhos, 1.0, 0.0)
 
 
 # ----------------------------------------------- ion frame cross-check
@@ -482,7 +482,10 @@ def test_full_engine_generators_static_in_mode_frame(frame, atom_dim, cutoff, g,
                          lamb_dicke_order=2)
     terms = EXACT_FRAMES[frame](space, params)
     n = np.tile(np.arange(space.mode_dim), space.atoms_dim)
-    phase = np.exp(-1j * delta * t * n)  # diagonal of e^{i H0 t}
+    # diagonal of e^{i H0 t}, as powers of the builders' own e^{-i delta t}:
+    # exp(-i delta t n) would round its argument (up to ~1e4 rad here) to
+    # ~1e-12 rad, the size of the bound itself
+    phase = np.exp(-1j * delta * t) ** n
     framed = phase[:, None] * terms_matrix(terms, 0.0) * phase.conj()[None, :]
     assert np.max(np.abs(terms_matrix(terms, t) - framed)) <= 1e-12
 
@@ -516,19 +519,21 @@ def test_exact_propagator_matches_reference_integrator(frame, g, delta, omega, n
         mode[n] = math.sqrt(ratio**n / (1.0 + nbar))
         cols[:, n] = np.kron(atoms / np.linalg.norm(atoms), mode)
     t1 = t0 + duration
+    # step cap 2 pi / (20 omega_max) for the fastest frequency of H(t)
+    omega_max = max(2.0 * omega, abs(delta), g)
     config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14,
-                              max_step=default_max_step(params))
+                              max_step=2.0 * math.pi / (20.0 * omega_max))
     reference = evolve_td_multi(terms, space, cols, t0, t1, config)
     exact = evolve_exact(terms, delta, space, cols, t0, t1)
-    assert np.max(np.abs(exact.columns - reference)) <= 1e-9
+    assert np.max(np.abs(exact.states - reference)) <= 1e-9
     # two consecutive stages compose to the single stage, and a sampled
     # trajectory ends where the stage does
-    mid = evolve_exact(terms, delta, space, cols, t0, t0 + duration / 3).columns
-    halves = evolve_exact(terms, delta, space, mid, t0 + duration / 3, t1).columns
-    assert np.max(np.abs(halves - exact.columns)) <= 1e-12
+    mid = evolve_exact(terms, delta, space, cols, t0, t0 + duration / 3).states
+    halves = evolve_exact(terms, delta, space, mid, t0 + duration / 3, t1).states
+    assert np.max(np.abs(halves - exact.states)) <= 1e-12
     traj = evolve_exact(terms, delta, space, cols, t0, t1,
-                        t_eval=np.linspace(t0, t1, 4)).columns
-    assert np.max(np.abs(traj[-1] - exact.columns)) <= 1e-12
+                        t_eval=np.linspace(t0, t1, 4)).states
+    assert np.max(np.abs(traj[-1] - exact.states)) <= 1e-12
     assert np.max(np.abs(traj[0] - cols)) <= 1e-12
 
 
@@ -543,7 +548,7 @@ def test_exact_propagator_checks_leakage_on_the_weighted_mixture():
     w = 1e-10
     block = np.column_stack([math.sqrt(1.0 - w) * heavy, math.sqrt(w) * light])
     prop = evolve_exact(terms, 1.2, space, block, 0.0, 3.0)
-    top = prop.columns.reshape(space.atoms_dim, space.mode_dim, 2)[:, -2:]
+    top = prop.states.reshape(space.atoms_dim, space.mode_dim, 2)[:, -2:]
     per_column = np.sum(np.abs(top) ** 2, axis=(0, 1))
     assert per_column[1] / w >= 1e-6
     assert prop.leak == pytest.approx(per_column.sum(), rel=1e-12)
@@ -566,3 +571,121 @@ def test_norm_drift_is_relative_and_raises_beyond_1e_6():
     assert norm_drift(before, np.array([1.0 + 4e-7, 0.5, 0.0])) == pytest.approx(4e-7)
     with pytest.raises(NormDriftError):
         norm_drift(before, np.array([1.0, 0.5 * (1.0 - 2e-6), 0.0]))
+
+
+# ------------------------------------------- exact Liouvillian propagation
+
+
+def test_expm_action_matches_dense_expm():
+    # a sparse non-normal generator whose 1-norm forces many scaling
+    # steps (||t A||_1 ~ 1e2, so s > 1 at every degree m)
+    rng = np.random.default_rng(3)
+    n = 40
+    h = sp.random(n, n, density=0.15, random_state=4) * (1.0 + 0.5j)
+    a = (-1j * (h + h.conj().T) + 0.3 * sp.random(n, n, density=0.05, random_state=5)
+         - 0.2 * sp.identity(n)).tocsr()
+    b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    t = 7.0
+    exact = expm(t * a.toarray()) @ b
+    assert np.max(np.abs(expm_action(a, b, t) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def _reference_master_equation(terms, decay, space, rho, t0, t1):
+    """DOP853 integration of drho/dt = -i[H(t), rho] + D rho with the
+    time-dependent H(t) and the collapse operators written out here."""
+    n = space.dim
+    a = np.kron(np.eye(space.atoms_dim), np.diag(np.sqrt(np.arange(1, space.mode_dim)), 1))
+    collapse = [math.sqrt(decay.kappa * (1.0 + decay.nbar_bath)) * a,
+                math.sqrt(decay.kappa * decay.nbar_bath) * a.conj().T]
+
+    def rhs(t, y):
+        r = y.reshape(n, n)
+        h = terms_matrix(terms, t)
+        out = -1j * (h @ r - r @ h)
+        for c in collapse:
+            cdc = c.conj().T @ c
+            out += c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
+        return out.ravel()
+
+    sol = solve_ivp(rhs, (t0, t1), rho.astype(complex).ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1].reshape(n, n)
+
+
+def _random_low_fock_columns(space, count, seed, top=2):
+    """count random pure states supported on Fock levels 0..top."""
+    rng = np.random.default_rng(seed)
+    cols = np.zeros((space.atoms_dim, space.mode_dim, count), dtype=complex)
+    cols[:, : top + 1] = (rng.normal(size=(space.atoms_dim, top + 1, count))
+                          + 1j * rng.normal(size=(space.atoms_dim, top + 1, count)))
+    cols = cols.reshape(space.dim, count)
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    frame=st.sampled_from(sorted(EXACT_FRAMES)),
+    g=st.floats(0.3, 1.0),
+    delta=st.floats(2.0, 8.0),
+    omega=st.floats(0.0, 20.0),
+    kappa=st.floats(0.0, 0.5),
+    nbar_bath=st.floats(0.0, 0.5),
+    t0=st.floats(0.5, 30.0),
+    duration=st.floats(0.05, 0.3),
+    seed=st.integers(0, 2**16),
+)
+def test_lindblad_propagator_matches_reference_master_equation(frame, g, delta, omega, kappa,
+                                                               nbar_bath, t0, duration, seed):
+    # a weighted stack of two mixed states (trace 0.7 and 0.3) over a
+    # short interval that starts at t0 != 0, so the mode-frame phases
+    # must carry across stage boundaries
+    space = make_space(2, 2, 8)
+    params = DriveParams(g=g, delta=delta, omega=omega, eta=0.05, phi=0.4,
+                         lamb_dicke_order=2)
+    terms = EXACT_FRAMES[frame](space, params)
+    decay = DecaySpec(kappa=kappa, nbar_bath=nbar_bath)
+    rhos = np.stack([weight * (cols @ cols.conj().T) / 2.0 for weight, cols in
+                     ((0.7, _random_low_fock_columns(space, 2, seed, top=1)),
+                      (0.3, _random_low_fock_columns(space, 2, seed + 1, top=1)))])
+    t1 = t0 + duration
+    prop = evolve_lindblad(terms, delta, decay, space, rhos, t0, t1)
+    for rho, out in zip(rhos, prop.states):
+        reference = _reference_master_equation(terms, decay, space, rho, t0, t1)
+        assert np.max(np.abs(out - reference)) <= 1e-8
+    assert prop.drift <= 1e-12
+    # two consecutive stages compose to the single stage
+    mid = evolve_lindblad(terms, delta, decay, space, rhos, t0, t0 + duration / 3).states
+    halves = evolve_lindblad(terms, delta, decay, space, mid, t0 + duration / 3, t1).states
+    assert np.max(np.abs(halves - prop.states)) <= 1e-12
+    # identical calls give identical bits
+    again = evolve_lindblad(terms, delta, decay, space, rhos, t0, t1)
+    assert again.states.tobytes() == prop.states.tobytes()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    frame=st.sampled_from(sorted(EXACT_FRAMES)),
+    g=st.floats(0.3, 1.0),
+    delta=st.floats(2.0, 8.0),
+    omega=st.floats(0.0, 20.0),
+    t0=st.floats(0.0, 30.0),
+    duration=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_lindblad_without_decay_matches_exact_pure_propagation(frame, g, delta, omega,
+                                                               t0, duration, seed):
+    # at kappa = 0 each |psi><psi| follows the pure-state propagator
+    space = make_space(2, 2, 9)
+    params = DriveParams(g=g, delta=delta, omega=omega, eta=0.05, phi=0.4,
+                         lamb_dicke_order=2)
+    terms = EXACT_FRAMES[frame](space, params)
+    cols = _random_low_fock_columns(space, 2, seed, top=1)
+    rhos = np.einsum("ik,jk->kij", cols, cols.conj())
+    t1 = t0 + duration
+    mixed = evolve_lindblad(terms, delta, DecaySpec(kappa=0.0), space, rhos, t0, t1)
+    pure = evolve_exact(terms, delta, space, cols, t0, t1).states
+    expected = np.einsum("ik,jk->kij", pure, pure.conj())
+    assert np.max(np.abs(mixed.states - expected)) <= 1e-12
+    assert mixed.leak == pytest.approx(evolve_exact(terms, delta, space, cols, t0, t1).leak,
+                                       rel=1e-9, abs=1e-15)
