@@ -37,28 +37,24 @@ from .dynamics import (
     apply_atomic,
     evolve_exact,
     evolve_lindblad,
-    evolve_td,
     evolve_td_multi,
-    evolve_ti,
     propagator_u,
     thermal_state,
 )
 from .hamiltonians import (
     DriveParams,
     FrameTag,
+    at_time,
     h0_drive,
     h_effective,
     h_interaction,
     h_ion,
-    h_rotated,
     h_slow,
     interaction_terms,
     ion_terms,
     lambda_cavity,
     lambda_ion,
-    rotated_terms,
     slow_terms,
-    terms_matrix,
 )
 from .protocols import (
     Branch,
@@ -89,5 +85,3 @@ from .protocols import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

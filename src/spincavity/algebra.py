@@ -174,14 +174,6 @@ class Operator:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
         object.__setattr__(self, "matrix", mat)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.space != other.space:
-            raise ValueError("operator spaces differ")
-        return Operator(self.space, self.matrix @ other.matrix)
-
 
 def basis_index(space: SpaceDescriptor, levels, n: int = 0) -> int:
     """Flat index of the product basis state with the given atomic levels

@@ -100,8 +100,8 @@ def _build_parser() -> _Parser:
                        help="integer index fixing the drive strength")
         p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
         p.add_argument("--nu", type=float,
-                       help="trap frequency (echoed in the report; changes no result, "
-                            "since the ion generators live in the frame that absorbs it)")
+                       help="trap frequency; only echoed in the report, since the ion "
+                            "generators live in the frame that absorbs it")
         p.add_argument("--nbar", type=float, help="thermal mode occupation")
         p.add_argument("--kappa", type=float, help="mode decay rate")
         p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
@@ -169,7 +169,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown engine {config.engine!r}")
     if config.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.format!r}")
+    _check_numbers(config)
     return config
+
+
+def _check_numbers(config: RunConfig):
+    """Reject non-finite float values and a negative thermal occupation."""
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value!r}")
+    if config.nbar < 0:
+        raise ConfigError(f"--nbar must be non-negative, got {config.nbar!r}")
 
 
 def _resolve_system_engine(config: RunConfig) -> tuple[str, str]:
@@ -243,7 +254,7 @@ def _build_engine(config: RunConfig, frame: FrameTag | None = None):
         return Lindblad(params, decay, config.fock_cutoff, _initial_mode(config))
     if system == "ion":
         params = DriveParams(omega=ION_OMEGA, delta=config.delta, eta=config.eta,
-                             nu=config.nu, phi=math.pi / 2.0, lamb_dicke_order=2)
+                             phi=math.pi / 2.0, lamb_dicke_order=2)
         return FullIon(params, config.fock_cutoff, _initial_mode(config),
                        frame or FrameTag.ION_INTERACTION)
     params = DriveParams(g=config.g, delta=config.delta)
@@ -360,6 +371,7 @@ def cmd_sweep(config: RunConfig) -> str:
         frac = i / (config.sweep_steps - 1)
         value = config.sweep_from + frac * (config.sweep_to - config.sweep_from)
         point = replace(config, **{config.sweep_param: value})
+        _check_numbers(point)
         plan = _build_plan(point)
         engine = _build_engine(point)
         result = run_plan(plan, engine=engine)

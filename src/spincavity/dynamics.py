@@ -20,9 +20,9 @@ Numerical policy:
 * Neither exact propagator renormalizes, symmetrizes or clips: norm or
   trace drift beyond 1e-6 raises NormDriftError, and the engines
   validate final density matrices (Hermiticity, trace, eigenvalues).
-* ``evolve_td`` / ``evolve_td_multi`` integrate H(t) with adaptive
-  DOP853 and are kept as the independent reference the exact propagator
-  is tested against; no engine calls them.
+* ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
+  DOP853 and is kept as the independent reference the exact propagator
+  is tested against; no engine calls it.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
   algebra.check_leakage (check_leakage_dm for density matrices).  The
   states of one ensemble carry their weights (columns the square roots,
@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 
 from .algebra import (
     DensityMatrix,
@@ -52,10 +52,8 @@ from .algebra import (
     check_leakage_dm,
     collective_sx,
 )
-from .hamiltonians import TermList, terms_matrix
 
-#: norm/trace drift beyond this is a propagation failure; the reference
-#: integrator repairs smaller drift by rescaling
+#: norm/trace drift beyond this is a propagation failure
 NORM_HARD = 1e-6
 
 #: theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput.
@@ -76,7 +74,7 @@ TAYLOR_TOL = 2.0**-53
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings of the reference integrator (evolve_td, evolve_td_multi).
+    """Settings of the reference integrator evolve_td_multi.
 
     max_step caps the DOP853 step; None lets the solver choose its own
     steps.
@@ -166,18 +164,6 @@ class DecaySpec:
             raise ValueError("nbar_bath must be non-negative")
 
 
-def _as_sparse_terms(h_terms: TermList):
-    return [(coeff, sp.csr_matrix(mat)) for coeff, mat in h_terms]
-
-
-def _norm_check_and_fix(amps: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(amps)
-    drift = abs(norm - 1.0)
-    if drift > NORM_HARD:
-        raise NormDriftError(f"state norm drifted by {drift:.3e} (> {NORM_HARD:.0e})")
-    return amps / norm
-
-
 @dataclass(frozen=True)
 class Propagation:
     """What ``evolve_exact`` and ``evolve_lindblad`` return.
@@ -209,10 +195,9 @@ def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
     return drift
 
 
-def _mode_frame(terms: TermList, delta: float, space: SpaceDescriptor):
+def _mode_frame(v: np.ndarray, delta: float, space: SpaceDescriptor):
     """The static mode-frame generator H0 + V (dense) and the diagonal of
-    H0 = -delta adag a; V = H(0) must be Hermitian."""
-    v = terms_matrix(terms, 0.0)
+    H0 = -delta adag a; V must be Hermitian."""
     herm = np.max(np.abs(v - v.conj().T))
     if herm > 1e-10:
         raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
@@ -220,14 +205,14 @@ def _mode_frame(terms: TermList, delta: float, space: SpaceDescriptor):
     return v + np.diag(h0), h0
 
 
-def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
+def evolve_exact(v: np.ndarray, delta: float, space: SpaceDescriptor,
                  columns: np.ndarray, t0: float, t1: float,
                  t_eval=None) -> Propagation:
     """Exact propagation of a generator that is static in the mode frame.
 
-    ``terms`` must satisfy H(t) = e^{i H0 t} V e^{-i H0 t} with
-    H0 = -delta adag a and V = H(0), as every full-engine builder in
-    ``hamiltonians`` does.  Then
+    ``v`` is the static generator V of H(t) = e^{i H0 t} V e^{-i H0 t}
+    with H0 = -delta adag a, as every full-engine builder in
+    ``hamiltonians`` returns it.  Then
 
         U(t, t0) = e^{i H0 t} e^{-i (H0 + V)(t - t0)} e^{-i H0 t0},
 
@@ -240,7 +225,7 @@ def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    gen, h0 = _mode_frame(terms, delta, space)
+    gen, h0 = _mode_frame(v, delta, space)
     w, vecs = eigh(gen)
     coeffs = vecs.conj().T @ (np.exp(-1j * h0 * t0)[:, None] * columns)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
@@ -254,26 +239,13 @@ def evolve_exact(terms: TermList, delta: float, space: SpaceDescriptor,
     return Propagation(traj[0] if t_eval is None else traj, leak, drift)
 
 
-def evolve_td(h_of_t, state: StateVector, t0: float, t1: float,
-              config: IntegratorConfig | None = None) -> StateVector:
-    """Integrate i d|psi>/dt = H(t)|psi> from t0 to t1.
-
-    h_of_t is either a term list ``[(coeff, matrix), ...]`` (fast sparse
-    path) or a callable ``t -> Operator | ndarray``.
-    """
-    out = evolve_td_multi(h_of_t, state.space, state.amplitudes[:, None], t0, t1, config)
-    return StateVector(state.space, _norm_check_and_fix(out[:, 0]))
-
-
 def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
-                    t0: float, t1: float, config: IntegratorConfig | None = None,
-                    t_eval=None) -> np.ndarray:
-    """Batched Schroedinger integration of several state columns at once.
+                    t0: float, t1: float, config: IntegratorConfig | None = None) -> np.ndarray:
+    """Integrate i d|psi>/dt = H(t)|psi> for several state columns at once.
 
-    columns has shape (dim, k).  Returns the final (dim, k) block, or,
-    when t_eval is given, the (len(t_eval), dim, k) trajectory.
-    Leakage is checked on every returned column; norm repair is left to
-    the callers so trajectories stay raw.
+    h_of_t is a callable ``t -> Operator | ndarray``; columns has shape
+    (dim, k).  Returns the final (dim, k) block, raw (nothing is
+    renormalized), after checking the leakage of every column.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -282,20 +254,10 @@ def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
     if t1 == t0:
         return columns.copy()
 
-    if callable(h_of_t):
-        def rhs(t, y):
-            h = h_of_t(t)
-            mat = h.matrix if isinstance(h, Operator) else np.asarray(h)
-            return (-1j * (mat @ y.reshape(dim, k))).ravel()
-    else:
-        sparse_terms = _as_sparse_terms(h_of_t)
-
-        def rhs(t, y):
-            psi = y.reshape(dim, k)
-            acc = np.zeros_like(psi)
-            for coeff, mat in sparse_terms:
-                acc += complex(coeff(t)) * (mat @ psi)
-            return (-1j * acc).ravel()
+    def rhs(t, y):
+        h = h_of_t(t)
+        mat = h.matrix if isinstance(h, Operator) else np.asarray(h)
+        return (-1j * (mat @ y.reshape(dim, k))).ravel()
 
     kwargs = {}
     if config.max_step is not None:
@@ -307,42 +269,14 @@ def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
         method="DOP853",
         rtol=config.rel_tol,
         atol=config.abs_tol,
-        t_eval=t_eval,
-        dense_output=False,
         **kwargs,
     )
     if not sol.success:
         raise NormDriftError(f"integrator failed: {sol.message}")
-    if t_eval is not None:
-        traj = sol.y.T.reshape(len(sol.t), dim, k)
-        for col in range(k):
-            check_leakage(space, traj[-1][:, col])
-        return traj
     final = sol.y[:, -1].reshape(dim, k)
     for col in range(k):
         check_leakage(space, final[:, col])
     return final
-
-
-def evolve_ti(h: Operator, state: StateVector, duration: float,
-              method: str = "eigh") -> StateVector:
-    """Apply exp(-i H duration) to a state.
-
-    method "eigh" diagonalizes the Hermitian matrix, "expm" uses
-    scaling-and-squaring; the two agree to 1e-10 and exist as mutual
-    checks.
-    """
-    herm = np.max(np.abs(h.matrix - h.matrix.conj().T))
-    if herm > 1e-10:
-        raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-    if method == "eigh":
-        w, v = eigh(h.matrix)
-        amps = v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes))
-    elif method == "expm":
-        amps = expm(-1j * duration * h.matrix) @ state.amplitudes
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return StateVector(state.space, _norm_check_and_fix(amps))
 
 
 @lru_cache(maxsize=32)
@@ -429,15 +363,15 @@ def _inf_norm(block: np.ndarray) -> float:
     return float(np.abs(block).sum(axis=1).max())
 
 
-def evolve_lindblad(terms: TermList, delta: float, decay: DecaySpec, space: SpaceDescriptor,
+def evolve_lindblad(v: np.ndarray, delta: float, decay: DecaySpec, space: SpaceDescriptor,
                     rhos: np.ndarray, t0: float, t1: float) -> Propagation:
     """Exact propagation of density matrices under the master equation
 
         drho/dt = -i [H(t), rho] + sum_c (c rho c^dag - {c^dag c, rho}/2)
 
     with collapse operators sqrt(kappa (1+nbar_bath)) a and
-    sqrt(kappa nbar_bath) adag, for terms with
-    H(t) = e^{i H0 t} V e^{-i H0 t} as in ``evolve_exact``.  The
+    sqrt(kappa nbar_bath) adag, for H(t) = e^{i H0 t} V e^{-i H0 t} with
+    the static generator ``v`` as in ``evolve_exact``.  The
     collapse operators only pick up a phase under e^{-+i H0 t}, so
     sigma = e^{-i H0 t} rho e^{i H0 t} obeys dsigma/dt = L sigma with the
     static L = -i [H0 + V, .] + D, and
@@ -454,7 +388,7 @@ def evolve_lindblad(terms: TermList, delta: float, decay: DecaySpec, space: Spac
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
         return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0)
-    gen, h0 = _mode_frame(terms, delta, space)
+    gen, h0 = _mode_frame(v, delta, space)
     k, n = len(rhos), space.dim
     spread = np.subtract.outer(h0, h0).ravel()  # e^{-i H0 t} . e^{i H0 t} on vec(rho)
     sigma = np.exp(-1j * spread * t0)[:, None] * rhos.reshape(k, n * n).T

@@ -622,8 +622,8 @@ def _initial_columns(plan: ProtocolPlan, initial, engine):
     return space_run, cols
 
 
-def _drive_terms(space_run: SpaceDescriptor, stage: CollectiveDrive, engine):
-    """Terms and detuning of one drive stage under a full engine."""
+def _drive_generator(space_run: SpaceDescriptor, stage: CollectiveDrive, engine) -> np.ndarray:
+    """Static mode-frame generator V of one drive stage under a full engine."""
     _check_lam(engine.lam(), stage.lam)
     if isinstance(engine, FullIon):
         if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
@@ -657,9 +657,9 @@ def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
                                            plan.space.atoms_dim, "factored", None,
                                            norm_drift(before, after)))
             else:
-                terms = _drive_terms(space_run, stage, engine)
+                v = _drive_generator(space_run, stage, engine)
                 block = np.hstack([br["cols"] for br in branches])
-                prop = evolve_exact(terms, engine.params.delta, space_run, block,
+                prop = evolve_exact(v, engine.params.delta, space_run, block,
                                     t_abs, t_abs + stage.duration)
                 splits = np.cumsum([br["cols"].shape[1] for br in branches])[:-1]
                 for br, part in zip(branches, np.split(prop.states, splits, axis=1)):
@@ -759,11 +759,11 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
             _check_lam(engine.lam(), stage.lam)
-            terms = interaction_terms(space_run, replace(engine.params, omega=stage.params.omega))
+            v = interaction_terms(space_run, replace(engine.params, omega=stage.params.omega))
             live = [br for br in branches if np.trace(br["mat"]).real > 1e-30]
             leak = drift = 0.0
             if live:
-                prop = evolve_lindblad(terms, engine.params.delta, engine.decay, space_run,
+                prop = evolve_lindblad(v, engine.params.delta, engine.decay, space_run,
                                        np.stack([br["mat"] for br in live]),
                                        t_abs, t_abs + stage.duration)
                 for br, mat in zip(live, prop.states):
@@ -863,10 +863,10 @@ def drive_population_series(params: DriveParams, n_start: int, duration: float,
     sample comes from one exact eigendecomposition of the stage.
     """
     space = make_space(atom_count, 2, fock_cutoff)
-    terms = interaction_terms(space, params)
+    v = interaction_terms(space, params)
     psi0 = basis_state(space, "g" * atom_count, n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
-    traj = evolve_exact(terms, params.delta, space, psi0, 0.0, duration,
+    traj = evolve_exact(v, params.delta, space, psi0, 0.0, duration,
                         t_eval=times).states
 
     e_all = basis_index(space.atoms_only(), "e" * atom_count, 0)

@@ -233,6 +233,32 @@ def test_malformed_config_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--nbar", "-1"),
+    ("--nbar", "nan"),
+    ("--g", "nan"),
+    ("--delta", "nan"),
+    ("--delta", "inf"),
+    ("--kappa", "nan"),
+])
+def test_non_finite_or_negative_occupation_exit_1(capsys, flag, value):
+    # a negative or NaN nbar used to run the vacuum start and exit 0;
+    # NaN couplings used to fail deep in the planners
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "2", "--engine", "full",
+                          "--delta", "5", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"config error: {flag} must be" in err
+
+
+def test_sweep_to_negative_occupation_exit_1(capsys):
+    code, _, err = _run(capsys, "sweep", "ghz", "--engine", "full", "--delta", "5",
+                        "--sweep-param", "nbar", "--sweep-from", "-1",
+                        "--sweep-to", "0", "--sweep-steps", "2")
+    assert code == 1
+    assert "--nbar must be non-negative" in err
+
+
 def test_thermal_needs_large_cutoff_exit_1(capsys):
     code, _, err = _run(capsys, "protocol", "ghz", "--engine", "full",
                         "--delta", "10", "--nbar", "1", "--fock-cutoff", "12")

@@ -22,7 +22,6 @@ from spincavity.hamiltonians import (
     h_effective,
     h_interaction,
     h_ion,
-    h_rotated,
     h_slow,
     lambda_cavity,
     lambda_ion,
@@ -36,12 +35,6 @@ def _embed_sum(space, local):
     for j in range(space.atom_count):
         full += embed_atom_op(space, j, local).matrix
     return full
-
-
-def _qubit_block(space, mat2):
-    local = np.zeros((space.atom_dim, space.atom_dim), dtype=complex)
-    local[:2, :2] = mat2
-    return local
 
 
 # ---------------------------------------------------------------------------
@@ -81,54 +74,6 @@ def test_interaction_matrix_element():
 def test_interaction_requires_mode():
     with pytest.raises(ValueError):
         h_interaction(make_space(1, 2, 0, no_mode=True), DriveParams(g=1, delta=1), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# rotated frame
-
-
-def _pm_locals():
-    # sigma ops of the drive-dressed |+/-> basis, written in the g/e basis
-    sz = 0.5 * (SP + SP.conj().T)
-    sp = 0.5 * np.array([[1, -1], [1, -1]], dtype=complex)
-    return sz, sp, sp.conj().T
-
-
-def test_rotated_at_time_zero():
-    space = make_space(2, 2, 2)
-    g = 0.6
-    params = DriveParams(g=g, delta=4.0, omega=11.0)
-    a, adag = (op.matrix for op in boson_ops(space))
-    sz, sp, sm = _pm_locals()
-    szs = _embed_sum(space, _qubit_block(space, sz))
-    sps = _embed_sum(space, _qubit_block(space, sp))
-    sms = _embed_sum(space, _qubit_block(space, sm))
-    expected = (g * (adag + a) @ szs
-                - 0.5 * g * (adag - a) @ (sps - sms))
-    assert np.allclose(h_rotated(space, params, 0.0).matrix, expected, atol=1e-13)
-
-
-def test_rotated_annihilates_all_f():
-    space = make_space(2, 3, 1)
-    params = DriveParams(g=1.0, delta=2.0, omega=5.0)
-    psi = basis_state(space, "ff", 1).amplitudes
-    out = h_rotated(space, params, 0.4).matrix @ psi
-    assert np.max(np.abs(out)) <= 1e-14
-
-
-def test_frame_consistency_interaction_to_rotated():
-    # conjugating the coupling part of the interaction picture by the
-    # drive rotation reproduces the rotated-frame operator exactly
-    rng = np.random.default_rng(23)
-    space = make_space(2, 2, 2)
-    params = DriveParams(g=0.7, delta=3.1, omega=2.3)
-    h0 = h0_drive(space, params.omega).matrix
-    for t in rng.uniform(0.0, 7.0, size=20):
-        hi = h_interaction(space, params, t).matrix
-        rot = expm(1j * h0 * t)
-        conj = rot @ (hi - h0) @ rot.conj().T
-        hr = h_rotated(space, params, t).matrix
-        assert np.max(np.abs(conj - hr)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +233,6 @@ def test_all_builders_hermitian_at_random_times():
     ion = DriveParams(omega=0.9, delta=1.5, eta=0.08, phi=0.7, lamb_dicke_order=2)
     builders = [
         lambda t: h_interaction(space, cav, t),
-        lambda t: h_rotated(space, cav, t),
         lambda t: h_slow(space, cav, t),
         lambda t: h_ion(space, ion, t, FrameTag.ION_INTERACTION),
         lambda t: h_ion(space, ion, t, FrameTag.ION_LAMB_DICKE),
