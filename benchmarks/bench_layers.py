@@ -1,0 +1,112 @@
+"""Layer benchmark: one drive stage of each exact engine, timed alone.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_layers.py \
+        --benchmark-json=BENCH.json
+
+The file name does not match ``test_*``, so the unit suite does not
+collect it.  BLAS is pinned to one thread before numpy loads, and each
+benchmark records the pin, the core count and the numpy/scipy/BLAS
+versions in its ``extra_info``.
+
+Stages:
+
+* ``lindblad_decay_sweep``: the decay-sweep workload's stage, N = 2
+  GHZ at delta = 4.1 g, cutoff 6, kappa = 0.2 g (Liouville dimension
+  784).
+* ``lindblad_criterion_9``: criterion 9's second drive stage, two
+  qutrits at delta = 10 g, cutoff 5, kappa = 0.2 g (dimension 2916).
+* ``exact_two_atom_qutrit``: the same stage on the full cavity engine
+  at the README's cutoff 8 (Hilbert dimension 81, one ``eigh``).
+"""
+
+import os
+import sys
+
+BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(var) != "1" for var in BLAS_ENV):
+    raise RuntimeError("numpy loaded before the BLAS pin; set OMP_NUM_THREADS=1, "
+                       "OPENBLAS_NUM_THREADS=1 and MKL_NUM_THREADS=1")
+for _var in BLAS_ENV:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy  # noqa: E402
+
+from spincavity.algebra import basis_state, make_space  # noqa: E402
+from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa: E402
+from spincavity.hamiltonians import DriveParams, interaction_terms, lambda_cavity  # noqa: E402
+from spincavity.protocols import (  # noqa: E402
+    CollectiveDrive,
+    plan_ghz_two_level,
+    plan_two_atom_qutrit,
+)
+
+
+def _machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_ENV},
+    }
+
+
+def _drives(plan):
+    """(start, stage) of each drive stage at its absolute start time."""
+    t, out = 0.0, []
+    for stage in plan.stages:
+        if isinstance(stage, CollectiveDrive):
+            out.append((t, stage))
+            t += stage.duration
+    return out
+
+
+def _stage(plan, index, space, delta):
+    t0, stage = _drives(plan)[index]
+    v = interaction_terms(space, DriveParams(g=1.0, delta=delta, omega=stage.params.omega))
+    return v, t0, t0 + stage.duration
+
+
+def _vacuum_rho(space):
+    psi = basis_state(space, "g" * space.atom_count, 0).amplitudes
+    return np.outer(psi, psi.conj())[None]
+
+
+@pytest.fixture
+def record(benchmark):
+    benchmark.extra_info.update(_machine())
+    return benchmark
+
+
+def test_lindblad_decay_sweep(record):
+    space = make_space(2, 2, 6)
+    plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
+    v, t0, t1 = _stage(plan, 0, space, 4.1)
+    rhos = _vacuum_rho(space)
+    record.extra_info["liouville_dim"] = space.dim ** 2
+    record(evolve_lindblad, v, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
+
+
+def test_lindblad_criterion_9(record):
+    space = make_space(2, 3, 5)
+    plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
+    v, t0, t1 = _stage(plan, 1, space, 10.0)
+    rhos = _vacuum_rho(space)
+    record.extra_info["liouville_dim"] = space.dim ** 2
+    record.pedantic(evolve_lindblad, (v, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
+                    rounds=3, iterations=1)
+
+
+def test_exact_two_atom_qutrit(record):
+    space = make_space(2, 3, 8)
+    plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
+    v, t0, t1 = _stage(plan, 1, space, 10.0)
+    cols = basis_state(space, "gg", 0).amplitudes[:, None]
+    record.extra_info["hilbert_dim"] = space.dim
+    record(evolve_exact, v, 10.0, space, cols, t0, t1)

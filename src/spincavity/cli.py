@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 from .algebra import LEVEL_LABELS, PhysicsError, decode_index
 from .analysis import fidelity, leg_populations, reduce_to_atoms, trace_distance
@@ -44,6 +45,11 @@ ENGINES = ("effective", "full", "full-cavity", "full-ion", "lindblad")
 SYSTEMS = ("cavity", "ion")
 ION_OMEGA = 1.0  # laser Rabi frequency of the ion system's drive
 DEFAULT_DELTA = 20.0  # effective-engine fallback; full engines require --delta
+#: refuse a run whose largest array would take more bytes than this
+MEMORY_BUDGET = 2**30
+#: atomic levels each protocol's planner uses
+ATOM_LEVELS = {"two-atom-qutrit": 3, "ghz": 2, "ghz-three-level": 3,
+               "measure-reduce": 3, "ghz-four-level": 4}
 
 
 class ConfigError(ValueError):
@@ -146,7 +152,24 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    hints = get_type_hints(RunConfig)
+    for key, value in data.items():
+        kinds = get_args(hints[key]) or (hints[key],)
+        if not any(_is_a(value, kind) for kind in kinds):
+            names = " or ".join("null" if kind is type(None) else kind.__name__
+                                for kind in kinds)
+            raise ConfigError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
     return data
+
+
+def _is_a(value, kind) -> bool:
+    """JSON value against a RunConfig field type: a float field takes any
+    number, and no numeric field takes a boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -216,16 +239,44 @@ def _system_lambda(config: RunConfig) -> float:
     return lambda_cavity(config.g, config.delta)
 
 
+def _check_memory(config: RunConfig):
+    """Refuse a run whose largest array, computed from the space
+    dimensions before anything is allocated, exceeds MEMORY_BUDGET.
+
+    The effective engine's largest arrays are atoms-only d^N x d^N
+    matrices; the full engines' are generators on the mode-attached
+    space of dimension D = d^N (cutoff + 1); the decay engine's is its
+    sparse Liouvillian, whose D^2 rows hold at most 4 N + 4 entries (two
+    copies of a generator row with N drive and N coupling entries and a
+    diagonal, plus the collapse terms).
+    """
+    atoms = ATOM_LEVELS[config.protocol] ** config.n
+    _, kind = _resolve_system_engine(config)
+    if kind == "effective":
+        entries = atoms**2
+    elif kind == "full":
+        entries = (atoms * (config.fock_cutoff + 1)) ** 2
+    else:
+        entries = (atoms * (config.fock_cutoff + 1)) ** 2 * (4 * config.n + 4)
+    size = 16 * entries
+    if size > MEMORY_BUDGET:
+        raise ConfigError(
+            f"{config.protocol} on {config.n} atoms with the {kind} engine needs "
+            f"{size / 2**30:.3g} GiB for its largest array, beyond the "
+            f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n or --fock-cutoff")
+
+
 def _build_plan(config: RunConfig) -> ProtocolPlan:
     lam = _system_lambda(config)
     if lam <= 0:
         raise ConfigError("effective coupling must be positive; "
                           "check g, eta and delta")
     name = config.protocol
+    if name == "two-atom-qutrit" and config.n != 2:
+        raise ConfigError("two-atom-qutrit runs on exactly 2 atoms")
+    _check_memory(config)
     try:
         if name == "two-atom-qutrit":
-            if config.n != 2:
-                raise ConfigError("two-atom-qutrit runs on exactly 2 atoms")
             return PLANNERS[name](lam, k=config.omega_k, delta=config.delta)
         return PLANNERS[name](config.n, lam, n_choice=config.omega_k,
                               delta=config.delta)
@@ -403,8 +454,9 @@ def cmd_compare_frames(config: RunConfig) -> str:
     system, kind = _resolve_system_engine(config)
     if kind == "lindblad":
         raise ConfigError("compare-frames runs on unitary engines only")
-    plan = _strip_measurements(_build_plan(config))
     full = replace(config, engine="full", system=system)
+    _check_memory(full)
+    plan = _strip_measurements(_build_plan(config))
     if system == "ion":
         variants = [
             ("effective", Effective()),

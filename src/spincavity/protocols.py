@@ -25,8 +25,8 @@ exp(-i delta adag a t), so a stage is one eigendecomposition that every
 column of every branch (thermal columns included) goes through.  The
 decay engine does the same in Liouville space with
 dynamics.evolve_lindblad: the cavity dissipator is static in that frame
-too, so a stage is one Liouvillian and one Taylor action that carries
-the density matrices of every live branch at once.
+too, so a stage is one Liouvillian and one Chebyshev action that
+carries the density matrices of every live branch at once.
 
 Drive stages of one plan run at consecutive absolute times so that the
 e^{i delta t} drive phases stay continuous across stage boundaries.
@@ -169,8 +169,8 @@ class StageRecord:
 
     dim is the dimension of the space the generator acts on (Liouville
     space for the decay engine); method is "factored" (Effective),
-    "eigh" (exact full-engine propagation) or "taylor" (exact Lindblad
-    propagation by a truncated-Taylor action of the Liouvillian); leak
+    "eigh" (exact full-engine propagation) or "chebyshev" (exact Lindblad
+    propagation by a Chebyshev-series action of the Liouvillian); leak
     is the top-Fock population the leakage check returned (None where
     the stage cannot leak); drift is the largest relative change of a
     column norm (pure engines) or of a branch trace (Lindblad).
@@ -770,7 +770,7 @@ def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResu
                     br["mat"] = mat
                 leak, drift = prop.leak, prop.drift
             records.append(StageRecord("Lindblad", FrameTag.INTERACTION_PICTURE.value,
-                                       space_run.dim ** 2, "taylor", leak, drift))
+                                       space_run.dim ** 2, "chebyshev", leak, drift))
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
             u = _transfer_full(space_run, stage)

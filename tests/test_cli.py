@@ -226,6 +226,57 @@ def test_unknown_config_key_exit_1(tmp_path, capsys):
     assert "turbo" in err
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("fock_cutoff", 6.5, "'fock_cutoff' must be int, got 6.5"),
+    ("n", 2.0, "'n' must be int, got 2.0"),
+    ("g", "1", "'g' must be float, got \"1\""),
+    ("delta", True, "'delta' must be float or null, got true"),
+])
+def test_config_value_of_wrong_type_exit_1(tmp_path, capsys, key, value, expected):
+    # these used to fail deep in the program with messages naming
+    # neither the key nor the type
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"protocol": "ghz", "engine": "full", "delta": 5, key: value}))
+    code, out, err = _run(capsys, "protocol", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"config error: config key {expected}\n"
+
+
+def test_config_file_integers_fill_float_fields(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"protocol": "ghz", "g": 1, "delta": 20, "seed": None}))
+    code, _, err = _run(capsys, "protocol", "--config", str(cfg))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("protocol", "ghz", "--n", "40", "--g", "1", "--delta", "20"),
+    ("protocol", "ghz", "--n", "40", "--engine", "full", "--delta", "5"),
+    ("protocol", "ghz", "--n", "40", "--engine", "lindblad", "--delta", "10"),
+    ("sweep", "ghz", "--n", "40", "--sweep-param", "g", "--sweep-from", "0.5",
+     "--sweep-to", "1", "--sweep-steps", "2"),
+    ("compare-frames", "ghz", "--n", "40", "--delta", "5"),
+])
+def test_run_beyond_memory_budget_exit_1(capsys, argv):
+    # --n 40 used to die in numpy ("Unable to allocate 16.0 TiB"); the
+    # size is computed before anything is allocated.  At N = 40 the
+    # planner's first allocation would fail at once, so a missing guard
+    # cannot make this test take gigabytes.
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ghz on ")
+    assert "GiB for its largest array, beyond the 1 GiB budget" in err
+
+
+def test_atom_levels_match_the_planners():
+    lam = 0.05
+    for name, planner in cli.PLANNERS.items():
+        plan = planner(lam) if name == "two-atom-qutrit" else planner(4, lam)
+        assert plan.space.atom_dim == cli.ATOM_LEVELS[name]
+
+
 def test_malformed_config_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

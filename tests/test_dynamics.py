@@ -26,10 +26,12 @@ from spincavity.dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
+    chebyshev_action,
+    dissipative_margin,
     evolve_exact,
     evolve_lindblad,
-    expm_action,
     evolve_td_multi,
+    liouvillian,
     norm_drift,
     propagator_u,
     thermal_state,
@@ -44,8 +46,10 @@ from spincavity.hamiltonians import (
     h_slow,
     interaction_terms,
     ion_terms,
+    lambda_cavity,
     slow_terms,
 )
+from spincavity.protocols import CollectiveDrive, plan_ghz_two_level
 
 
 def _random_state(space, seed):
@@ -599,18 +603,83 @@ def test_norm_drift_is_relative_and_raises_beyond_1e_6():
 # ------------------------------------------- exact Liouvillian propagation
 
 
-def test_expm_action_matches_dense_expm():
-    # a sparse non-normal generator whose 1-norm forces many scaling
-    # steps (||t A||_1 ~ 1e2, so s > 1 at every degree m)
-    rng = np.random.default_rng(3)
-    n = 40
-    h = sp.random(n, n, density=0.15, random_state=4) * (1.0 + 0.5j)
-    a = (-1j * (h + h.conj().T) + 0.3 * sp.random(n, n, density=0.05, random_state=5)
-         - 0.2 * sp.identity(n)).tocsr()
-    b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    t = 7.0
+def _stage_liouvillian(space, params, delta, decay):
+    """The static Liouvillian of one interaction-picture stage with the
+    radius and margin evolve_lindblad gives its Chebyshev action."""
+    v = interaction_terms(space, params)
+    gen = v + np.diag(-delta * np.tile(np.arange(space.mode_dim), space.atoms_dim))
+    w = np.linalg.eigvalsh(gen)
+    margin = dissipative_margin(space, decay)
+    return liouvillian(gen, space, decay), w[-1] - w[0] + margin, margin
+
+
+def _random_rho_block(space, seed):
+    """A random full-rank density matrix as a (dim^2, 1) block."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = x @ x.conj().T
+    return (rho / np.trace(rho)).reshape(-1, 1)
+
+
+# the largest kappa, nbar_bath and cutoff any criterion, workload or
+# property test uses; pure dissipation (V = 0, so the radius is the
+# margin alone); no generator at all (radius 0, L = 0); and a stiff
+# point with kappa / g = 2 and a warm bath
+@pytest.mark.parametrize("atoms,cutoff,params,delta,decay,t", [
+    (2, 8, DriveParams(g=1.0, delta=8.0, omega=20.0), 8.0, DecaySpec(0.5, 0.5), 3.0),
+    (1, 4, DriveParams(g=0.0, delta=0.0, omega=0.0), 0.0, DecaySpec(0.5), 1.4),
+    (1, 4, DriveParams(g=0.0, delta=0.0, omega=0.0), 0.0, DecaySpec(0.0), 1.4),
+    (2, 6, DriveParams(g=1.0, delta=4.0, omega=10.0), 4.0, DecaySpec(2.0, 1.0), 2.0),
+])
+def test_chebyshev_action_matches_dense_expm(atoms, cutoff, params, delta, decay, t):
+    space = make_space(atoms, 2, cutoff)
+    a, radius, margin = _stage_liouvillian(space, params, delta, decay)
+    b = _random_rho_block(space, 7)
     exact = expm(t * a.toarray()) @ b
-    assert np.max(np.abs(expm_action(a, b, t) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    out = chebyshev_action(a, b, t, radius, margin)
+    assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def _decay_sweep_stage():
+    """The decay-sweep's stage: N = 2 GHZ at delta = 4.1 g, cutoff 6,
+    kappa = 0.2 g."""
+    (stage,) = [s for s in plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1).stages
+                if isinstance(s, CollectiveDrive)]
+    space = make_space(2, 2, 6)
+    params = DriveParams(g=1.0, delta=4.1, omega=stage.params.omega)
+    return space, _stage_liouvillian(space, params, 4.1, DecaySpec(0.2)), stage.duration
+
+
+def test_chebyshev_action_substeps_compose():
+    # four unequal pieces (10 substeps of four lengths instead of 8 of
+    # one; equal quarters would repeat the same 8) give the one stage
+    space, (a, radius, margin), t = _decay_sweep_stage()
+    b = _random_rho_block(space, 8)
+    whole = chebyshev_action(a, b, t, radius, margin)
+    pieces = b
+    for share in (0.1, 0.2, 0.3, 0.4):
+        pieces = chebyshev_action(a, pieces, share * t, radius, margin)
+    assert 0.0 < np.max(np.abs(pieces - whole)) <= 1e-12
+
+
+class _CountingCSR(sp.csr_matrix):
+    """A sparse matrix that counts its products with dense blocks; the
+    centred, scaled copies the action makes keep the class."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            _CountingCSR.products += 1
+        return super().__matmul__(other)
+
+
+def test_chebyshev_action_product_count_on_the_decay_sweep_stage():
+    # about radius * t products plus each substep's O(z^{1/3}) tail
+    space, (a, radius, margin), t = _decay_sweep_stage()
+    _CountingCSR.products = 0
+    chebyshev_action(_CountingCSR(a), _random_rho_block(space, 9), t, radius, margin)
+    assert radius * t <= _CountingCSR.products < 2 * radius * t
 
 
 def _reference_master_equation(h_of_t, decay, space, rho, t0, t1):

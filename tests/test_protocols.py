@@ -391,7 +391,7 @@ def test_lindblad_zero_decay_close_to_target():
     assert result.branch_fidelity("all") >= 0.95
     (record,) = result.diagnostics["stages"]
     assert (record.engine, record.frame, record.dim, record.method) == (
-        "Lindblad", "interaction_picture", 20 ** 2, "taylor")
+        "Lindblad", "interaction_picture", 20 ** 2, "chebyshev")
     assert 0.0 <= record.leak < 1e-6
     assert 0.0 <= record.drift <= 1e-10
 
