@@ -1,4 +1,5 @@
-"""Layer benchmark: one drive stage of each exact engine, timed alone.
+"""Layer benchmark: one drive stage of each exact engine, timed alone,
+and one whole ``run_plan`` per engine.
 
 Run from the repository root:
 
@@ -19,6 +20,14 @@ Stages:
   qutrits at delta = 10 g, cutoff 5, kappa = 0.2 g (dimension 2916).
 * ``exact_two_atom_qutrit``: the same stage on the full cavity engine
   at the README's cutoff 8 (Hilbert dimension 81, one ``eigh``).
+
+Whole plans (initial state, every stage, branch read-out):
+
+* ``run_plan_effective``: measure-reduce on N = 6 qutrits (atomic
+  dimension 729, three outcome branches).
+* ``run_plan_full_cavity``: two-atom-qutrit at delta = 10 g, cutoff 8.
+* ``run_plan_lindblad``: N = 2 GHZ at delta = 4.1 g, cutoff 6,
+  kappa = 0.1 g.
 """
 
 import os
@@ -40,8 +49,13 @@ from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa
 from spincavity.hamiltonians import DriveParams, interaction_terms, lambda_cavity  # noqa: E402
 from spincavity.protocols import (  # noqa: E402
     CollectiveDrive,
+    Effective,
+    FullCavity,
+    Lindblad,
     plan_ghz_two_level,
+    plan_measure_reduce,
     plan_two_atom_qutrit,
+    run_plan,
 )
 
 
@@ -110,3 +124,23 @@ def test_exact_two_atom_qutrit(record):
     cols = basis_state(space, "gg", 0).amplitudes[:, None]
     record.extra_info["hilbert_dim"] = space.dim
     record(evolve_exact, v, 10.0, space, cols, t0, t1)
+
+
+def test_run_plan_effective(record):
+    plan = plan_measure_reduce(6, lambda_cavity(1.0, 20.0), delta=20.0)
+    record.extra_info["atoms_dim"] = plan.space.atoms_dim
+    record(run_plan, plan, engine=Effective())
+
+
+def test_run_plan_full_cavity(record):
+    plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
+    engine = FullCavity(DriveParams(g=1.0, delta=10.0), fock_cutoff=8)
+    record.extra_info["hilbert_dim"] = plan.space.with_mode(8).dim
+    record(run_plan, plan, engine=engine)
+
+
+def test_run_plan_lindblad(record):
+    plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
+    engine = Lindblad(DriveParams(g=1.0, delta=4.1), DecaySpec(0.1), fock_cutoff=6)
+    record.extra_info["liouville_dim"] = plan.space.with_mode(6).dim ** 2
+    record(run_plan, plan, engine=engine)

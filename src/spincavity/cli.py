@@ -108,7 +108,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--nu", type=float,
                        help="trap frequency; only echoed in the report, since the ion "
                             "generators live in the frame that absorbs it")
-        p.add_argument("--nbar", type=float, help="thermal mode occupation")
+        p.add_argument("--nbar", type=float,
+                       help="thermal occupation of the initial mode (full and lindblad "
+                            "engines) and of the bath (lindblad)")
         p.add_argument("--kappa", type=float, help="mode decay rate")
         p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
                        help="highest Fock level kept")

@@ -19,6 +19,13 @@ Engines:
 * ``Lindblad`` propagates density matrices under the cavity Hamiltonian
   with cavity decay.
 
+``run_plan`` is one stage loop for every engine.  A branch holds its
+ensemble as a (dim, k) block of columns, each scaled by the square root
+of its weight (pure engines), or as a density matrix whose trace is its
+weight (Lindblad: C C^dag of the same block).  Only the drive, atoms-only
+maps (from the left on columns, on both sides of a density matrix) and
+the branch read-out differ between the two.
+
 Both full engines propagate each drive stage exactly with
 dynamics.evolve_exact: their generators are static in the mode frame
 exp(-i delta adag a t), so a stage is one eigendecomposition that every
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,10 +70,10 @@ from .dynamics import (
     evolve_lindblad,
     norm_drift,
     propagator_u,
-    thermal_state,
 )
-# unused here; perfbench/spans.py wraps this name to count integrator calls
-from .dynamics import evolve_td_multi  # noqa: F401
+# unused here; perfbench/spans.py wraps these names to count integrator
+# calls and thermal preparations
+from .dynamics import evolve_td_multi, thermal_state  # noqa: F401
 from .hamiltonians import (
     DriveParams,
     FrameTag,
@@ -526,7 +534,8 @@ class Lindblad:
     plus cavity decay, one exact Liouville-space propagation per drive
     stage.
 
-    initial_mode is a Fock number or a ThermalSpec.
+    initial_mode is a Fock number or a ThermalSpec; run_plan starts from
+    the density matrix C C^dag of the columns FullCavity would start from.
     """
 
     params: DriveParams
@@ -563,261 +572,189 @@ def _transfer_full(space: SpaceDescriptor, stage: LocalTransfer) -> np.ndarray:
 def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
     """Execute every stage of a plan and collect measurement branches.
 
-    initial defaults to all atoms in |g> (times the engine's mode
-    preparation for mode-attached engines).  Returns a ProtocolResult
+    One loop serves every engine; branches hold columns (pure engines)
+    or a density matrix (Lindblad), as the module docstring describes.
+    initial is None (all atoms in |g>), an atoms-only StateVector, a
+    full-space StateVector or, for Lindblad, a full-space DensityMatrix;
+    mode-attached engines put an atoms-only start next to their
+    initial_mode (Fock level or ThermalSpec).  Returns a ProtocolResult
     whose fidelities compare each branch against plan.target on the
     atomic factor.
     """
     engine = engine if engine is not None else Effective()
-    if isinstance(engine, Lindblad):
-        return _run_lindblad(plan, initial, engine)
-    return _run_pure(plan, initial, engine)
+    mixed = isinstance(engine, Lindblad)
+    space_run, start = _initial_state(plan, initial, engine)
+    branches = [("", start)]
+    t_abs = 0.0
+    records = []
+
+    for stage in plan.stages:
+        if isinstance(stage, CollectiveDrive):
+            states, record = _drive(plan, space_run, stage, engine,
+                                    [x for _, x in branches], t_abs)
+            branches = [(label, x) for (label, _), x in zip(branches, states)]
+            records.append(record)
+            t_abs += stage.duration
+        elif isinstance(stage, LocalTransfer):
+            transfer = partial(apply_atomic, space_run, _transfer_full(space_run, stage))
+            branches = [(label, _apply_left(transfer, x, mixed)) for label, x in branches]
+        elif isinstance(stage, Measurement):
+            outcomes = range(space_run.atom_dim) if stage.mode == "enumerate" else [stage.outcome]
+            projectors = [(LEVEL_LABELS[level], _level_projector(space_run, stage.atom_index, level))
+                          for level in outcomes]
+            branches = [(label + tag, _apply_left(project, x, mixed))
+                        for label, x in branches for tag, project in projectors]
+        else:
+            raise TypeError(f"unknown stage {stage!r}")
+
+    out_branches = []
+    out_fids = []
+    for label, x in branches:
+        prob, state, fid = _read_out(space_run, x, plan.target, mixed)
+        out_branches.append(Branch(label or "all", prob, state))
+        out_fids.append(fid)
+    diagnostics = {"engine": type(engine).__name__, "absolute_duration": t_abs,
+                   "stages": tuple(records)}
+    return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
 
 
-def _initial_columns(plan: ProtocolPlan, initial, engine):
-    """Resolve (space_run, columns (dim, k)) for pure engines.
+def _initial_state(plan: ProtocolPlan, initial, engine):
+    """Resolve (space_run, start) for every engine.
 
-    The columns are the members of the initial ensemble, each scaled by
-    the square root of its weight (one unit column for a pure start).
+    The start is the (dim, k) block of the initial ensemble's members,
+    each scaled by the square root of its weight (one unit column for a
+    pure start); Lindblad takes the density matrix C C^dag of that block,
+    or the full-space DensityMatrix it was given.
     """
+    if initial is None:
+        initial = basis_state(plan.space, "g" * plan.space.atom_count)
+    if isinstance(initial, StateVector) and initial.space.atoms_only() != plan.space:
+        raise ValueError("initial state's atoms do not match the plan's")
     if isinstance(engine, Effective):
-        if initial is None:
-            space_run = plan.space
-            cols = basis_state(space_run, "g" * plan.space.atom_count).amplitudes[:, None]
-            return space_run, cols
         if isinstance(initial, StateVector):
             return initial.space, initial.amplitudes[:, None].copy()
         raise TypeError("Effective engine takes a StateVector initial (or None)")
 
     space_run = plan.space.with_mode(engine.fock_cutoff)
+    mixed = isinstance(engine, Lindblad)
+    if mixed and isinstance(initial, DensityMatrix):
+        if initial.space != space_run:
+            raise ValueError("initial density matrix does not match the engine's space")
+        return space_run, initial.matrix
     if isinstance(initial, StateVector) and not initial.space.no_mode:
         if initial.space != space_run:
             raise ValueError("initial state does not match the engine's space")
-        return space_run, initial.amplitudes[:, None].copy()
-    if initial is None:
-        atoms = basis_state(plan.space, "g" * plan.space.atom_count).amplitudes
-    elif isinstance(initial, StateVector) and initial.space.no_mode:
+        cols = initial.amplitudes[:, None].copy()
+    elif isinstance(initial, StateVector):
         atoms = initial.amplitudes
+        mode_prep = engine.initial_mode
+        nm = space_run.mode_dim
+        if isinstance(mode_prep, ThermalSpec):
+            if mode_prep.cutoff > engine.fock_cutoff:
+                raise ValueError("thermal cutoff exceeds the engine's fock_cutoff")
+            weights = mode_prep.probabilities()
+            ns = np.arange(mode_prep.cutoff + 1)
+        else:
+            n = int(mode_prep)
+            if not 0 <= n < nm:
+                raise ValueError(f"initial Fock level {n} outside mode dimension {nm}")
+            weights = np.ones(1)
+            ns = np.array([n])
+        # column j is sqrt(p_j) |atoms, n_j>
+        mode = np.zeros((nm, len(ns)), dtype=complex)
+        mode[ns, np.arange(len(ns))] = np.sqrt(weights)
+        cols = np.kron(atoms[:, None], mode)
     else:
-        raise TypeError("pure engines take a StateVector initial (or None)")
-
-    mode_prep = engine.initial_mode
-    nm = space_run.mode_dim
-    if isinstance(mode_prep, ThermalSpec):
-        if mode_prep.cutoff > engine.fock_cutoff:
-            raise ValueError("thermal cutoff exceeds the engine's fock_cutoff")
-        weights = mode_prep.probabilities()
-        ns = np.arange(mode_prep.cutoff + 1)
-    else:
-        n = int(mode_prep)
-        if not 0 <= n < nm:
-            raise ValueError(f"initial Fock level {n} outside mode dimension {nm}")
-        weights = np.ones(1)
-        ns = np.array([n])
-    cols = np.zeros((space_run.dim, len(ns)), dtype=complex)
-    for j, n in enumerate(ns):
-        mode = np.zeros(nm, dtype=complex)
-        mode[n] = math.sqrt(weights[j])
-        cols[:, j] = np.kron(atoms, mode)
-    return space_run, cols
+        accepted = ", a full-space DensityMatrix," if mixed else ""
+        raise TypeError(f"{type(engine).__name__} engine takes an atoms-only or "
+                        f"full-space StateVector{accepted} or None as initial")
+    return space_run, (cols @ cols.conj().T if mixed else cols)
 
 
 def _drive_generator(space_run: SpaceDescriptor, stage: CollectiveDrive, engine) -> np.ndarray:
-    """Static mode-frame generator V of one drive stage under a full engine."""
+    """Static mode-frame generator V of one drive stage under a
+    mode-attached engine."""
     _check_lam(engine.lam(), stage.lam)
     if isinstance(engine, FullIon):
         if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
             raise ValueError(f"FullIon cannot run frame {engine.frame}")
         return ion_terms(space_run, engine.params, engine.frame)
     merged = replace(engine.params, omega=stage.params.omega)
+    if isinstance(engine, Lindblad) or engine.frame == FrameTag.INTERACTION_PICTURE:
+        return interaction_terms(space_run, merged)
     if engine.frame == FrameTag.SLOW_FRAME:
         return slow_terms(space_run, merged)
-    if engine.frame == FrameTag.INTERACTION_PICTURE:
-        return interaction_terms(space_run, merged)
     raise ValueError(f"cavity engine cannot run frame {engine.frame}")
 
 
-def _run_pure(plan: ProtocolPlan, initial, engine) -> ProtocolResult:
-    space_run, cols = _initial_columns(plan, initial, engine)
-    branches = [{"label": "", "cols": cols}]
-    t_abs = 0.0
-    engine_name = type(engine).__name__
-    records = []
-
-    for stage in plan.stages:
-        if isinstance(stage, CollectiveDrive):
-            if isinstance(engine, Effective):
-                u = propagator_u(plan.space, stage.lam, stage.params.omega,
-                                 stage.duration).matrix
-                before = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
-                for br in branches:
-                    br["cols"] = apply_atomic(space_run, u, br["cols"])
-                after = np.hstack([np.linalg.norm(br["cols"], axis=0) for br in branches])
-                records.append(StageRecord(engine_name, FrameTag.EFFECTIVE.value,
-                                           plan.space.atoms_dim, "factored", None,
-                                           norm_drift(before, after)))
-            else:
-                v = _drive_generator(space_run, stage, engine)
-                block = np.hstack([br["cols"] for br in branches])
-                prop = evolve_exact(v, engine.params.delta, space_run, block,
-                                    t_abs, t_abs + stage.duration)
-                splits = np.cumsum([br["cols"].shape[1] for br in branches])[:-1]
-                for br, part in zip(branches, np.split(prop.states, splits, axis=1)):
-                    br["cols"] = part
-                records.append(StageRecord(engine_name, engine.frame.value, space_run.dim,
-                                           "eigh", prop.leak, prop.drift))
-            t_abs += stage.duration
-        elif isinstance(stage, LocalTransfer):
-            u = _transfer_full(space_run, stage)
-            for br in branches:
-                br["cols"] = apply_atomic(space_run, u, br["cols"])
-        elif isinstance(stage, Measurement):
-            branches = _measure_pure(space_run, branches, stage)
-        else:
-            raise TypeError(f"unknown stage {stage!r}")
-
-    out_branches = []
-    out_fids = []
-    for br in branches:
-        state, prob, fid = _branch_state_fidelity(space_run, br["cols"], plan.target)
-        out_branches.append(Branch(br["label"] or "all", prob, state))
-        out_fids.append(fid)
-    diagnostics = {"engine": engine_name, "absolute_duration": t_abs,
-                   "stages": tuple(records)}
-    return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
+def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDrive,
+           engine, states: list, t_abs: float):
+    """Propagate the states of every branch through one drive stage that
+    starts at absolute time t_abs; returns the new states and the
+    stage's record."""
+    name = type(engine).__name__
+    if isinstance(engine, Effective):
+        u = propagator_u(plan.space, stage.lam, stage.params.omega, stage.duration).matrix
+        out = [apply_atomic(space_run, u, x) for x in states]
+        drift = norm_drift(np.hstack([np.linalg.norm(x, axis=0) for x in states]),
+                           np.hstack([np.linalg.norm(x, axis=0) for x in out]))
+        return out, StageRecord(name, FrameTag.EFFECTIVE.value, plan.space.atoms_dim,
+                                "factored", None, drift)
+    v = _drive_generator(space_run, stage, engine)
+    t_end = t_abs + stage.duration
+    if isinstance(engine, Lindblad):
+        out = list(states)
+        live = [i for i, rho in enumerate(states) if np.trace(rho).real > 1e-30]
+        leak = drift = 0.0
+        if live:
+            prop = evolve_lindblad(v, engine.params.delta, engine.decay, space_run,
+                                   np.stack([states[i] for i in live]), t_abs, t_end)
+            for i, rho in zip(live, prop.states):
+                out[i] = rho
+            leak, drift = prop.leak, prop.drift
+        return out, StageRecord(name, FrameTag.INTERACTION_PICTURE.value, space_run.dim ** 2,
+                                "chebyshev", leak, drift)
+    prop = evolve_exact(v, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
+    splits = np.cumsum([x.shape[1] for x in states])[:-1]
+    return np.split(prop.states, splits, axis=1), StageRecord(
+        name, engine.frame.value, space_run.dim, "eigh", prop.leak, prop.drift)
 
 
-def _measure_pure(space: SpaceDescriptor, branches, stage: Measurement):
-    outcomes = range(space.atom_dim) if stage.mode == "enumerate" else [stage.outcome]
-    new_branches = []
-    for br in branches:
-        cols3 = br["cols"].reshape(space.atoms_dim, space.mode_dim, -1)
-        for level in outcomes:
-            mask = _atom_level_mask(space, stage.atom_index, level)
-            sel = np.zeros_like(cols3)
-            sel[mask] = cols3[mask]
-            new_branches.append({
-                "label": br["label"] + LEVEL_LABELS[level],
-                "cols": sel.reshape(br["cols"].shape),
-            })
-    return new_branches
+def _apply_left(op, x, mixed: bool):
+    """Apply a left-acting map (an atoms-only operator or a projector) to
+    a branch: to its columns, or to both sides of its density matrix as
+    op(op(rho)^dag)^dag."""
+    return op(op(x).conj().T).conj().T if mixed else op(x)
 
 
-def _atom_level_mask(space: SpaceDescriptor, atom_index: int, level: int) -> np.ndarray:
-    idx = np.arange(space.atoms_dim)
+def _level_projector(space: SpaceDescriptor, atom_index: int, level: int):
+    """Left-acting projection onto the basis states with atom atom_index
+    in level."""
+    idx = np.arange(space.dim)[:, None] // space.mode_dim
     shift = space.atom_dim ** (space.atom_count - 1 - atom_index)
-    return (idx // shift) % space.atom_dim == level
+    mask = (idx // shift) % space.atom_dim == level
+    return lambda y: np.where(mask, y, 0.0)
 
 
-def _branch_state_fidelity(space_run, cols, target):
-    """Normalized branch state, its probability, and its fidelity against
-    the atomic target; the columns carry their ensemble weights."""
-    prob = float(np.sum(np.abs(cols) ** 2))
+def _read_out(space_run: SpaceDescriptor, x, target: StateVector, mixed: bool):
+    """Probability, normalized state and atomic-target fidelity of one
+    branch, whose columns or density matrix carry its weight."""
+    prob = float(np.trace(x).real) if mixed else float(np.sum(np.abs(x) ** 2))
     if prob <= 1e-30:
-        return None, prob, 0.0
-    blocks = cols.T.reshape(-1, space_run.atoms_dim, space_run.mode_dim)
-    proj = target.amplitudes.conj() @ blocks
-    fid = min(1.0, float(np.sum(np.abs(proj) ** 2)) / prob)
-    if cols.shape[1] == 1:
-        state = StateVector(space_run, cols[:, 0] / math.sqrt(prob))
-    else:
-        state = DensityMatrix(space_run, (cols @ cols.conj().T) / prob)
-    return state, prob, fid
-
-
-def _run_lindblad(plan: ProtocolPlan, initial, engine: Lindblad) -> ProtocolResult:
-    space_run = plan.space.with_mode(engine.fock_cutoff)
-    if initial is None:
-        atoms = None
-    elif isinstance(initial, StateVector) and initial.space.no_mode:
-        atoms = initial
-    elif isinstance(initial, DensityMatrix):
-        if initial.space != space_run:
-            raise ValueError("initial density matrix does not match the engine's space")
-        atoms = None
-    else:
-        raise TypeError("Lindblad engine takes an atoms-only StateVector, "
-                        "a full-space DensityMatrix, or None")
-
-    if isinstance(initial, DensityMatrix):
-        rho = initial
-    else:
-        mode_prep = engine.initial_mode
-        if isinstance(mode_prep, ThermalSpec):
-            rho = thermal_state(space_run, mode_prep, atoms)
-        else:
-            amps = (atoms or basis_state(plan.space, "g" * plan.space.atom_count)).amplitudes
-            mode = np.zeros(space_run.mode_dim, dtype=complex)
-            mode[int(mode_prep)] = 1.0
-            full = np.kron(amps, mode)
-            rho = DensityMatrix(space_run, np.outer(full, full.conj()))
-
-    # each branch matrix carries its probability as its trace
-    branches = [{"label": "", "mat": rho.matrix}]
-    t_abs = 0.0
-    records = []
-    for stage in plan.stages:
-        if isinstance(stage, CollectiveDrive):
-            _check_lam(engine.lam(), stage.lam)
-            v = interaction_terms(space_run, replace(engine.params, omega=stage.params.omega))
-            live = [br for br in branches if np.trace(br["mat"]).real > 1e-30]
-            leak = drift = 0.0
-            if live:
-                prop = evolve_lindblad(v, engine.params.delta, engine.decay, space_run,
-                                       np.stack([br["mat"] for br in live]),
-                                       t_abs, t_abs + stage.duration)
-                for br, mat in zip(live, prop.states):
-                    br["mat"] = mat
-                leak, drift = prop.leak, prop.drift
-            records.append(StageRecord("Lindblad", FrameTag.INTERACTION_PICTURE.value,
-                                       space_run.dim ** 2, "chebyshev", leak, drift))
-            t_abs += stage.duration
-        elif isinstance(stage, LocalTransfer):
-            u = _transfer_full(space_run, stage)
-            for br in branches:
-                # (u x 1) rho (u x 1)^dag, both sides by atoms-only reshapes
-                half = apply_atomic(space_run, u, br["mat"])
-                br["mat"] = apply_atomic(space_run, u, half.conj().T).conj().T
-        elif isinstance(stage, Measurement):
-            new_branches = []
-            outcomes = (range(space_run.atom_dim) if stage.mode == "enumerate"
-                        else [stage.outcome])
-            for br in branches:
-                for level in outcomes:
-                    mask = np.repeat(_atom_level_mask(space_run, stage.atom_index, level),
-                                     space_run.mode_dim)
-                    sel = br["mat"].copy()
-                    sel[~mask, :] = 0.0
-                    sel[:, ~mask] = 0.0
-                    new_branches.append({
-                        "label": br["label"] + LEVEL_LABELS[level],
-                        "mat": sel,
-                    })
-            branches = new_branches
-        else:
-            raise TypeError(f"unknown stage {stage!r}")
-
-    out_branches = []
-    out_fids = []
-    t = plan.target.amplitudes
-    for br in branches:
-        prob = float(np.trace(br["mat"]).real)
-        if prob <= 1e-30:
-            out_branches.append(Branch(br["label"] or "all", max(prob, 0.0), None))
-            out_fids.append(0.0)
-            continue
-        mat = br["mat"] / prob
-        state = DensityMatrix(space_run, mat)
+        return max(prob, 0.0), None, 0.0
+    t = target.amplitudes
+    if mixed:
+        mat = x / prob
         # <t| rho_atoms |t> without forming the reduced matrix
         r4 = mat.reshape(space_run.atoms_dim, space_run.mode_dim,
                          space_run.atoms_dim, space_run.mode_dim)
-        red = np.einsum("ambm->ab", r4)
-        fid = float(min(1.0, max(0.0, (t.conj() @ red @ t).real)))
-        out_branches.append(Branch(br["label"] or "all", prob, state))
-        out_fids.append(fid)
-    diagnostics = {"engine": "Lindblad", "absolute_duration": t_abs,
-                   "stages": tuple(records)}
-    return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
+        fid = float(min(1.0, max(0.0, (t.conj() @ np.einsum("ambm->ab", r4) @ t).real)))
+        return prob, DensityMatrix(space_run, mat), fid
+    proj = t.conj() @ x.T.reshape(-1, space_run.atoms_dim, space_run.mode_dim)
+    fid = min(1.0, float(np.sum(np.abs(proj) ** 2)) / prob)
+    if x.shape[1] == 1:
+        return prob, StateVector(space_run, x[:, 0] / math.sqrt(prob)), fid
+    return prob, DensityMatrix(space_run, (x @ x.conj().T) / prob), fid
 
 
 def plan_unitary(plan: ProtocolPlan) -> Operator:

@@ -22,7 +22,7 @@ from spincavity.algebra import (
     make_space,
     permutation_op,
 )
-from spincavity.analysis import extract_frequency, fidelity, leg_populations
+from spincavity.analysis import extract_frequency, fidelity, leg_populations, trace_distance
 from spincavity.dynamics import DecaySpec, ThermalSpec
 from spincavity.hamiltonians import (
     DriveParams,
@@ -343,6 +343,19 @@ def test_run_plan_rejects_wrong_initial_type():
         run_plan(plan, initial=np.zeros(4))
 
 
+@pytest.mark.parametrize("space", [make_space(3, 2, 0, no_mode=True), make_space(2, 3, 4)],
+                         ids=["three-atoms", "qutrits-with-mode"])
+def test_run_plan_rejects_initial_of_other_atoms(space):
+    # a start whose atoms differ from the plan's is named, not left to a
+    # shape error deep in the first stage
+    plan = plan_ghz_two_level(2, LAM)
+    with pytest.raises(ValueError, match="atoms do not match"):
+        run_plan(plan, initial=basis_state(space, "g" * space.atom_count))
+    with pytest.raises(ValueError, match="atoms do not match"):
+        run_plan(plan, initial=basis_state(space, "g" * space.atom_count),
+                 engine=FullCavity(params=_cavity_params(), fock_cutoff=4))
+
+
 # ------------------------------------------------------------ full engines
 
 
@@ -358,18 +371,78 @@ def test_engine_plan_rate_mismatch_rejected():
         run_plan(plan, engine=engine)
 
 
-def test_full_cavity_initial_mode_validation():
-    lam = lambda_cavity(1.0, 10.0)
-    plan = plan_ghz_two_level(2, lam, delta=10.0)
-    bad_fock = FullCavity(params=_cavity_params(), fock_cutoff=4, initial_mode=9)
+def _mode_engine(kind, **kwargs):
+    """A mode-attached engine of each kind with its own effective rate."""
+    if kind is FullIon:
+        params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0,
+                             lamb_dicke_order=2)
+        return FullIon(params=params, **kwargs)
+    if kind is Lindblad:
+        return Lindblad(params=_cavity_params(), decay=DecaySpec(kappa=0.0), **kwargs)
+    return FullCavity(params=_cavity_params(), **kwargs)
+
+
+@pytest.mark.parametrize("kind", [FullCavity, FullIon, Lindblad])
+@pytest.mark.parametrize("initial_mode", [-1, 7, 10, ThermalSpec.for_nbar(1.0)],
+                         ids=["below", "above", "far-above", "thermal-over-cutoff"])
+def test_mode_engine_initial_mode_validation(kind, initial_mode):
+    # a Fock level outside 0..fock_cutoff, or a thermal preparation with
+    # more levels than the engine keeps, is refused before any stage runs
+    engine = _mode_engine(kind, fock_cutoff=6, initial_mode=initial_mode)
+    plan = plan_ghz_two_level(2, engine.lam(), delta=engine.params.delta)
     with pytest.raises(ValueError):
-        run_plan(plan, engine=bad_fock)
-    fat_thermal = FullCavity(
-        params=_cavity_params(), fock_cutoff=4,
-        initial_mode=ThermalSpec.for_nbar(1.0),
-    )
-    with pytest.raises(ValueError):
-        run_plan(plan, engine=fat_thermal)
+        run_plan(plan, engine=engine)
+
+
+def test_lindblad_accepts_full_space_initial():
+    # |gg, 1> given as a full-space StateVector is the Fock-1 preparation
+    engine = _mode_engine(Lindblad, fock_cutoff=6)
+    plan = plan_ghz_two_level(2, engine.lam(), delta=10.0)
+    given = run_plan(plan, engine=engine,
+                     initial=basis_state(plan.space.with_mode(6), "gg", 1))
+    prepared = run_plan(plan, engine=replace(engine, initial_mode=1))
+    assert given.fidelities == prepared.fidelities
+    assert given.branch("all").probability == prepared.branch("all").probability
+    with pytest.raises(TypeError, match="StateVector, a full-space DensityMatrix, or None"):
+        run_plan(plan, engine=engine, initial=np.zeros(4))
+
+
+def _zero_decay_oracle_cases():
+    lam = lambda_cavity(1.0, 4.1)
+    base = plan_ghz_two_level(2, lam, delta=4.1)
+    ghz = replace(base, stages=base.stages + (Measurement(0),))
+    atoms = np.zeros(ghz.space.dim, dtype=complex)
+    atoms[basis_index(ghz.space, "gg")] = math.sqrt(0.7)
+    atoms[basis_index(ghz.space, "ee")] = 1j * math.sqrt(0.3)
+    superposition = StateVector(ghz.space, atoms)
+    # criterion 9's qutrit point: delta = 4.1 g leaks out of cutoff 5
+    qutrit = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
+    return [
+        pytest.param(ghz, 4.1, 8, 0, None, id="ghz-fock0"),
+        pytest.param(ghz, 4.1, 8, 1, None, id="ghz-fock1"),
+        pytest.param(ghz, 4.1, 8, ThermalSpec.for_nbar(0.05), None, id="ghz-thermal"),
+        pytest.param(ghz, 4.1, 8, 0, superposition, id="ghz-superposition"),
+        pytest.param(qutrit, 10.0, 5, 0, None, id="qutrit-transfer"),
+    ]
+
+
+@pytest.mark.parametrize("plan, delta, cutoff, initial_mode, initial",
+                         _zero_decay_oracle_cases())
+def test_zero_decay_lindblad_matches_full_cavity(plan, delta, cutoff, initial_mode, initial):
+    # without decay the density-matrix engine is the pure engine: every
+    # branch (measurement outcomes, thermal and superposition starts,
+    # transfers) agrees in label, probability, fidelity and state
+    params = DriveParams(g=1.0, delta=delta)
+    pure = run_plan(plan, initial=initial, engine=FullCavity(
+        params=params, fock_cutoff=cutoff, initial_mode=initial_mode))
+    mixed = run_plan(plan, initial=initial, engine=Lindblad(
+        params=params, decay=DecaySpec(kappa=0.0), fock_cutoff=cutoff,
+        initial_mode=initial_mode))
+    assert [b.label for b in mixed.branches] == [b.label for b in pure.branches]
+    for a, b, fa, fb in zip(pure.branches, mixed.branches, pure.fidelities, mixed.fidelities):
+        assert abs(a.probability - b.probability) <= 1e-10
+        assert abs(fa - fb) <= 1e-10
+        assert trace_distance(a.state, b.state) <= 1e-10
 
 
 def test_full_cavity_ghz_close_to_target():
