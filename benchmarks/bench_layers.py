@@ -1,5 +1,5 @@
-"""Layer benchmark: one drive stage of each exact engine, timed alone,
-and one whole ``run_plan`` per engine.
+"""Layer benchmark: generator builds, one drive stage of each exact
+engine, timed alone, and one whole ``run_plan`` per engine.
 
 Run from the repository root:
 
@@ -10,6 +10,13 @@ The file name does not match ``test_*``, so the unit suite does not
 collect it.  BLAS is pinned to one thread before numpy loads, and each
 benchmark records the pin, the core count and the numpy/scipy/BLAS
 versions in its ``extra_info``.
+
+Generator builds (the static mode-frame V of one drive stage):
+
+* ``build_interaction_terms[144]``: N = 4 qubits, cutoff 8.
+* ``build_interaction_terms[729]``: N = 4 qutrits, cutoff 8.
+* ``build_ion_terms_series``: the ion displacement series to order 2,
+  N = 2 qubits, cutoff 6 (dimension 28).
 
 Stages:
 
@@ -46,7 +53,13 @@ import scipy  # noqa: E402
 
 from spincavity.algebra import basis_state, make_space  # noqa: E402
 from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa: E402
-from spincavity.hamiltonians import DriveParams, interaction_terms, lambda_cavity  # noqa: E402
+from spincavity.hamiltonians import (  # noqa: E402
+    DriveParams,
+    FrameTag,
+    interaction_terms,
+    ion_terms,
+    lambda_cavity,
+)
 from spincavity.protocols import (  # noqa: E402
     CollectiveDrive,
     Effective,
@@ -96,6 +109,20 @@ def _vacuum_rho(space):
 def record(benchmark):
     benchmark.extra_info.update(_machine())
     return benchmark
+
+
+@pytest.mark.parametrize("atom_dim", [2, 3], ids=["144", "729"])
+def test_build_interaction_terms(record, atom_dim):
+    space = make_space(4, atom_dim, 8)
+    record.extra_info["hilbert_dim"] = space.dim
+    record(interaction_terms, space, DriveParams(g=1.0, delta=10.0, omega=200.0))
+
+
+def test_build_ion_terms_series(record):
+    space = make_space(2, 2, 6)
+    params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=0.5 * np.pi, lamb_dicke_order=2)
+    record.extra_info["hilbert_dim"] = space.dim
+    record(ion_terms, space, params, FrameTag.ION_INTERACTION)
 
 
 def test_lindblad_decay_sweep(record):

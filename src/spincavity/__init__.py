@@ -35,6 +35,7 @@ from .dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
+    apply_local,
     evolve_exact,
     evolve_lindblad,
     evolve_td_multi,

@@ -272,20 +272,20 @@ def collective_sx(space: SpaceDescriptor) -> Operator:
     return Operator(space, mat)
 
 
+def mode_lowering(space: SpaceDescriptor) -> np.ndarray:
+    """Truncated lowering operator a|n> = sqrt(n)|n-1> on the mode factor alone."""
+    if space.no_mode:
+        raise ValueError("space has no bosonic mode")
+    return np.diag(np.sqrt(np.arange(1.0, space.mode_dim)), 1).astype(complex)
+
+
 def boson_ops(space: SpaceDescriptor) -> tuple[Operator, Operator]:
     """Truncated mode ladder operators (a, adag) embedded in the full space.
 
     a|n> = sqrt(n)|n-1>; adag|n> = sqrt(n+1)|n+1> for n < n_max and
     adag|n_max> = 0 (hard truncation).
     """
-    if space.no_mode:
-        raise ValueError("space has no bosonic mode")
-    m = space.mode_dim
-    a_local = np.zeros((m, m), dtype=complex)
-    for n in range(1, m):
-        a_local[n - 1, n] = math.sqrt(n)
-    eye_atoms = np.eye(space.atoms_dim)
-    a = np.kron(eye_atoms, a_local)
+    a = np.kron(np.eye(space.atoms_dim), mode_lowering(space))
     return Operator(space, a), Operator(space, a.conj().T)
 
 
@@ -305,26 +305,28 @@ def displacement_series(space: SpaceDescriptor, eta: float, order=None) -> Opera
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    a_full, adag_full = boson_ops(space)
+    a = mode_lowering(space)
     if order is None or order == math.inf:
         from scipy.linalg import expm
 
-        return Operator(space, expm(1j * eta * (a_full.matrix + adag_full.matrix)))
-    if order < 0:
+        mode_op = expm(1j * eta * (a + a.conj().T))
+    elif order < 0:
         raise ValueError("order must be non-negative")
-    up, dn = _displacement_partial_sums(space, eta, int(order))
-    return Operator(space, math.exp(-(eta**2) / 2.0) * (up + dn))
+    else:
+        up, dn = _displacement_partial_sums(a, eta, int(order))
+        mode_op = math.exp(-(eta**2) / 2.0) * (up + dn)
+    return Operator(space, np.kron(np.eye(space.atoms_dim), mode_op))
 
 
-def _displacement_partial_sums(space: SpaceDescriptor, eta: float, order: int):
-    """Partial sums (without the exp(-eta^2/2) prefactor):
+def _displacement_partial_sums(a: np.ndarray, eta: float, order: int):
+    """Partial sums on the mode ladder a (without the exp(-eta^2/2) prefactor):
 
     up = sum_j c_j adag^(j+1) a^j  and  dn = sum_j c_j adag^j a^(j+1)
     with c_j = (i eta)^(2j+1) / (j! (j+1)!).  The up part pairs with
     exp(-i delta t), the dn part with exp(+i delta t) in the sideband
     Hamiltonian.
     """
-    a, adag = (op.matrix for op in boson_ops(space))
+    adag = a.conj().T
     up = np.zeros_like(a)
     dn = np.zeros_like(a)
     for j in range(order + 1):

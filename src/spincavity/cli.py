@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--nbar", type=float,
                        help="thermal occupation of the initial mode (full and lindblad "
                             "engines) and of the bath (lindblad)")
-        p.add_argument("--kappa", type=float, help="mode decay rate")
+        p.add_argument("--kappa", type=float, help="mode decay rate (lindblad engine only)")
         p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
                        help="highest Fock level kept")
         p.add_argument("--out", help="write the report to this path")
@@ -199,13 +199,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_numbers(config: RunConfig):
-    """Reject non-finite float values and a negative thermal occupation."""
+    """Reject non-finite floats, a negative nbar and a decay rate off the decay engine."""
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value!r}")
     if config.nbar < 0:
         raise ConfigError(f"--nbar must be non-negative, got {config.nbar!r}")
+    if config.kappa != 0 and config.engine != "lindblad":
+        raise ConfigError(f"--kappa {config.kappa:g} needs --engine lindblad; the "
+                          f"{config.engine} engine has no cavity decay")
 
 
 def _resolve_system_engine(config: RunConfig) -> tuple[str, str]:
@@ -527,10 +530,7 @@ def main(argv=None) -> int:
             text = cmd_compare_frames(config)
         _emit(text, config)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except PhysicsError as exc:

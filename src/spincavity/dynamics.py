@@ -1,6 +1,7 @@
 """Propagators: the exact mode-frame stage propagators of the full and
-decay engines, the factored drive/effective propagator, a reference
-Schroedinger integrator, and thermal-state preparation.
+decay engines, the factored drive/effective propagator, atoms-only and
+single-atom maps, a reference Schroedinger integrator, and thermal-state
+preparation.
 
 Numerical policy:
 
@@ -101,7 +102,7 @@ class ThermalSpec:
     TAIL_TOL = 1e-9
 
     def __post_init__(self):
-        if self.nbar < 0:
+        if not 0 <= self.nbar < math.inf:  # also refuses NaN
             raise ValueError("nbar must be non-negative")
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
@@ -130,6 +131,8 @@ class ThermalSpec:
     @classmethod
     def for_nbar(cls, nbar: float, tail: float = 1e-11) -> "ThermalSpec":
         """Smallest-cutoff spec whose raw tail mass is below ``tail``."""
+        if not 0 <= nbar < math.inf:
+            raise ValueError("nbar must be non-negative")
         if nbar == 0:
             return cls(0.0, 0)
         ratio = nbar / (1.0 + nbar)
@@ -301,6 +304,20 @@ def apply_atomic(space: SpaceDescriptor, u_atoms: np.ndarray, amplitudes: np.nda
     (exact mode factorization)."""
     block = amplitudes.reshape(space.atoms_dim, -1)
     return (u_atoms @ block).reshape(amplitudes.shape)
+
+
+def apply_local(space: SpaceDescriptor, local: np.ndarray, atoms, x: np.ndarray) -> np.ndarray:
+    """Apply the d x d single-atom matrix ``local`` to atom ``atoms`` (an
+    index) or to every atom ("all") of x: a state, a (dim, k) column
+    block or a density matrix (acting on its rows).  Atom j's factor is
+    axis 1 of x.reshape(d**j, d, -1), so no embedded matrix is formed."""
+    d, n = space.atom_dim, space.atom_count
+    out = x
+    for j in range(n) if atoms == "all" else (int(atoms),):
+        if not 0 <= j < n:
+            raise ValueError(f"atom index {j} outside 0..{n - 1}")
+        out = (local @ out.reshape(d**j, d, -1)).reshape(x.shape)
+    return out
 
 
 def liouvillian(generator: np.ndarray, space: SpaceDescriptor,

@@ -23,7 +23,9 @@ so ``H(t) = e^{i H0 t} V e^{-i H0 t}`` with ``H0 = -delta adag a`` and
 ``V = H(0)``.  ``*_terms(space, params)`` returns that static matrix V,
 which is all dynamics.evolve_exact and dynamics.evolve_lindblad need;
 ``at_time`` turns it into H(t), and ``h_*(space, params, t)`` returns
-H(t) as an Operator.
+H(t) as an Operator.  Each term of V is an atoms-only collective
+operator (d^N x d^N) joined to an m x m mode operator by one np.kron;
+no product of full-space matrices is formed.
 
 All builders treat |f> and |h> as spectators: the cavity and the drive
 couple only the g/e block.
@@ -41,13 +43,14 @@ from .algebra import (
     Operator,
     SpaceDescriptor,
     _displacement_partial_sums,
-    boson_ops,
-    collective_sx,
     embed_atom_op,
     local_proj,
     local_sm,
     local_sp,
+    mode_lowering,
 )
+# unused here; perfbench/spans.py wraps this name to count operator builds
+from .algebra import boson_ops  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,6 @@ def _collective(space: SpaceDescriptor, local: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _require_mode(space: SpaceDescriptor):
-    if space.no_mode:
-        raise ValueError("this builder needs a space with a bosonic mode")
-
-
 def at_time(space: SpaceDescriptor, v: np.ndarray, delta: float, t: float) -> np.ndarray:
     """H(t) = e^{i H0 t} V e^{-i H0 t} with H0 = -delta adag a: element
     (m, n) of V times e^{-i delta t (fock_m - fock_n)}."""
@@ -146,11 +144,11 @@ def interaction_terms(space: SpaceDescriptor, params: DriveParams) -> np.ndarray
     H(t) = sum_j [ g (e^{-i delta t} adag Sj- + e^{+i delta t} a Sj+)
                    + omega (Sj+ + Sj-) ].
     """
-    _require_mode(space)
-    a, adag = (op.matrix for op in boson_ops(space))
-    sp = _collective(space, local_sp(space.atom_dim))
-    emit = adag @ sp.conj().T
-    return params.g * (emit + emit.conj().T) + params.omega * (sp + sp.conj().T)
+    a = mode_lowering(space)
+    sp = _collective(space.atoms_only(), local_sp(space.atom_dim))
+    emit = np.kron(sp.conj().T, a.conj().T)
+    drive = np.kron(sp + sp.conj().T, np.eye(space.mode_dim))
+    return params.g * (emit + emit.conj().T) + params.omega * drive
 
 
 def h_interaction(space: SpaceDescriptor, params: DriveParams, t: float) -> Operator:
@@ -164,9 +162,10 @@ def slow_terms(space: SpaceDescriptor, params: DriveParams) -> np.ndarray:
 
     H(t) = g (e^{-i delta t} adag + e^{+i delta t} a) S_x.
     """
-    _require_mode(space)
-    a, adag = (op.matrix for op in boson_ops(space))
-    return params.g * ((adag + a) @ collective_sx(space).matrix)
+    a = mode_lowering(space)
+    d = space.atom_dim
+    sx = _collective(space.atoms_only(), 0.5 * (local_sp(d) + local_sm(d)))
+    return params.g * np.kron(sx, a.conj().T + a)
 
 
 def h_slow(space: SpaceDescriptor, params: DriveParams, t: float) -> Operator:
@@ -220,18 +219,17 @@ def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag) -> n
     adag^j a^(j+1).  With phi = pi/2 the first-order form equals h_slow
     with g = 2 eta omega.
     """
-    _require_mode(space)
+    a = mode_lowering(space)
     omega, phi, eta = params.omega, params.phi, params.eta
     if frame == FrameTag.ION_LAMB_DICKE:
-        a, adag = (op.matrix for op in boson_ops(space))
         pref = 1j * eta * omega * np.exp(-1j * phi)
-        up, dn = adag, a
+        up, dn = a.conj().T, a
     elif frame == FrameTag.ION_INTERACTION:
         pref = omega * math.exp(-(eta**2) / 2.0) * np.exp(-1j * phi)
-        up, dn = _displacement_partial_sums(space, eta, params.lamb_dicke_order)
+        up, dn = _displacement_partial_sums(a, eta, params.lamb_dicke_order)
     else:
         raise ValueError(f"frame {frame} is not an ion frame")
-    coupling = pref * (_collective(space, local_sp(space.atom_dim)) @ (up + dn))
+    coupling = pref * np.kron(_collective(space.atoms_only(), local_sp(space.atom_dim)), up + dn)
     return coupling + coupling.conj().T
 
 

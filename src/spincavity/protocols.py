@@ -24,7 +24,9 @@ ensemble as a (dim, k) block of columns, each scaled by the square root
 of its weight (pure engines), or as a density matrix whose trace is its
 weight (Lindblad: C C^dag of the same block).  Only the drive, atoms-only
 maps (from the left on columns, on both sides of a density matrix) and
-the branch read-out differ between the two.
+the branch read-out differ between the two.  Transfers and measurement
+projectors are single-atom matrices applied on each atom's own axis
+(dynamics.apply_local); no d^N x d^N transfer matrix is formed.
 
 Both full engines propagate each drive stage exactly with
 dynamics.evolve_exact: their generators are static in the mode frame
@@ -58,7 +60,7 @@ from .algebra import (
     LEVEL_LABELS,
     basis_index,
     basis_state,
-    embed_atom_op,
+    local_proj,
     make_space,
 )
 from .analysis import TimeSeries
@@ -66,13 +68,15 @@ from .dynamics import (
     DecaySpec,
     ThermalSpec,
     apply_atomic,
+    apply_local,
     evolve_exact,
     evolve_lindblad,
     norm_drift,
     propagator_u,
 )
 # unused here; perfbench/spans.py wraps these names to count integrator
-# calls and thermal preparations
+# calls, thermal preparations and operator builds
+from .algebra import embed_atom_op  # noqa: F401
 from .dynamics import evolve_td_multi, thermal_state  # noqa: F401
 from .hamiltonians import (
     DriveParams,
@@ -555,20 +559,6 @@ def _check_lam(engine_lam: float, stage_lam: float):
         )
 
 
-def _transfer_full(space: SpaceDescriptor, stage: LocalTransfer) -> np.ndarray:
-    """Atoms-only matrix of a local transfer."""
-    if stage.atoms == "all":
-        mat = np.eye(1, dtype=complex)
-        for _ in range(space.atom_count):
-            mat = np.kron(mat, stage.matrix)
-        return mat
-    return embed_atom_op(
-        make_space(space.atom_count, space.atom_dim, 0, no_mode=True),
-        int(stage.atoms),
-        stage.matrix,
-    ).matrix
-
-
 def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
     """Execute every stage of a plan and collect measurement branches.
 
@@ -596,11 +586,15 @@ def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
             records.append(record)
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
-            transfer = partial(apply_atomic, space_run, _transfer_full(space_run, stage))
+            transfer = partial(apply_local, space_run, stage.matrix, stage.atoms)
             branches = [(label, _apply_left(transfer, x, mixed)) for label, x in branches]
         elif isinstance(stage, Measurement):
-            outcomes = range(space_run.atom_dim) if stage.mode == "enumerate" else [stage.outcome]
-            projectors = [(LEVEL_LABELS[level], _level_projector(space_run, stage.atom_index, level))
+            d = space_run.atom_dim
+            outcomes = range(d) if stage.mode == "enumerate" else [stage.outcome]
+            if stage.mode == "postselect" and not 0 <= stage.outcome < d:
+                raise ValueError(f"measured level {stage.outcome} outside 0..{d - 1}")
+            projectors = [(LEVEL_LABELS[level],
+                           partial(apply_local, space_run, local_proj(d, level), stage.atom_index))
                           for level in outcomes]
             branches = [(label + tag, _apply_left(project, x, mixed))
                         for label, x in branches for tag, project in projectors]
@@ -727,15 +721,6 @@ def _apply_left(op, x, mixed: bool):
     return op(op(x).conj().T).conj().T if mixed else op(x)
 
 
-def _level_projector(space: SpaceDescriptor, atom_index: int, level: int):
-    """Left-acting projection onto the basis states with atom atom_index
-    in level."""
-    idx = np.arange(space.dim)[:, None] // space.mode_dim
-    shift = space.atom_dim ** (space.atom_count - 1 - atom_index)
-    mask = (idx // shift) % space.atom_dim == level
-    return lambda y: np.where(mask, y, 0.0)
-
-
 def _read_out(space_run: SpaceDescriptor, x, target: StateVector, mixed: bool):
     """Probability, normalized state and atomic-target fidelity of one
     branch, whose columns or density matrix carry its weight."""
@@ -767,7 +752,7 @@ def plan_unitary(plan: ProtocolPlan) -> Operator:
             u = propagator_u(plan.space, stage.lam, stage.params.omega,
                              stage.duration).matrix @ u
         elif isinstance(stage, LocalTransfer):
-            u = _transfer_full(plan.space, stage) @ u
+            u = apply_local(plan.space, stage.matrix, stage.atoms, u)
     return Operator(plan.space, u)
 
 
@@ -814,10 +799,6 @@ def drive_population_series(params: DriveParams, n_start: int, duration: float,
         # +i sin off-diagonal in the g/e basis
         c, s = math.cos(omega * t), math.sin(omega * t)
         r1 = np.array([[c, 1j * s], [1j * s, c]])
-        r = np.eye(1)
-        for _ in range(atom_count):
-            r = np.kron(r, r1)
-        block = traj[i][:, 0].reshape(space.atoms_dim, space.mode_dim)
-        rotated = r @ block
+        rotated = apply_local(space, r1, "all", traj[i][:, 0]).reshape(space.atoms_dim, -1)
         values[i] = float(np.sum(np.abs(rotated[e_all, :]) ** 2))
     return TimeSeries(times, values)

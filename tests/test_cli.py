@@ -302,6 +302,43 @@ def test_non_finite_or_negative_occupation_exit_1(capsys, flag, value):
     assert f"config error: {flag} must be" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("protocol", "ghz", "--n", "2", "--kappa", "0.5"),
+    ("protocol", "ghz", "--n", "2", "--engine", "full", "--g", "1", "--delta", "10",
+     "--fock-cutoff", "6", "--kappa", "0.5", "--format", "csv"),
+    ("protocol", "ghz", "--n", "2", "--engine", "full-ion", "--delta", "2",
+     "--fock-cutoff", "6", "--kappa", "0.5"),
+    ("sweep", "ghz", "--n", "2", "--engine", "full", "--g", "1", "--delta", "10",
+     "--fock-cutoff", "6", "--sweep-param", "kappa", "--sweep-from", "0",
+     "--sweep-to", "0.2", "--sweep-steps", "2"),
+    ("sweep", "ghz", "--n", "2", "--kappa", "0.1", "--sweep-param", "g",
+     "--sweep-from", "1", "--sweep-to", "2", "--sweep-steps", "2"),
+    ("compare-frames", "ghz", "--n", "2", "--g", "1", "--delta", "10",
+     "--fock-cutoff", "8", "--kappa", "0.5"),
+])
+def test_decay_rate_off_the_decay_engine_exit_1(capsys, argv):
+    # --kappa used to be dropped on every engine but lindblad: a decay
+    # run on the wrong engine printed a decay-free report and exit 0
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: --kappa ")
+    assert "needs --engine lindblad" in err
+
+
+def test_decay_rate_in_a_config_file_needs_the_decay_engine(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"protocol": "ghz", "engine": "full", "delta": 10,
+                               "fock_cutoff": 6, "kappa": 0.5}))
+    code, out, err = _run(capsys, "protocol", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "needs --engine lindblad" in err
+    code, out, err = _run(capsys, "protocol", "--config", str(cfg), "--engine", "lindblad",
+                          "--format", "csv")
+    assert code == 0, err
+    assert out.startswith("branch,probability,fidelity\n")
+
+
 def test_sweep_to_negative_occupation_exit_1(capsys):
     code, _, err = _run(capsys, "sweep", "ghz", "--engine", "full", "--delta", "5",
                         "--sweep-param", "nbar", "--sweep-from", "-1",

@@ -19,6 +19,7 @@ from spincavity.algebra import (
     basis_state,
     boson_ops,
     embed_atom_op,
+    local_proj,
     make_space,
 )
 from spincavity.dynamics import (
@@ -26,6 +27,7 @@ from spincavity.dynamics import (
     IntegratorConfig,
     ThermalSpec,
     apply_atomic,
+    apply_local,
     chebyshev_action,
     dissipative_margin,
     evolve_exact,
@@ -211,6 +213,51 @@ def test_apply_atomic_matches_kron():
     assert np.max(np.abs(apply_atomic(space, u, block) - direct)) <= 1e-13
 
 
+def _kron_power(local, count):
+    mat = np.eye(1, dtype=complex)
+    for _ in range(count):
+        mat = np.kron(mat, local)
+    return mat
+
+
+def _random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+@pytest.mark.parametrize("n_atoms, d, cutoff", [
+    (1, 2, 0), (3, 2, 3), (2, 3, 0), (3, 3, 2), (2, 4, 1), (4, 3, 0), (4, 2, 1),
+])
+def test_apply_local_matches_embedded_and_kron_power_matrices(n_atoms, d, cutoff):
+    # the atom-axis map equals the matrix that transfers and measurement
+    # projectors used to form: the Kronecker power for "all" atoms,
+    # embed_atom_op for one atom; with and without a mode, on one state,
+    # on column blocks and on both sides of a density matrix
+    space = make_space(n_atoms, d, cutoff, no_mode=cutoff == 0)
+    local = _random_unitary(d, 3 * n_atoms + d)
+    eye_mode = np.eye(space.mode_dim)
+    maps = [(local, "all", np.kron(_kron_power(local, n_atoms), eye_mode))]
+    for j in range(n_atoms):
+        maps.append((local, j, embed_atom_op(space, j, local).matrix))
+        maps += [(local_proj(d, level), j, embed_atom_op(space, j, local_proj(d, level)).matrix)
+                 for level in range(d)]
+    psi = _random_state(space, 11).amplitudes
+    block = np.column_stack([psi, _random_state(space, 12).amplitudes])
+    rho = block @ block.conj().T / 2.0
+    for op, atoms, mat in maps:
+        for x in (psi, block):
+            assert np.max(np.abs(apply_local(space, op, atoms, x) - mat @ x)) <= 1e-14
+        both = apply_local(space, op, atoms, apply_local(space, op, atoms, rho).conj().T).conj().T
+        assert np.max(np.abs(both - mat @ rho @ mat.conj().T)) <= 1e-14
+
+
+def test_apply_local_rejects_an_atom_outside_the_space():
+    space = make_space(2, 3, 1)
+    with pytest.raises(ValueError, match="atom index 2 outside 0..1"):
+        apply_local(space, np.eye(3), 2, np.zeros(space.dim))
+
+
 # ------------------------------------------------------------ configuration
 
 
@@ -268,6 +315,17 @@ def test_smallest_accepted_thermal_cutoff_prepares_a_state(nbar):
     if spec.cutoff > 0:
         with pytest.raises(ValueError, match="raise the cutoff"):
             ThermalSpec(nbar, spec.cutoff - 1)
+
+
+@pytest.mark.parametrize("nbar", [-1.0, -0.5, -2.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_thermal_spec_rejects_negative_or_non_finite_nbar(nbar):
+    # for_nbar used to fail with ZeroDivisionError (-1), a math-domain
+    # ValueError (-0.5) or OverflowError (-2), and the constructor took
+    # NaN and inf
+    with pytest.raises(ValueError, match="^nbar must be non-negative$"):
+        ThermalSpec.for_nbar(nbar)
+    with pytest.raises(ValueError, match="^nbar must be non-negative$"):
+        ThermalSpec(nbar, 40)
 
 
 def test_thermal_spec_for_nbar_is_minimal():

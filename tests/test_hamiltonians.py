@@ -1,6 +1,7 @@
 """Hamiltonian builders: matrix elements, frame chain, effective form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spincavity.algebra import (
     boson_ops,
     collective_sx,
     embed_atom_op,
+    local_sp,
     make_space,
     permutation_op,
 )
@@ -23,8 +25,11 @@ from spincavity.hamiltonians import (
     h_interaction,
     h_ion,
     h_slow,
+    interaction_terms,
+    ion_terms,
     lambda_cavity,
     lambda_ion,
+    slow_terms,
 )
 
 SP = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g| on the qubit block
@@ -245,3 +250,51 @@ def test_all_builders_hermitian_at_random_times():
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
     h = h0_drive(space, 1.2).matrix
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-term builders against the full-space product construction
+
+
+def _product_generators(space, params):
+    """The static generators as products of full-space matrices, the
+    construction the builders used before they joined atoms-only and
+    mode factors with one np.kron per term."""
+    a, adag = (op.matrix for op in boson_ops(space))
+    sp = _embed_sum(space, local_sp(space.atom_dim))
+    emit = adag @ sp.conj().T
+    out = {"interaction": params.g * (emit + emit.conj().T) + params.omega * (sp + sp.conj().T),
+           "slow": params.g * ((adag + a) @ collective_sx(space).matrix)}
+    pref = 1j * params.eta * params.omega * np.exp(-1j * params.phi)
+    coupling = pref * (sp @ (adag + a))
+    out["lamb_dicke"] = coupling + coupling.conj().T
+    for order in range(3):
+        up = np.zeros_like(a)
+        dn = np.zeros_like(a)
+        for j in range(order + 1):
+            c = (1j * params.eta) ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1))
+            aj = np.linalg.matrix_power(a, j)
+            up += c * (np.linalg.matrix_power(adag, j + 1) @ aj)
+            dn += c * (np.linalg.matrix_power(adag, j) @ (aj @ a))
+        pref = params.omega * math.exp(-(params.eta**2) / 2.0) * np.exp(-1j * params.phi)
+        coupling = pref * (sp @ (up + dn))
+        out[f"series_{order}"] = coupling + coupling.conj().T
+    return out
+
+
+@pytest.mark.parametrize("n_atoms, d, cutoff", [
+    (1, 2, 1), (1, 4, 6), (2, 2, 6), (2, 3, 6), (2, 4, 3), (3, 2, 3),
+    (3, 3, 1), (3, 3, 3), (3, 4, 1), (4, 2, 1), (4, 2, 6), (4, 3, 1),
+])
+def test_kron_builders_equal_the_full_space_products(n_atoms, d, cutoff):
+    space = make_space(n_atoms, d, cutoff)
+    params = DriveParams(g=0.83, delta=4.1, omega=7.3, phi=0.4, eta=0.13)
+    expected = _product_generators(space, params)
+    built = {"interaction": interaction_terms(space, params),
+             "slow": slow_terms(space, params),
+             "lamb_dicke": ion_terms(space, params, FrameTag.ION_LAMB_DICKE)}
+    for order in range(3):
+        series = replace(params, lamb_dicke_order=order)
+        built[f"series_{order}"] = ion_terms(space, series, FrameTag.ION_INTERACTION)
+    for name, v in built.items():
+        assert np.array_equal(v, expected[name]), name

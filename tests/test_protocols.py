@@ -275,6 +275,20 @@ def test_measure_reduce_postselect_mode():
     assert result.fidelities[0] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("stage, message", [
+    (Measurement(3, "postselect", outcome=3), "measured level 3 outside 0..2"),
+    (Measurement(3, "postselect", outcome=-1), "measured level -1 outside 0..2"),
+    (Measurement(4), "atom index 4 outside 0..3"),
+    (Measurement(-1), "atom index -1 outside 0..3"),
+])
+def test_measurement_outside_the_space_is_rejected(stage, message):
+    # these used to give zero-probability branches (one labelled with a
+    # level the atoms do not have) or an IndexError
+    plan = plan_measure_reduce(4, LAM)
+    with pytest.raises(ValueError, match=message):
+        run_plan(replace(plan, stages=plan.stages[:-1] + (stage,)))
+
+
 def test_measure_reduce_permutation_symmetry():
     # the heralded state treats the unmeasured atoms symmetrically
     plan = plan_measure_reduce(4, LAM)
