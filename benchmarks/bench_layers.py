@@ -27,6 +27,12 @@ Stages:
   qutrits at delta = 10 g, cutoff 5, kappa = 0.2 g (dimension 2916).
 * ``exact_two_atom_qutrit``: the same stage on the full cavity engine
   at the README's cutoff 8 (Hilbert dimension 81, one ``eigh``).
+* ``effective_drive[ghz-1024]``: the first drive stage of the N = 10
+  GHZ plan on the Effective engine (atomic dimension 1024, one column).
+* ``effective_drive[three-level-729]``: the first drive stage of the
+  N = 6 three-level GHZ plan (atomic dimension 729, one column).
+  Both go through the engine's own stage step (``protocols._drive``),
+  timed after one untimed call.
 
 Whole plans (initial state, every stage, branch read-out):
 
@@ -35,8 +41,16 @@ Whole plans (initial state, every stage, branch read-out):
 * ``run_plan_full_cavity``: two-atom-qutrit at delta = 10 g, cutoff 8.
 * ``run_plan_lindblad``: N = 2 GHZ at delta = 4.1 g, cutoff 6,
   kappa = 0.1 g.
+
+End to end:
+
+* ``cli_protocol_ghz10``: one in-process ``cli.main(["protocol", "ghz",
+  "--n", "10"])``, parsing, planning, the Effective run and the JSON
+  report (written to a discarded buffer).
 """
 
+import contextlib
+import io
 import os
 import sys
 
@@ -51,6 +65,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import scipy  # noqa: E402
 
+from spincavity import cli  # noqa: E402
 from spincavity.algebra import basis_state, make_space  # noqa: E402
 from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa: E402
 from spincavity.hamiltonians import (  # noqa: E402
@@ -65,11 +80,13 @@ from spincavity.protocols import (  # noqa: E402
     Effective,
     FullCavity,
     Lindblad,
+    plan_ghz_three_level,
     plan_ghz_two_level,
     plan_measure_reduce,
     plan_two_atom_qutrit,
     run_plan,
 )
+from spincavity.protocols import _drive  # noqa: E402
 
 
 def _machine() -> dict:
@@ -153,6 +170,19 @@ def test_exact_two_atom_qutrit(record):
     record(evolve_exact, v, 10.0, space, cols, t0, t1)
 
 
+@pytest.mark.parametrize("planner, n_atoms", [(plan_ghz_two_level, 10),
+                                              (plan_ghz_three_level, 6)],
+                         ids=["ghz-1024", "three-level-729"])
+def test_effective_drive(record, planner, n_atoms):
+    plan = planner(n_atoms, lambda_cavity(1.0, 20.0), delta=20.0)
+    t0, stage = _drives(plan)[0]
+    states = [basis_state(plan.space, "g" * n_atoms).amplitudes[:, None]]
+    step = (plan, plan.space, stage, Effective(), states, t0)
+    _drive(*step)
+    record.extra_info["atoms_dim"] = plan.space.atoms_dim
+    record(_drive, *step)
+
+
 def test_run_plan_effective(record):
     plan = plan_measure_reduce(6, lambda_cavity(1.0, 20.0), delta=20.0)
     record.extra_info["atoms_dim"] = plan.space.atoms_dim
@@ -171,3 +201,12 @@ def test_run_plan_lindblad(record):
     engine = Lindblad(DriveParams(g=1.0, delta=4.1), DecaySpec(0.1), fock_cutoff=6)
     record.extra_info["liouville_dim"] = plan.space.with_mode(6).dim ** 2
     record(run_plan, plan, engine=engine)
+
+
+def _cli_ghz10():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["protocol", "ghz", "--n", "10"])
+
+
+def test_cli_protocol_ghz10(record):
+    assert record(_cli_ghz10) == 0

@@ -37,6 +37,7 @@ from .dynamics import (
     apply_atomic,
     apply_local,
     evolve_exact,
+    evolve_factored,
     evolve_lindblad,
     evolve_td_multi,
     propagator_u,

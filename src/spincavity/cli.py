@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from typing import get_args, get_type_hints
 
 from .algebra import LEVEL_LABELS, PhysicsError, decode_index
@@ -87,7 +88,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves no
+    state on it, and its error() only raises."""
     parser = _Parser(prog="spincavity",
                      description="collective-drive entanglement protocols")
     sub = parser.add_subparsers(dest="command")
@@ -248,9 +252,10 @@ def _check_memory(config: RunConfig):
     """Refuse a run whose largest array, computed from the space
     dimensions before anything is allocated, exceeds MEMORY_BUDGET.
 
-    The effective engine's largest arrays are atoms-only d^N x d^N
-    matrices; the full engines' are generators on the mode-attached
-    space of dimension D = d^N (cutoff + 1); the decay engine's is its
+    The effective engine's largest arrays are d^N state columns (it
+    applies each drive stage in the product eigenbasis of S_x); the
+    full engines' are generators on the mode-attached space of
+    dimension D = d^N (cutoff + 1); the decay engine's is its
     sparse Liouvillian, whose D^2 rows hold at most 4 N + 4 entries (two
     copies of a generator row with N drive and N coupling entries and a
     diagonal, plus the collapse terms).
@@ -258,7 +263,7 @@ def _check_memory(config: RunConfig):
     atoms = ATOM_LEVELS[config.protocol] ** config.n
     _, kind = _resolve_system_engine(config)
     if kind == "effective":
-        entries = atoms**2
+        entries = atoms
     elif kind == "full":
         entries = (atoms * (config.fock_cutoff + 1)) ** 2
     else:

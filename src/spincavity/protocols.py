@@ -8,7 +8,9 @@ Engines:
 
 * ``Effective`` runs each drive stage through the factored propagator
   exp(-i H0 t) exp(-i 2 lam Sx^2 t), which factorizes from the mode and
-  is therefore exactly photon-number independent.
+  is therefore exactly photon-number independent.  It is applied to the
+  columns of every branch at once in the product eigenbasis of S_x
+  (dynamics.evolve_factored), so no d^N x d^N matrix is formed.
 * ``FullCavity`` propagates the driven interaction-picture Hamiltonian
   (or its slow frame) on an attached Fock mode.
 * ``FullIon`` propagates the sideband Hamiltonian (displacement series
@@ -67,17 +69,17 @@ from .analysis import TimeSeries
 from .dynamics import (
     DecaySpec,
     ThermalSpec,
-    apply_atomic,
     apply_local,
     evolve_exact,
+    evolve_factored,
     evolve_lindblad,
     norm_drift,
-    propagator_u,
 )
 # unused here; perfbench/spans.py wraps these names to count integrator
-# calls, thermal preparations and operator builds
+# calls, thermal preparations, operator builds and dense factored
+# propagators
 from .algebra import embed_atom_op  # noqa: F401
-from .dynamics import evolve_td_multi, thermal_state  # noqa: F401
+from .dynamics import apply_atomic, evolve_td_multi, propagator_u, thermal_state  # noqa: F401
 from .hamiltonians import (
     DriveParams,
     FrameTag,
@@ -688,12 +690,11 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
     stage's record."""
     name = type(engine).__name__
     if isinstance(engine, Effective):
-        u = propagator_u(plan.space, stage.lam, stage.params.omega, stage.duration).matrix
-        out = [apply_atomic(space_run, u, x) for x in states]
-        drift = norm_drift(np.hstack([np.linalg.norm(x, axis=0) for x in states]),
-                           np.hstack([np.linalg.norm(x, axis=0) for x in out]))
-        return out, StageRecord(name, FrameTag.EFFECTIVE.value, plan.space.atoms_dim,
-                                "factored", None, drift)
+        block = np.hstack(states)
+        out = evolve_factored(space_run, stage.lam, stage.params.omega, stage.duration, block)
+        drift = norm_drift(np.linalg.norm(block, axis=0), np.linalg.norm(out, axis=0))
+        return _split_columns(out, states), StageRecord(
+            name, FrameTag.EFFECTIVE.value, plan.space.atoms_dim, "factored", None, drift)
     v = _drive_generator(space_run, stage, engine)
     t_end = t_abs + stage.duration
     if isinstance(engine, Lindblad):
@@ -709,9 +710,13 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
         return out, StageRecord(name, FrameTag.INTERACTION_PICTURE.value, space_run.dim ** 2,
                                 "chebyshev", leak, drift)
     prop = evolve_exact(v, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
-    splits = np.cumsum([x.shape[1] for x in states])[:-1]
-    return np.split(prop.states, splits, axis=1), StageRecord(
+    return _split_columns(prop.states, states), StageRecord(
         name, engine.frame.value, space_run.dim, "eigh", prop.leak, prop.drift)
+
+
+def _split_columns(block: np.ndarray, states: list) -> list:
+    """Split a propagated column block back into the branches' blocks."""
+    return np.split(block, np.cumsum([x.shape[1] for x in states])[:-1], axis=1)
 
 
 def _apply_left(op, x, mixed: bool):
@@ -749,8 +754,7 @@ def plan_unitary(plan: ProtocolPlan) -> Operator:
     u = np.eye(dim, dtype=complex)
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
-            u = propagator_u(plan.space, stage.lam, stage.params.omega,
-                             stage.duration).matrix @ u
+            u = evolve_factored(plan.space, stage.lam, stage.params.omega, stage.duration, u)
         elif isinstance(stage, LocalTransfer):
             u = apply_local(plan.space, stage.matrix, stage.atoms, u)
     return Operator(plan.space, u)

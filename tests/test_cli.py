@@ -2,7 +2,10 @@
 byte-stable reports."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +273,15 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     assert "GiB for its largest array, beyond the 1 GiB budget" in err
 
 
+def test_effective_run_sized_by_its_state_column(capsys):
+    # the Effective engine holds d^N state columns, never a d^N x d^N
+    # matrix, so N = 14 qubits (a 256 KiB column) is inside the budget
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "14")
+    assert code == 0, err
+    branch = json.loads(out)["branches"][0]
+    assert branch["fidelity"] >= 1.0 - 1e-9
+
+
 def test_atom_levels_match_the_planners():
     lam = 0.05
     for name, planner in cli.PLANNERS.items():
@@ -377,3 +389,37 @@ def test_truncation_failure_exit_2(capsys):
                         "--fock-cutoff", "3")
     assert code == 2
     assert "physics error" in err
+
+
+# the parser is built once per process; one main() after another must
+# answer exactly as a fresh interpreter does, also after a parse error
+MAIN_SEQUENCE = [
+    ("protocol", "ghz", "--n", "3", "--format", "csv"),
+    ("protocol", "ghz", "--engine", "warp"),
+    ("sweep", "ghz", "--n", "2", "--sweep-param", "g", "--sweep-from", "0.5",
+     "--sweep-to", "1", "--sweep-steps", "2", "--format", "csv"),
+    ("--help",),
+]
+
+
+def _fresh_process(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), "COLUMNS": "80", "PATH": ""}
+    done = subprocess.run([sys.executable, "-m", "spincavity.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_sequence_matches_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = []
+    for argv in MAIN_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    assert in_process == [_fresh_process(argv) for argv in MAIN_SEQUENCE]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
@@ -18,6 +18,7 @@ from spincavity.algebra import (
     basis_index,
     basis_state,
     boson_ops,
+    collective_sx,
     embed_atom_op,
     local_proj,
     make_space,
@@ -31,6 +32,7 @@ from spincavity.dynamics import (
     chebyshev_action,
     dissipative_margin,
     evolve_exact,
+    evolve_factored,
     evolve_lindblad,
     evolve_td_multi,
     liouvillian,
@@ -198,6 +200,36 @@ def test_propagator_u_acts_as_identity_on_mode():
     u_atoms = propagator_u(atoms, 0.03, 1.1, 5.0).matrix
     u_full = propagator_u(full, 0.03, 1.1, 5.0).matrix
     assert np.array_equal(u_full, np.kron(u_atoms, np.eye(full.mode_dim)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    atom_dim=st.sampled_from([2, 3, 4]),
+    atom_count=st.integers(1, 5),
+    cutoff=st.none() | st.integers(0, 2),
+    lam=st.floats(-0.5, 0.5),
+    omega=st.floats(-3.0, 3.0),
+    t=st.floats(0.0, 5.0),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+# the largest atoms-only space, and a mode-attached qutrit block
+@example(atom_dim=4, atom_count=5, cutoff=None, lam=0.5, omega=3.0, t=5.0, k=2, seed=0)
+@example(atom_dim=3, atom_count=4, cutoff=2, lam=-0.5, omega=-3.0, t=5.0, k=3, seed=1)
+def test_evolve_factored_matches_expm_of_the_collective_generator(
+        atom_dim, atom_count, cutoff, lam, omega, t, k, seed):
+    # the product-eigenbasis application against direct exponentiation of
+    # 2 omega Sx + 2 lam Sx^2 on the whole space (mode included)
+    space = (make_space(atom_count, atom_dim, 0, no_mode=True) if cutoff is None
+             else make_space(atom_count, atom_dim, cutoff))
+    assume(space.dim <= 1024)
+    sx = collective_sx(space).matrix
+    u = expm(-1j * t * (2.0 * omega * sx + 2.0 * lam * sx @ sx))
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(space.dim, k)) + 1j * rng.normal(size=(space.dim, k))
+    got = evolve_factored(space, lam, omega, t, block)
+    assert got.shape == block.shape
+    assert np.max(np.abs(got - u @ block)) <= 1e-12
 
 
 def test_apply_atomic_matches_kron():

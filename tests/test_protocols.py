@@ -10,15 +10,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from spincavity.algebra import (
     DensityMatrix,
     PhysicsError,
     StateVector,
     TruncationError,
+    LEVEL_LABELS,
     basis_index,
     basis_state,
+    collective_sx,
+    embed_atom_op,
+    local_proj,
     make_space,
     permutation_op,
 )
@@ -333,6 +337,51 @@ def test_plan_unitary_matches_run():
     expected = u @ basis_state(plan.space, "gg").amplitudes
     state = run_plan(plan).branch("all").state
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
+
+def _dense_eigh_propagator(space, lam, omega, t):
+    """Reference Effective drive: one dense eigh of the collective S_x
+    and (V * phases) @ V^dag on the atoms-only space."""
+    w, v = eigh(collective_sx(space).matrix)
+    return (v * np.exp(-1j * (2.0 * omega * w + 2.0 * lam * w * w) * t)) @ v.conj().T
+
+
+def _dense_branches(plan):
+    """Weighted branch amplitudes of a plan from the all-|g> start, with
+    dense drive unitaries and embedded transfer and projector matrices."""
+    space = plan.space
+    branches = [("", basis_state(space, "g" * space.atom_count).amplitudes)]
+    for stage in plan.stages:
+        if isinstance(stage, CollectiveDrive):
+            u = _dense_eigh_propagator(space, stage.lam, stage.params.omega, stage.duration)
+            branches = [(label, u @ x) for label, x in branches]
+        elif isinstance(stage, LocalTransfer):
+            atoms = range(space.atom_count) if stage.atoms == "all" else [stage.atoms]
+            for j in atoms:
+                m = embed_atom_op(space, j, stage.matrix).matrix
+                branches = [(label, m @ x) for label, x in branches]
+        else:
+            d = space.atom_dim
+            outcomes = range(d) if stage.mode == "enumerate" else [stage.outcome]
+            branches = [(label + LEVEL_LABELS[o],
+                         embed_atom_op(space, stage.atom_index, local_proj(d, o)).matrix @ x)
+                        for label, x in branches for o in outcomes]
+    return branches
+
+
+@pytest.mark.parametrize("name", sorted(PLANNERS))
+def test_effective_run_matches_dense_eigh_construction(name):
+    # at the planners' own drive (2 omega t of a few pi); a drive phase of
+    # order 1e3 rad would amplify the eigh eigenvalues' rounding to ~1e-11
+    planner = PLANNERS[name]
+    plan = planner(LAM) if name == "two-atom-qutrit" else planner(4, LAM)
+    result = run_plan(plan, engine=Effective())
+    expected = _dense_branches(plan)
+    assert [b.label for b in result.branches] == [label or "all" for label, _ in expected]
+    for branch, (_, x) in zip(result.branches, expected):
+        got = (np.zeros_like(x) if branch.state is None
+               else math.sqrt(branch.probability) * branch.state.amplitudes)
+        assert np.max(np.abs(got - x)) <= 1e-12
 
 
 def test_effective_engine_ignores_attached_mode():
