@@ -26,7 +26,15 @@ Stages:
 * ``lindblad_criterion_9``: criterion 9's second drive stage, two
   qutrits at delta = 10 g, cutoff 5, kappa = 0.2 g (dimension 2916).
 * ``exact_two_atom_qutrit``: the same stage on the full cavity engine
-  at the README's cutoff 8 (Hilbert dimension 81, one ``eigh``).
+  at the README's cutoff 8 (Hilbert dimension 81).
+* ``drive_stage[full-ghz3]``, ``drive_stage[full-ghz4]``: the full-pure
+  workload's full-cavity GHZ stages, N = 3 at cutoff 7 and N = 4 at
+  cutoff 8, delta = 4.9 g (Hilbert dimensions 64 and 144).
+* ``drive_stage[decay-sweep]``: the decay-sweep workload's stage on the
+  decay engine, N = 2 GHZ at delta = 4.1 g, cutoff 6, kappa = 0.2 g
+  (Liouville dimension 784).
+  These three go through the engine's own stage step
+  (``protocols._drive``) from |g..g, 0>, timed after one untimed call.
 * ``effective_drive[ghz-1024]``: the first drive stage of the N = 10
   GHZ plan on the Effective engine (atomic dimension 1024, one column).
 * ``effective_drive[three-level-729]``: the first drive stage of the
@@ -47,12 +55,17 @@ End to end:
 * ``cli_protocol_ghz10``: one in-process ``cli.main(["protocol", "ghz",
   "--n", "10"])``, parsing, planning, the Effective run and the JSON
   report (written to a discarded buffer).
+* ``cli_compare_frames_qutrit``: one in-process ``compare-frames
+  two-atom-qutrit --g 1 --delta 4.9 --fock-cutoff 8`` (the full-pure
+  workload's frames request: the Effective run and both full-cavity
+  frames, two stages each, and the report).
 """
 
 import contextlib
 import io
 import os
 import sys
+from functools import partial
 
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" in sys.modules and any(os.environ.get(var) != "1" for var in BLAS_ENV):
@@ -112,9 +125,11 @@ def _drives(plan):
 
 
 def _stage(plan, index, space, delta):
+    """The stage's generator builder and its start and end times."""
     t0, stage = _drives(plan)[index]
-    v = interaction_terms(space, DriveParams(g=1.0, delta=delta, omega=stage.params.omega))
-    return v, t0, t0 + stage.duration
+    build = partial(interaction_terms, space,
+                    DriveParams(g=1.0, delta=delta, omega=stage.params.omega))
+    return build, t0, t0 + stage.duration
 
 
 def _vacuum_rho(space):
@@ -145,29 +160,51 @@ def test_build_ion_terms_series(record):
 def test_lindblad_decay_sweep(record):
     space = make_space(2, 2, 6)
     plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
-    v, t0, t1 = _stage(plan, 0, space, 4.1)
+    build, t0, t1 = _stage(plan, 0, space, 4.1)
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
-    record(evolve_lindblad, v, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
+    record(evolve_lindblad, build, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
 
 
 def test_lindblad_criterion_9(record):
     space = make_space(2, 3, 5)
     plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
-    v, t0, t1 = _stage(plan, 1, space, 10.0)
+    build, t0, t1 = _stage(plan, 1, space, 10.0)
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
-    record.pedantic(evolve_lindblad, (v, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
+    record.pedantic(evolve_lindblad, (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
                     rounds=3, iterations=1)
 
 
 def test_exact_two_atom_qutrit(record):
     space = make_space(2, 3, 8)
     plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
-    v, t0, t1 = _stage(plan, 1, space, 10.0)
+    build, t0, t1 = _stage(plan, 1, space, 10.0)
     cols = basis_state(space, "gg", 0).amplitudes[:, None]
     record.extra_info["hilbert_dim"] = space.dim
-    record(evolve_exact, v, 10.0, space, cols, t0, t1)
+    record(evolve_exact, build, 10.0, space, cols, t0, t1)
+
+
+DRIVE_STAGES = {
+    "full-ghz3": (3, 7, 4.9, lambda p: FullCavity(p, fock_cutoff=7)),
+    "full-ghz4": (4, 8, 4.9, lambda p: FullCavity(p, fock_cutoff=8)),
+    "decay-sweep": (2, 6, 4.1, lambda p: Lindblad(p, DecaySpec(0.2), fock_cutoff=6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVE_STAGES))
+def test_drive_stage(record, name):
+    n_atoms, cutoff, delta, engine = DRIVE_STAGES[name]
+    plan = plan_ghz_two_level(n_atoms, lambda_cavity(1.0, delta), delta=delta)
+    engine = engine(DriveParams(g=1.0, delta=delta))
+    space = plan.space.with_mode(cutoff)
+    psi = basis_state(space, "g" * n_atoms, 0).amplitudes[:, None]
+    state = psi @ psi.conj().T if isinstance(engine, Lindblad) else psi
+    t0, stage = _drives(plan)[0]
+    step = (plan, space, stage, engine, [state], t0)
+    _drive(*step)
+    record.extra_info["hilbert_dim"] = space.dim
+    record(_drive, *step)
 
 
 @pytest.mark.parametrize("planner, n_atoms", [(plan_ghz_two_level, 10),
@@ -210,3 +247,13 @@ def _cli_ghz10():
 
 def test_cli_protocol_ghz10(record):
     assert record(_cli_ghz10) == 0
+
+
+def _cli_compare_frames_qutrit():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["compare-frames", "two-atom-qutrit", "--g", "1", "--delta", "4.9",
+                         "--fock-cutoff", "8"])
+
+
+def test_cli_compare_frames_qutrit(record):
+    assert record(_cli_compare_frames_qutrit) == 0

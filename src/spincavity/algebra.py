@@ -19,8 +19,10 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,6 +272,115 @@ def collective_sx(space: SpaceDescriptor) -> Operator:
     for j in range(space.atom_count):
         mat += embed_atom_op(space, j, sx_local).matrix
     return Operator(space, mat)
+
+
+@dataclass(frozen=True)
+class SpinGroup:
+    """The multiplets of one total spin J in a CoupledBasis: columns
+    start .. stop of its q, one copy of 2J + 1 columns (M = -J .. J)
+    after another."""
+
+    two_j: int
+    start: int
+    copies: int
+
+    @property
+    def width(self) -> int:
+        return self.two_j + 1
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.copies * self.width
+
+
+@dataclass(frozen=True)
+class CoupledBasis:
+    """The spectator x total-spin basis of N d-level atoms.
+
+    q is a real orthogonal d^N x d^N matrix (read-only).  Each column is
+    a state |J, M, alpha> of one spectator pattern: every atom is either
+    active (g or e) or parked in one level f or h, and the k active atoms
+    are coupled into total-spin multiplets.  groups holds one SpinGroup
+    per value of 2J, largest first.  Every copy (pattern x alpha) of a
+    multiplet carries the same matrix elements of a collective g/e
+    operator (S+, S-, S_x), and a collective operator never joins two
+    copies, so q^T S+ q is block diagonal and ``isometry(group)`` gives
+    the one block every copy of the group shares.
+    """
+
+    q: np.ndarray
+    groups: tuple
+
+    def isometry(self, group: SpinGroup) -> np.ndarray:
+        """The d^N x (2J + 1) columns of the group's first copy."""
+        return self.q[:, group.start:group.start + group.width]
+
+
+@lru_cache(maxsize=16)
+def _spin_half_multiplets(k: int) -> tuple:
+    """(2J, vectors) of every total-spin multiplet of k spin-1/2 (|g> is
+    M = -1/2, the first spin the most significant digit), each a
+    (2^k, 2J + 1) block with columns M = -J .. J.
+
+    The spins are added one at a time with the Condon-Shortley
+    Clebsch-Gordan coefficients of j x 1/2:
+
+        |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
+        |j - 1/2, M> = -b |j, M - 1/2>|e> + a |j, M + 1/2>|g>,
+
+    a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)).
+    """
+    if k == 0:
+        one = np.ones((1, 1))
+        one.flags.writeable = False
+        return ((0, one),)
+    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    out = []
+    for two_j, vecs in _spin_half_multiplets(k - 1):
+        for two_big in (two_j + 1, two_j - 1):
+            if two_big < 0:
+                continue
+            new = np.zeros((2 * len(vecs), two_big + 1))
+            for col, two_m in enumerate(range(-two_big, two_big + 1, 2)):
+                a = math.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
+                b = math.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
+                with_e, with_g = (a, b) if two_big > two_j else (-b, a)
+                below, above = (two_j + two_m - 1) // 2, (two_j + two_m + 1) // 2
+                if 0 <= below <= two_j:
+                    new[:, col] += with_e * np.kron(vecs[:, below], e)
+                if 0 <= above <= two_j:
+                    new[:, col] += with_g * np.kron(vecs[:, above], g)
+            new.flags.writeable = False
+            out.append((two_big, new))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
+    """The CoupledBasis of atom_count atoms with atom_dim levels (built
+    once per shape; see the class docstring)."""
+    d, n = atom_dim, atom_count
+    digits = d ** np.arange(n - 1, -1, -1)  # atom 1 the most significant
+    copies: dict[int, list] = {}
+    for pattern in itertools.product((None,) + tuple(range(2, d)), repeat=n):
+        active = [j for j, level in enumerate(pattern) if level is None]
+        parked = sum(int(digits[j]) * level for j, level in enumerate(pattern)
+                     if level is not None)
+        k = len(active)
+        bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        rows = parked + bits @ digits[active]
+        for two_j, vecs in _spin_half_multiplets(k):
+            cols = np.zeros((d**n, two_j + 1))
+            cols[rows] = vecs
+            copies.setdefault(two_j, []).append(cols)
+    groups, columns, start = [], [], 0
+    for two_j in sorted(copies, reverse=True):
+        groups.append(SpinGroup(two_j, start, len(copies[two_j])))
+        columns.extend(copies[two_j])
+        start = groups[-1].stop
+    q = np.hstack(columns)
+    q.flags.writeable = False
+    return CoupledBasis(q, tuple(groups))
 
 
 def mode_lowering(space: SpaceDescriptor) -> np.ndarray:

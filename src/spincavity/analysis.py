@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DensityMatrix,
@@ -157,6 +156,8 @@ def extract_frequency(series: TimeSeries) -> float:
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         r = y - cols @ coef
         return float(r @ r)
+
+    from scipy.optimize import minimize_scalar  # loaded on first use: only this fit needs it
 
     lo = max(omega0 - 1.5 * dw, 0.25 * dw)
     hi = omega0 + 1.5 * dw

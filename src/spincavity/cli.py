@@ -26,6 +26,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from .algebra import LEVEL_LABELS, PhysicsError, decode_index
 from .analysis import fidelity, leg_populations, reduce_to_atoms, trace_distance
 from .dynamics import DecaySpec, ThermalSpec
@@ -199,20 +201,37 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if config.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.format!r}")
     _check_numbers(config)
+    _check_out(config)
     return config
 
 
 def _check_numbers(config: RunConfig):
-    """Reject non-finite floats, a negative nbar and a decay rate off the decay engine."""
+    """Reject non-finite floats, a negative g or nbar, an eta outside
+    [0, 1) and a decay rate off the decay engine, on every engine."""
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value!r}")
+    if config.g < 0:
+        raise ConfigError(f"--g must be non-negative, got {config.g!r}")
+    if not 0 <= config.eta < 1:
+        raise ConfigError(f"--eta must lie in [0, 1), got {config.eta!r}")
     if config.nbar < 0:
         raise ConfigError(f"--nbar must be non-negative, got {config.nbar!r}")
     if config.kappa != 0 and config.engine != "lindblad":
         raise ConfigError(f"--kappa {config.kappa:g} needs --engine lindblad; the "
                           f"{config.engine} engine has no cavity decay")
+
+
+def _check_out(config: RunConfig):
+    """Refuse an --out path that cannot be written, before the run."""
+    if not config.out:
+        return
+    folder = os.path.dirname(os.path.abspath(config.out))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write --out {config.out}: no directory {folder}")
+    if os.path.exists(config.out) and not config.force:
+        raise ConfigError(f"{config.out} exists; pass --force to overwrite")
 
 
 def _resolve_system_engine(config: RunConfig) -> tuple[str, str]:
@@ -353,10 +372,11 @@ def _render_json(payload: dict) -> str:
 
 def _emit(text: str, config: RunConfig):
     if config.out:
-        if os.path.exists(config.out) and not config.force:
-            raise ConfigError(f"{config.out} exists; pass --force to overwrite")
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {config.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -368,11 +388,9 @@ def _emit(text: str, config: RunConfig):
 def _target_legs(plan: ProtocolPlan) -> list[str]:
     """Atomic product labels carrying the target's nonzero amplitudes."""
     legs = []
-    amps = plan.target.amplitudes
-    for idx in range(plan.space.dim):
-        if abs(amps[idx]) > 1e-12:
-            levels, _ = decode_index(plan.space, idx)
-            legs.append("".join(LEVEL_LABELS[l] for l in levels))
+    for idx in np.flatnonzero(np.abs(plan.target.amplitudes) > 1e-12):
+        levels, _ = decode_index(plan.space, int(idx))
+        legs.append("".join(LEVEL_LABELS[l] for l in levels))
     return legs
 
 

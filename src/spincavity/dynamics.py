@@ -14,19 +14,33 @@ Numerical policy:
 * Every full-model generator is static in the mode frame:
   H(t) = e^{i H0 t} V e^{-i H0 t} with H0 = -delta adag a and V = H(0),
   because each e^{-+i delta t} term raises or lowers the Fock number by
-  exactly one (also on the hard-truncated ladder).  ``evolve_exact``
-  therefore propagates a drive stage with one eigendecomposition of
-  H0 + V, pushing every state column through it at once.
+  exactly one (also on the hard-truncated ladder).
+* Every such V is a sum of collective g/e operators (S+, S-, S_x) times
+  mode operators, and the collapse operators act on the mode alone.  So
+  the stage generators never move an atom parked in f or h and commute
+  with every permutation of the atoms: in the spectator x total-spin
+  basis (algebra.coupled_basis) x I_mode they are block diagonal, one
+  (2J + 1) m block per copy of a spin-J multiplet, and all copies of one
+  J share their block (Shammah et al., Phys. Rev. A 98, 063815 (2018)).
+  The propagators take the stage's builder, call it once per occupied
+  block with that multiplet's atoms isometry, rotate the states into
+  the basis on the atom axis, propagate, and rotate back.  This is exact
+  for every state; blocks that are exactly zero are skipped, and no
+  generator of the whole d^N m space is formed.
+* ``evolve_exact`` propagates each occupied block of a drive stage with
+  one eigendecomposition, pushing every copy and every state column
+  through it at once.
 * The cavity collapse operators a and adag only pick up a phase in the
   same frame, so the master equation is static there too.
-  ``evolve_lindblad`` builds the Liouvillian L = -i[H0 + V, .] + D once
-  per stage and applies e^{L (t1 - t0)} to every density matrix of the
-  stage at once with ``chebyshev_action``, a Bessel-coefficient
-  Chebyshev series of the centred L.  Its radius is the spread of the
-  eigenvalues of H0 + V plus ``dissipative_margin``, a proven bound on
-  the dissipator's numerical range; its substeps, series length and
-  coefficients follow from those numbers alone, so identical calls give
-  bitwise-identical results.
+  ``evolve_lindblad`` builds the Liouvillian L = -i[H0 + V, .] + D of
+  each occupied pair of blocks once per stage and applies e^{L (t1 - t0)}
+  to every copy pair of every density matrix of the stage at once with
+  ``chebyshev_action``, a Bessel-coefficient Chebyshev series of the
+  centred L.  Its radius is the spread of the pair's Hamiltonian part
+  plus ``dissipative_margin``, a proven bound on the dissipator's
+  numerical range; its substeps, series length and coefficients follow
+  from those numbers alone, so identical calls give bitwise-identical
+  results.
 * Neither exact propagator renormalizes, symmetrizes or clips: norm or
   trace drift beyond 1e-6 raises NormDriftError, and the engines
   validate final density matrices (Hermiticity, trace, eigenvalues).
@@ -47,22 +61,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, eigvalsh
 from scipy.special import jv
 
 from .algebra import (
+    CoupledBasis,
     DensityMatrix,
     NormDriftError,
     Operator,
     SpaceDescriptor,
+    SpinGroup,
     StateVector,
-    boson_ops,
     check_leakage,
     check_leakage_dm,
+    coupled_basis,
+    mode_lowering,
 )
-# unused here; perfbench/spans.py wraps this name to count operator builds
-from .algebra import collective_sx  # noqa: F401
+# unused here; perfbench/spans.py wraps these names to count operator builds
+from .algebra import boson_ops, collective_sx  # noqa: F401
 
 #: norm/trace drift beyond this is a propagation failure
 NORM_HARD = 1e-6
@@ -70,6 +86,15 @@ NORM_HARD = 1e-6
 #: the Chebyshev series of a stage is cut at the first order k beyond its
 #: argument with |J_k| below this
 CHEB_TOL = 2.0**-53
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: only the
+    reference integrator ``evolve_td_multi`` needs it, and importing the
+    package should not load scipy.integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -142,6 +167,8 @@ class ThermalSpec:
         if nbar == 0:
             return cls(0.0, 0)
         ratio = nbar / (1.0 + nbar)
+        if ratio == 1.0:
+            raise ValueError(f"nbar {nbar!r} is too large for a truncated thermal state")
         cutoff = max(0, math.ceil(math.log(tail) / math.log(ratio)) - 1)
         while (ratio ** (cutoff + 1)) >= tail:
             cutoff += 1
@@ -176,11 +203,16 @@ class Propagation:
     evolve_lindblad.  leak is the top-Fock population of the ensemble
     that the leakage check returned (at the worst sampled time); drift
     is the largest relative change of a column norm or a trace.
+    block_dim is the dimension of the largest block propagated: a
+    Hilbert-space block (2J + 1) m for evolve_exact, a Liouville-space
+    block (2J + 1) m (2J' + 1) m for evolve_lindblad, 0 when every block
+    was zero.
     """
 
     states: np.ndarray
     leak: float
     drift: float
+    block_dim: int
 
 
 def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
@@ -197,48 +229,72 @@ def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
     return drift
 
 
-def _mode_frame(v: np.ndarray, delta: float, space: SpaceDescriptor):
-    """The static mode-frame generator H0 + V (dense) and the diagonal of
-    H0 = -delta adag a; V must be Hermitian."""
+def _block_generator(builder, basis: CoupledBasis, group: SpinGroup, delta: float,
+                     mode_dim: int) -> np.ndarray:
+    """The static mode-frame generator H0 + V on one multiplet block
+    (B x I_mode), with V = builder(B) Hermitian and H0 = -delta adag a."""
+    v = builder(basis.isometry(group))
     herm = np.max(np.abs(v - v.conj().T))
     if herm > 1e-10:
         raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
-    h0 = -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim)
-    return v + np.diag(h0), h0
+    return v + np.diag(-delta * np.tile(np.arange(mode_dim), group.width))
 
 
-def evolve_exact(v: np.ndarray, delta: float, space: SpaceDescriptor,
+def evolve_exact(builder, delta: float, space: SpaceDescriptor,
                  columns: np.ndarray, t0: float, t1: float,
                  t_eval=None) -> Propagation:
     """Exact propagation of a generator that is static in the mode frame.
 
-    ``v`` is the static generator V of H(t) = e^{i H0 t} V e^{-i H0 t}
-    with H0 = -delta adag a, as every full-engine builder in
-    ``hamiltonians`` returns it.  Then
+    ``builder`` maps an atoms isometry B to the static generator V of
+    H(t) = e^{i H0 t} V e^{-i H0 t} (H0 = -delta adag a) on (B x I_mode),
+    as the ``hamiltonians`` builders do with their space and parameters
+    bound.  Then
 
-        U(t, t0) = e^{i H0 t} e^{-i (H0 + V)(t - t0)} e^{-i H0 t0},
+        U(t, t0) = e^{i H0 t} e^{-i (H0 + V)(t - t0)} e^{-i H0 t0}.
 
-    and one eigendecomposition of H0 + V serves every column and every
-    requested time.  ``columns`` (dim, k) are the members of one
-    ensemble, each scaled by the square root of its weight, so leakage
-    is checked on the weighted mixture.  Returns the block at t1, or the
-    trajectory at the times ``t_eval`` (taken from the same
-    eigendecomposition), with the leak and norm drift found.
+    V is a sum of collective atom operators times mode operators, so it
+    is block diagonal in algebra.coupled_basis x I_mode, and every copy
+    of a multiplet of spin J carries the same (2J + 1) m block.  The
+    columns go into that basis on the atom axis; each group of copies
+    holding anything nonzero is propagated with one eigendecomposition
+    of its block, every copy and every column at once, and the result
+    comes back.  ``columns`` (dim, k) are the members of one ensemble,
+    each scaled by the square root of its weight, so leakage is checked
+    on the weighted mixture.  Returns the block at t1, or the trajectory
+    at the times ``t_eval`` (taken from the same eigendecompositions),
+    with the leak and norm drift found on the flat result.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    gen, h0 = _mode_frame(v, delta, space)
-    w, vecs = eigh(gen)
-    coeffs = vecs.conj().T @ (np.exp(-1j * h0 * t0)[:, None] * columns)
+    basis = coupled_basis(space.atom_count, space.atom_dim)
+    atoms, m, k = space.atoms_dim, space.mode_dim, columns.shape[1]
+    h0 = -delta * np.arange(m)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
-    phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
-    traj = np.exp(1j * np.outer(times, h0))[:, :, None] * (vecs @ (phases * coeffs))
+    start = np.exp(-1j * h0 * t0)[:, None] * columns.reshape(atoms, m, k)
+    coeffs = basis.q.T @ start.reshape(atoms, m * k)
+    out = np.zeros((len(times), atoms, m * k), dtype=complex)
+    block_dim = 0
+    for group in basis.groups:
+        rows = coeffs[group.start:group.stop]
+        if not rows.any():
+            continue
+        w, vecs = eigh(_block_generator(builder, basis, group, delta, m))
+        block = (rows.reshape(group.copies, group.width, m, k)
+                 .transpose(1, 2, 0, 3).reshape(group.width * m, group.copies * k))
+        phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
+        traj = vecs @ (phases * (vecs.conj().T @ block))
+        out[:, group.start:group.stop] = (
+            traj.reshape(len(times), group.width, m, group.copies, k)
+            .transpose(0, 3, 1, 2, 4).reshape(len(times), group.stop - group.start, m * k))
+        block_dim = max(block_dim, group.width * m)
+    traj = (np.exp(1j * np.outer(times, h0))[:, None, :, None]
+            * (basis.q @ out).reshape(len(times), atoms, m, k)).reshape(len(times), atoms * m, k)
 
     drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(traj, axis=1))
-    top = traj.reshape(len(times), space.atoms_dim, space.mode_dim, -1)[:, :, -2:]
+    top = traj.reshape(len(times), atoms, m, -1)[:, :, -2:]
     worst = int(np.argmax(np.sum(np.abs(top) ** 2, axis=(1, 2, 3))))
     leak = check_leakage(space, traj[worst])
-    return Propagation(traj[0] if t_eval is None else traj, leak, drift)
+    return Propagation(traj[0] if t_eval is None else traj, leak, drift, block_dim)
 
 
 def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
@@ -354,18 +410,33 @@ def apply_local(space: SpaceDescriptor, local: np.ndarray, atoms, x: np.ndarray)
     return out
 
 
-def liouvillian(generator: np.ndarray, space: SpaceDescriptor,
-                decay: DecaySpec) -> sp.csr_matrix:
-    """The Liouvillian L rho = -i [H, rho] + sum_c (c rho c^dag
-    - {c^dag c, rho}/2) of a static generator H as a sparse matrix on
-    row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
-    h = sp.csr_matrix(generator)
-    eye = sp.identity(space.dim, dtype=complex, format="csr")
-    out = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
+                right: np.ndarray | None = None) -> sp.csr_matrix:
+    """The Liouvillian of a static generator as a sparse matrix on
+    row-major vec(X), where vec(A X B) = (A kron B^T) vec(X):
+
+        L X = -i (H X - X H') + sum_c (c X c'^dag - (c^dag c X + X c'^dag c') / 2)
+
+    for a p x q block X, with H = ``generator`` (p x p) acting from the
+    left and H' = ``right`` (q x q, default H) from the right.  The
+    collapse operators act on the mode alone, c = I kron c_mode sized to
+    each side (c' on the right), so with right omitted and H on the whole
+    space this is L rho = -i [H, rho] + D(rho); with H and H' the blocks
+    of two multiplets it is the Liouvillian of the block of rho between
+    them."""
+    right = generator if right is None else right
+    h, h_right = sp.csr_matrix(generator), sp.csr_matrix(right)
+    p, q = h.shape[0], h_right.shape[0]
+    eye_p = sp.identity(p, dtype=complex, format="csr")
+    eye_q = sp.identity(q, dtype=complex, format="csr")
+    out = -1j * (sp.kron(h, eye_q) - sp.kron(eye_p, h_right.T))
+    m = space.mode_dim
     for c in _collapse_ops(space, decay):
-        c = sp.csr_matrix(c)
-        cdc = c.conj().T @ c
-        out = out + sp.kron(c, c.conj()) - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
+        c_left = sp.kron(sp.identity(p // m), c, format="csr")
+        c_right = sp.kron(sp.identity(q // m), c, format="csr")
+        out = out + sp.kron(c_left, c_right.conj()) - 0.5 * (
+            sp.kron(c_left.conj().T @ c_left, eye_q)
+            + sp.kron(eye_p, (c_right.conj().T @ c_right).T))
     return out.tocsr()
 
 
@@ -398,7 +469,9 @@ def chebyshev_action(a: sp.csr_matrix, b: np.ndarray, t: float, radius: float,
     reproducible.
 
     ``radius`` is W + margin, with W = max - min eigenvalue of H (so
-    -i[H, .] has its spectrum on i[-W, W]), and ``margin`` must be at
+    -i[H, .] has its spectrum on i[-W, W]; for a block -i (H X - X H')
+    between two generators, W is the spectrum's half-width about its
+    centre, see ``evolve_lindblad``), and ``margin`` must be at
     least K = sum_c ||c||^2 over the collapse operators c
     (``dissipative_margin``).  The bound: for Hilbert-Schmidt-unit rho,
 
@@ -468,7 +541,7 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
     return coeffs
 
 
-def evolve_lindblad(v: np.ndarray, delta: float, decay: DecaySpec, space: SpaceDescriptor,
+def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescriptor,
                     rhos: np.ndarray, t0: float, t1: float) -> Propagation:
     """Exact propagation of density matrices under the master equation
 
@@ -476,46 +549,91 @@ def evolve_lindblad(v: np.ndarray, delta: float, decay: DecaySpec, space: SpaceD
 
     with collapse operators sqrt(kappa (1+nbar_bath)) a and
     sqrt(kappa nbar_bath) adag, for H(t) = e^{i H0 t} V e^{-i H0 t} with
-    the static generator ``v`` as in ``evolve_exact``.  The
+    V given block by block by ``builder`` as in ``evolve_exact``.  The
     collapse operators only pick up a phase under e^{-+i H0 t}, so
     sigma = e^{-i H0 t} rho e^{i H0 t} obeys dsigma/dt = L sigma with the
     static L = -i [H0 + V, .] + D, and
 
         rho(t1) = e^{i H0 t1} [e^{L (t1 - t0)} sigma(t0)] e^{-i H0 t1}.
 
+    sigma goes into algebra.coupled_basis x I_mode on both sides.  H0 + V
+    is block diagonal there and the collapse operators are I x c_mode, so
+    the block of sigma between a copy of spin J and a copy of spin J'
+    evolves on its own under the rectangular Liouvillian of the two
+    multiplets' blocks (``liouvillian`` with ``right``), the same one for
+    every pair of copies.  Each pair (2J, 2J') holding anything nonzero
+    takes one Chebyshev action, with every pair of copies and every
+    member as columns; its radius is the width of -i (H_J X - X H_J')
+    about its centre (the trace / n the action subtracts) plus
+    ``dissipative_margin``.  The shift and margin argument of
+    ``chebyshev_action`` holds for each block unchanged, because
+    tr(c^dag c) / n depends on the mode alone and each c has the same
+    norm as on the whole space.
+
     ``rhos`` (k, dim, dim) are the members of one ensemble, each scaled
     by its weight (trace = weight), so leakage is checked on the
-    weighted mixture; one Chebyshev action carries all of them.  drift is
-    the largest relative trace change (NormDriftError beyond 1e-6);
-    nothing is renormalized, symmetrized or clipped.
+    weighted mixture of the flat result.  drift is the largest relative
+    trace change (NormDriftError beyond 1e-6); nothing is renormalized,
+    symmetrized or clipped.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0)
-    gen, h0 = _mode_frame(v, delta, space)
-    k, n = len(rhos), space.dim
-    spread = np.subtract.outer(h0, h0).ravel()  # e^{-i H0 t} . e^{i H0 t} on vec(rho)
-    sigma = np.exp(-1j * spread * t0)[:, None] * rhos.reshape(k, n * n).T
-    w = eigvalsh(gen)
+        return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0, 0)
+    basis = coupled_basis(space.atom_count, space.atom_dim)
+    atoms, m, k = space.atoms_dim, space.mode_dim, len(rhos)
+    h0 = -delta * np.arange(m)
+    spread = np.subtract.outer(h0, h0)[:, None, :]  # e^{-i H0 t} . e^{i H0 t} on (n, n')
+    sigma = np.exp(-1j * spread * t0) * rhos.reshape(k, atoms, m, atoms, m)
+    sigma = _both_sides(basis.q.T, sigma, basis.q)
+    out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
-    sigma = chebyshev_action(liouvillian(gen, space, decay), sigma, t1 - t0,
-                             w[-1] - w[0] + margin, margin)
-    out = (np.exp(1j * spread * t1)[:, None] * sigma).T.reshape(k, n, n)
+    blocks = {}
+    block_dim = 0
+    for left in basis.groups:
+        for right in basis.groups:
+            x = sigma[:, left.start:left.stop, :, right.start:right.stop]
+            if not x.any():
+                continue
+            for group in (left, right):
+                if group not in blocks:
+                    gen = _block_generator(builder, basis, group, delta, m)
+                    blocks[group] = gen, eigvalsh(gen)
+            (h_left, w_left), (h_right, w_right) = blocks[left], blocks[right]
+            p, q = len(h_left), len(h_right)
+            centre = np.trace(h_left).real / p - np.trace(h_right).real / q
+            width = max(w_left[-1] - w_right[0] - centre, centre - w_left[0] + w_right[-1])
+            cols = (x.reshape(k, left.copies, left.width, m, right.copies, right.width, m)
+                    .transpose(2, 3, 5, 6, 0, 1, 4).reshape(p * q, -1))
+            cols = chebyshev_action(liouvillian(h_left, space, decay, h_right), cols,
+                                    t1 - t0, width + margin, margin)
+            out[:, left.start:left.stop, :, right.start:right.stop] = (
+                cols.reshape(left.width, m, right.width, m, k, left.copies, right.copies)
+                .transpose(4, 5, 0, 1, 6, 2, 3).reshape(x.shape))
+            block_dim = max(block_dim, p * q)
+    out = (np.exp(1j * spread * t1) * _both_sides(basis.q, out, basis.q.T)).reshape(rhos.shape)
 
     drift = norm_drift(np.trace(rhos, axis1=1, axis2=2).real,
                        np.trace(out, axis1=1, axis2=2).real)
     leak = check_leakage_dm(space, out.sum(axis=0))
-    return Propagation(out, leak, drift)
+    return Propagation(out, leak, drift, block_dim)
+
+
+def _both_sides(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left x right on the atom axes (1 and 3) of a (k, A, m, A, m) stack."""
+    k, atoms, m = x.shape[:3]
+    y = (left @ x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
+    return (y.swapaxes(2, 3) @ right).swapaxes(2, 3).reshape(x.shape)
 
 
 def _collapse_ops(space: SpaceDescriptor, decay: DecaySpec) -> list[np.ndarray]:
+    """The collapse operators' mode factors (m x m)."""
     if decay.kappa == 0:
         return []
-    a, adag = (op.matrix for op in boson_ops(space))
+    a = mode_lowering(space)
     ops = [math.sqrt(decay.kappa * (1.0 + decay.nbar_bath)) * a]
     if decay.nbar_bath > 0:
-        ops.append(math.sqrt(decay.kappa * decay.nbar_bath) * adag)
+        ops.append(math.sqrt(decay.kappa * decay.nbar_bath) * a.conj().T)
     return ops
 
 

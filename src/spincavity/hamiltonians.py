@@ -20,12 +20,21 @@ Every full-model generator (interaction picture, slow frame, both ion
 frames) is static in the mode frame: each of its terms carries
 e^{-+i delta t} exactly when it raises or lowers the Fock number by one,
 so ``H(t) = e^{i H0 t} V e^{-i H0 t}`` with ``H0 = -delta adag a`` and
-``V = H(0)``.  ``*_terms(space, params)`` returns that static matrix V,
-which is all dynamics.evolve_exact and dynamics.evolve_lindblad need;
-``at_time`` turns it into H(t), and ``h_*(space, params, t)`` returns
-H(t) as an Operator.  Each term of V is an atoms-only collective
+``V = H(0)``.  ``*_terms(space, params)`` returns that static matrix V;
+dynamics.evolve_exact and dynamics.evolve_lindblad take the builder
+itself with its space and parameters bound (see below).  ``at_time``
+turns V into H(t), and ``h_*(space, params, t)`` returns H(t) as an
+Operator.  Each term of V is an atoms-only collective
 operator (d^N x d^N) joined to an m x m mode operator by one np.kron;
 no product of full-space matrices is formed.
+
+The ``*_terms`` builders take an optional atoms isometry B (``basis``,
+the columns of one multiplet of algebra.coupled_basis) and then return
+the same formula on (B x I_mode): the r x r collective B^T S B, formed
+from the same atoms-only collective, joined to the mode operators, an
+(r m) x (r m) block.  The exact propagators call them once per occupied
+block; without B they return the dense V of the whole space, which the
+acceptance suite and the tests use.
 
 All builders treat |f> and |h> as spectators: the cavity and the drive
 couple only the g/e block.
@@ -88,8 +97,8 @@ class DriveParams:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("g must be non-negative")
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
+        if not 0 <= self.omega < math.inf:
+            raise ValueError("omega must be non-negative and finite")
         if not 0 <= self.eta < 1:
             raise ValueError("eta must lie in [0, 1)")
         if self.lamb_dicke_order < 0:
@@ -110,7 +119,7 @@ def lambda_cavity(g: float, delta: float) -> float:
     """Effective collective coupling g^2 / (2 delta) of the dispersive cavity."""
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    return g * g / (2.0 * delta)
+    return _finite_coupling(g * g / (2.0 * delta), "g^2 / (2 delta)")
 
 
 def lambda_ion(omega: float, eta: float, delta: float) -> float:
@@ -121,7 +130,13 @@ def lambda_ion(omega: float, eta: float, delta: float) -> float:
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    return 2.0 * omega * omega * eta * eta / delta
+    return _finite_coupling(2.0 * omega * omega * eta * eta / delta, "2 omega^2 eta^2 / delta")
+
+
+def _finite_coupling(lam: float, formula: str) -> float:
+    if not math.isfinite(lam):
+        raise ValueError(f"effective coupling {formula} = {lam!r} is not finite")
+    return lam
 
 
 def _collective(space: SpaceDescriptor, local: np.ndarray) -> np.ndarray:
@@ -131,6 +146,13 @@ def _collective(space: SpaceDescriptor, local: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _atoms_collective(space: SpaceDescriptor, local: np.ndarray, basis) -> np.ndarray:
+    """The atoms-only collective sum_j local_j, or B^T (sum_j local_j) B
+    for an atoms isometry B (``basis``, real d^N x r)."""
+    mat = _collective(space.atoms_only(), local)
+    return mat if basis is None else basis.T @ mat @ basis
+
+
 def at_time(space: SpaceDescriptor, v: np.ndarray, delta: float, t: float) -> np.ndarray:
     """H(t) = e^{i H0 t} V e^{-i H0 t} with H0 = -delta adag a: element
     (m, n) of V times e^{-i delta t (fock_m - fock_n)}."""
@@ -138,14 +160,18 @@ def at_time(space: SpaceDescriptor, v: np.ndarray, delta: float, t: float) -> np
     return v * np.exp(-1j * delta * t * np.subtract.outer(fock, fock))
 
 
-def interaction_terms(space: SpaceDescriptor, params: DriveParams) -> np.ndarray:
+def interaction_terms(space: SpaceDescriptor, params: DriveParams,
+                      basis: np.ndarray | None = None) -> np.ndarray:
     """Static mode-frame generator V of the driven interaction picture
 
     H(t) = sum_j [ g (e^{-i delta t} adag Sj- + e^{+i delta t} a Sj+)
-                   + omega (Sj+ + Sj-) ].
+                   + omega (Sj+ + Sj-) ],
+
+    on the whole space, or on (B x I_mode) for an atoms isometry B
+    (``basis``; see the module docstring).
     """
     a = mode_lowering(space)
-    sp = _collective(space.atoms_only(), local_sp(space.atom_dim))
+    sp = _atoms_collective(space, local_sp(space.atom_dim), basis)
     emit = np.kron(sp.conj().T, a.conj().T)
     drive = np.kron(sp + sp.conj().T, np.eye(space.mode_dim))
     return params.g * (emit + emit.conj().T) + params.omega * drive
@@ -156,15 +182,18 @@ def h_interaction(space: SpaceDescriptor, params: DriveParams, t: float) -> Oper
     return Operator(space, at_time(space, interaction_terms(space, params), params.delta, t))
 
 
-def slow_terms(space: SpaceDescriptor, params: DriveParams) -> np.ndarray:
+def slow_terms(space: SpaceDescriptor, params: DriveParams,
+               basis: np.ndarray | None = None) -> np.ndarray:
     """Static mode-frame generator V of the drive-rotated frame with its
     fast sidebands dropped
 
-    H(t) = g (e^{-i delta t} adag + e^{+i delta t} a) S_x.
+    H(t) = g (e^{-i delta t} adag + e^{+i delta t} a) S_x,
+
+    on the whole space or on (B x I_mode) for an atoms isometry B.
     """
     a = mode_lowering(space)
     d = space.atom_dim
-    sx = _collective(space.atoms_only(), 0.5 * (local_sp(d) + local_sm(d)))
+    sx = _atoms_collective(space, 0.5 * (local_sp(d) + local_sm(d)), basis)
     return params.g * np.kron(sx, a.conj().T + a)
 
 
@@ -203,8 +232,10 @@ def h0_drive(space: SpaceDescriptor, omega: float) -> Operator:
     return Operator(space, omega * _collective(space, local_sp(d) + local_sm(d)))
 
 
-def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag) -> np.ndarray:
-    """Static mode-frame generator V of the sideband-driven ion chain.
+def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag,
+              basis: np.ndarray | None = None) -> np.ndarray:
+    """Static mode-frame generator V of the sideband-driven ion chain, on
+    the whole space or on (B x I_mode) for an atoms isometry B.
 
     ION_LAMB_DICKE is the first-order expansion
 
@@ -229,7 +260,7 @@ def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag) -> n
         up, dn = _displacement_partial_sums(a, eta, params.lamb_dicke_order)
     else:
         raise ValueError(f"frame {frame} is not an ion frame")
-    coupling = pref * np.kron(_collective(space.atoms_only(), local_sp(space.atom_dim)), up + dn)
+    coupling = pref * np.kron(_atoms_collective(space, local_sp(space.atom_dim), basis), up + dn)
     return coupling + coupling.conj().T
 
 

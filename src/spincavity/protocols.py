@@ -32,12 +32,16 @@ projectors are single-atom matrices applied on each atom's own axis
 
 Both full engines propagate each drive stage exactly with
 dynamics.evolve_exact: their generators are static in the mode frame
-exp(-i delta adag a t), so a stage is one eigendecomposition that every
-column of every branch (thermal columns included) goes through.  The
-decay engine does the same in Liouville space with
+exp(-i delta adag a t) and block diagonal in the spectator x total-spin
+basis of the atoms, so a stage is one eigendecomposition per occupied
+block that every column of every branch (thermal columns included) goes
+through.  The decay engine does the same in Liouville space with
 dynamics.evolve_lindblad: the cavity dissipator is static in that frame
-too, so a stage is one Liouvillian and one Chebyshev action that
-carries the density matrices of every live branch at once.
+too and acts on the mode alone, so a stage is one Liouvillian and one
+Chebyshev action per occupied pair of blocks, carrying the density
+matrices of every live branch at once.  ``_drive`` hands the propagators
+the stage's builder (``hamiltonians.*_terms`` with the space and
+parameters bound), which they call once per occupied block.
 
 Drive stages of one plan run at consecutive absolute times so that the
 e^{i delta t} drive phases stay continuous across stage boundaries.
@@ -110,8 +114,8 @@ class CollectiveDrive:
     lam: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,11 @@ class Branch:
 class StageRecord:
     """What one drive stage did; holds no wall times.
 
-    dim is the dimension of the space the generator acts on (Liouville
-    space for the decay engine); method is "factored" (Effective),
+    dim is the dimension of the largest block the stage propagated: the
+    atomic dimension d^N (Effective), a total-spin block (2J + 1) m of
+    the mode-attached space (full engines), or the Liouville-space block
+    (2J + 1) m (2J' + 1) m of a pair of them (decay engine); 0 when every
+    block was zero.  method is "factored" (Effective),
     "eigh" (exact full-engine propagation) or "chebyshev" (exact Lindblad
     propagation by a Chebyshev-series action of the Liouvillian); leak
     is the top-Fock population the leakage check returned (None where
@@ -268,11 +275,29 @@ def _drive_params(omega: float) -> DriveParams:
     return DriveParams(omega=omega)
 
 
+def _stage_time(t: float) -> float:
+    """A planner's stage time, refused unless positive and finite (lam
+    near the float range's ends can give 0 or inf)."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"stage time {t!r} is not positive and finite; lam is out of range")
+    return t
+
+
+def _drive_index(t: float, delta: float) -> float:
+    """10 |delta| t / pi, the drive index at which omega = k pi / t reaches
+    10 |delta|; ValueError when it is not finite."""
+    x = 10.0 * abs(delta) * t / math.pi
+    if not math.isfinite(x):
+        raise ValueError(f"drive index 10 |delta| t / pi is not finite "
+                         f"(delta = {delta!r}, t = {t!r}); the coupling is too weak")
+    return x
+
+
 def _pick_k_even(t: float, delta: float | None) -> int:
     """Smallest positive even k with omega = k pi / t >= 10 |delta|."""
     if delta is None or delta == 0:
         return 2
-    k = math.ceil(10.0 * abs(delta) * t / math.pi)
+    k = math.ceil(_drive_index(t, delta))
     return k + (k % 2) if k > 0 else 2
 
 
@@ -280,7 +305,7 @@ def _pick_k_any(t: float, delta: float | None, base: int = 1) -> int:
     """Smallest positive integer k with omega = k pi / t >= 10 |delta|."""
     if delta is None or delta == 0:
         return base
-    return max(base, math.ceil(10.0 * abs(delta) * t / math.pi))
+    return max(base, math.ceil(_drive_index(t, delta)))
 
 
 def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None = None,
@@ -297,10 +322,10 @@ def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None =
     When ``delta`` is given, default k (k') is the smallest even (any)
     integer putting omega at or above 10 |delta|.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    t1 = ARCSIN_1_SQRT3 / lam
-    t2 = math.pi / (4.0 * lam)
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    t1 = _stage_time(ARCSIN_1_SQRT3 / lam)
+    t2 = _stage_time(math.pi / (4.0 * lam))
     if k is None:
         k = _pick_k_even(t1, delta)
     if k <= 0 or k % 2 != 0:
@@ -339,7 +364,7 @@ def _ghz_drive(n_atoms: int, lam: float, n_choice: int | None,
                delta: float | None) -> tuple[CollectiveDrive, int]:
     """The single GHZ drive: lam t = pi/4 with the parity-dependent
     omega condition (omega t = n pi for even N, (2n + 3/4) pi for odd N)."""
-    t = math.pi / (4.0 * lam)
+    t = _stage_time(math.pi / (4.0 * lam))
     if n_atoms % 2 == 0:
         n = n_choice if n_choice is not None else _pick_k_any(t, delta)
         if n <= 0:
@@ -351,7 +376,7 @@ def _ghz_drive(n_atoms: int, lam: float, n_choice: int | None,
         elif delta is None or delta == 0:
             n = 1
         else:
-            n = max(1, math.ceil((10.0 * abs(delta) * t / math.pi - 0.75) / 2.0))
+            n = max(1, math.ceil((_drive_index(t, delta) - 0.75) / 2.0))
         if n < 0:
             raise ValueError("n_choice must be non-negative")
         omega = (2.0 * n + 0.75) * math.pi / t
@@ -372,8 +397,8 @@ def plan_ghz_two_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2:
         raise ValueError("need at least 2 atoms")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     drive, n = _ghz_drive(n_atoms, lam, n_choice, delta)
     space = make_space(n_atoms, 2, 0, no_mode=True)
 
@@ -398,8 +423,8 @@ def plan_ghz_three_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2 or n_atoms % 2 != 0:
         raise ValueError("n_atoms must be even and at least 2")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     drive1, n1 = _ghz_drive(n_atoms, lam, n_choice, delta)
     drive2, n2 = _ghz_drive(n_atoms, lam, n_choice, delta)
     space = make_space(n_atoms, 3, 0, no_mode=True)
@@ -458,8 +483,8 @@ def plan_ghz_four_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2 or n_atoms % 2 != 0:
         raise ValueError("n_atoms must be even and at least 2")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     drives = [_ghz_drive(n_atoms, lam, n_choice, delta) for _ in range(3)]
     space = make_space(n_atoms, 4, 0, no_mode=True)
 
@@ -505,7 +530,8 @@ class Effective:
 @dataclass(frozen=True)
 class FullCavity:
     """Propagates the driven cavity Hamiltonian on an attached Fock mode,
-    one exact eigendecomposition per drive stage.
+    one exact eigendecomposition per occupied total-spin block of a drive
+    stage.
 
     initial_mode is a Fock number or a ThermalSpec; frame selects the
     interaction picture (default) or the slow frame.
@@ -523,7 +549,8 @@ class FullCavity:
 @dataclass(frozen=True)
 class FullIon:
     """Propagates the sideband Hamiltonian on the vibrational mode, one
-    exact eigendecomposition per drive stage."""
+    exact eigendecomposition per occupied total-spin block of a drive
+    stage."""
 
     params: DriveParams
     fock_cutoff: int = 10
@@ -537,8 +564,8 @@ class FullIon:
 @dataclass(frozen=True)
 class Lindblad:
     """Density-matrix engine: the interaction-picture cavity Hamiltonian
-    plus cavity decay, one exact Liouville-space propagation per drive
-    stage.
+    plus cavity decay, one exact Liouville-space propagation per occupied
+    pair of total-spin blocks of a drive stage.
 
     initial_mode is a Fock number or a ThermalSpec; run_plan starts from
     the density matrix C C^dag of the columns FullCavity would start from.
@@ -667,27 +694,13 @@ def _initial_state(plan: ProtocolPlan, initial, engine):
     return space_run, (cols @ cols.conj().T if mixed else cols)
 
 
-def _drive_generator(space_run: SpaceDescriptor, stage: CollectiveDrive, engine) -> np.ndarray:
-    """Static mode-frame generator V of one drive stage under a
-    mode-attached engine."""
-    _check_lam(engine.lam(), stage.lam)
-    if isinstance(engine, FullIon):
-        if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
-            raise ValueError(f"FullIon cannot run frame {engine.frame}")
-        return ion_terms(space_run, engine.params, engine.frame)
-    merged = replace(engine.params, omega=stage.params.omega)
-    if isinstance(engine, Lindblad) or engine.frame == FrameTag.INTERACTION_PICTURE:
-        return interaction_terms(space_run, merged)
-    if engine.frame == FrameTag.SLOW_FRAME:
-        return slow_terms(space_run, merged)
-    raise ValueError(f"cavity engine cannot run frame {engine.frame}")
-
-
 def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDrive,
            engine, states: list, t_abs: float):
     """Propagate the states of every branch through one drive stage that
     starts at absolute time t_abs; returns the new states and the
-    stage's record."""
+    stage's record.  A mode-attached engine hands its propagator the
+    stage's generator builder with the space and parameters bound, which
+    the propagator calls once per occupied multiplet block."""
     name = type(engine).__name__
     if isinstance(engine, Effective):
         block = np.hstack(states)
@@ -695,23 +708,36 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
         drift = norm_drift(np.linalg.norm(block, axis=0), np.linalg.norm(out, axis=0))
         return _split_columns(out, states), StageRecord(
             name, FrameTag.EFFECTIVE.value, plan.space.atoms_dim, "factored", None, drift)
-    v = _drive_generator(space_run, stage, engine)
+    _check_lam(engine.lam(), stage.lam)
+    if isinstance(engine, FullIon):
+        if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
+            raise ValueError(f"FullIon cannot run frame {engine.frame}")
+        builder = partial(ion_terms, space_run, engine.params, engine.frame)
+    else:
+        merged = replace(engine.params, omega=stage.params.omega)
+        if isinstance(engine, Lindblad) or engine.frame == FrameTag.INTERACTION_PICTURE:
+            builder = partial(interaction_terms, space_run, merged)
+        elif engine.frame == FrameTag.SLOW_FRAME:
+            builder = partial(slow_terms, space_run, merged)
+        else:
+            raise ValueError(f"cavity engine cannot run frame {engine.frame}")
     t_end = t_abs + stage.duration
     if isinstance(engine, Lindblad):
         out = list(states)
         live = [i for i, rho in enumerate(states) if np.trace(rho).real > 1e-30]
         leak = drift = 0.0
+        block_dim = 0
         if live:
-            prop = evolve_lindblad(v, engine.params.delta, engine.decay, space_run,
+            prop = evolve_lindblad(builder, engine.params.delta, engine.decay, space_run,
                                    np.stack([states[i] for i in live]), t_abs, t_end)
             for i, rho in zip(live, prop.states):
                 out[i] = rho
-            leak, drift = prop.leak, prop.drift
-        return out, StageRecord(name, FrameTag.INTERACTION_PICTURE.value, space_run.dim ** 2,
+            leak, drift, block_dim = prop.leak, prop.drift, prop.block_dim
+        return out, StageRecord(name, FrameTag.INTERACTION_PICTURE.value, block_dim,
                                 "chebyshev", leak, drift)
-    prop = evolve_exact(v, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
+    prop = evolve_exact(builder, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
     return _split_columns(prop.states, states), StageRecord(
-        name, engine.frame.value, space_run.dim, "eigh", prop.leak, prop.drift)
+        name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift)
 
 
 def _split_columns(block: np.ndarray, states: list) -> list:
@@ -786,14 +812,13 @@ def drive_population_series(params: DriveParams, n_start: int, duration: float,
     twice the effective collective rate, 2 lam = g^2/delta, with only a
     weak dependence on n; this is the observable behind the effective
     model's Rabi frequency and its photon-number independence.  Every
-    sample comes from one exact eigendecomposition of the stage.
+    sample comes from the same exact eigendecompositions of the stage.
     """
     space = make_space(atom_count, 2, fock_cutoff)
-    v = interaction_terms(space, params)
     psi0 = basis_state(space, "g" * atom_count, n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
-    traj = evolve_exact(v, params.delta, space, psi0, 0.0, duration,
-                        t_eval=times).states
+    traj = evolve_exact(partial(interaction_terms, space, params), params.delta, space, psi0,
+                        0.0, duration, t_eval=times).states
 
     e_all = basis_index(space.atoms_only(), "e" * atom_count, 0)
     omega = params.omega

@@ -15,9 +15,11 @@ from spincavity.algebra import (
     boson_ops,
     check_leakage,
     collective_sx,
+    coupled_basis,
     decode_index,
     displacement_series,
     embed_atom_op,
+    local_sp,
     make_space,
     mode_population,
     permutation_op,
@@ -291,3 +293,73 @@ def test_mode_population():
     psi = basis_state(space, "e", 2)
     assert mode_population(space, psi.amplitudes, 2) == pytest.approx(1.0)
     assert mode_population(space, psi.amplitudes, 0) == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# spectator x total-spin basis
+
+
+def _multiplets(atom_count, atom_dim, two_j):
+    """Copies of spin J = two_j / 2 among N atoms: sum over the k active
+    atoms of C(N, k) (d - 2)^(N - k) spectator patterns times the number
+    of spin-J multiplets of k spin-1/2, C(k, (k - 2J)/2) - C(k, (k - 2J)/2 - 1)."""
+    total = 0
+    for k in range(two_j, atom_count + 1, 2):
+        low = (k - two_j) // 2
+        spins = math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+        total += math.comb(atom_count, k) * (atom_dim - 2) ** (atom_count - k) * spins
+    return total
+
+
+@pytest.mark.parametrize("atom_count, atom_dim", [
+    (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4),
+])
+def test_coupled_basis_block_diagonalises_the_collective_raising_operator(atom_count, atom_dim):
+    basis = coupled_basis(atom_count, atom_dim)
+    q = basis.q
+    dim = atom_dim**atom_count
+    assert q.shape == (dim, dim) and q.dtype == float and not q.flags.writeable
+    assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-14
+    # the groups tile the columns, 2J descending, with the binomial counts
+    assert basis.groups[0].start == 0 and basis.groups[-1].stop == dim
+    for left, right in zip(basis.groups, basis.groups[1:]):
+        assert left.stop == right.start and left.two_j > right.two_j
+    for group in basis.groups:
+        assert group.copies == _multiplets(atom_count, atom_dim, group.two_j)
+    assert {g.two_j for g in basis.groups} == {
+        two_j for two_j in range(atom_count + 1) if _multiplets(atom_count, atom_dim, two_j)}
+    # q^T S+ q: one standard spin-J ladder per copy, weights
+    # sqrt((J - M)(J + M + 1)) from M to M + 1, and nothing else
+    atoms = make_space(atom_count, atom_dim, 0, no_mode=True)
+    s_plus = sum(embed_atom_op(atoms, j, local_sp(atom_dim)).matrix.real
+                 for j in range(atom_count))
+    expected = np.zeros((dim, dim))
+    for group in basis.groups:
+        spin = group.two_j / 2.0
+        m = np.arange(-spin, spin)
+        ladder = np.diag(np.sqrt((spin - m) * (spin + m + 1.0)), -1)
+        for copy in range(group.copies):
+            at = group.start + copy * group.width
+            expected[at:at + group.width, at:at + group.width] = ladder
+        assert np.array_equal(basis.isometry(group), q[:, group.start:group.start + group.width])
+    assert np.max(np.abs(q.T @ s_plus @ q - expected)) <= 1e-14
+
+
+def test_coupled_basis_keeps_spectators_and_orders_atoms_as_basis_index():
+    # |J = 1/2, M = -1/2> of the active first atom with the second parked
+    # in f is |g f>, and the two-qubit singlet is (|e g> - |g e>)/sqrt2
+    # in the Condon-Shortley phase (first atom the most significant digit)
+    space = make_space(2, 3, 0, no_mode=True)
+    basis = coupled_basis(2, 3)
+    (half,) = [g for g in basis.groups if g.two_j == 1]
+    cols = [basis.q[:, half.start + c * 2] for c in range(half.copies)]
+    gf = np.zeros(9)
+    gf[basis_index(space, "gf")] = 1.0
+    assert any(np.array_equal(c, gf) for c in cols)
+    zero = [g for g in basis.groups if g.two_j == 0][0]
+    singlet = basis.q[:, zero.start]
+    expected = np.zeros(9)
+    expected[basis_index(space, "eg")] = math.sqrt(0.5)
+    expected[basis_index(space, "ge")] = -math.sqrt(0.5)
+    assert np.max(np.abs(singlet - expected)) <= 1e-15
+    assert coupled_basis(2, 3) is basis

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from spincavity import cli
+from spincavity.algebra import LEVEL_LABELS, decode_index
 from spincavity.cli import main
+from spincavity.protocols import PLANNERS
 
 
 def _run(capsys, *argv):
@@ -376,6 +378,75 @@ def test_thermal_start_checks_leakage_on_the_mixture(capsys):
     branch = json.loads(out)["branches"][0]
     assert branch["probability"] == pytest.approx(1.0, abs=1e-9)
     assert branch["fidelity"] > 0.9
+
+
+# bad input that used to escape main() as a traceback (an unwritable
+# --out, finite flags whose lambda, t or omega overflow) or that one
+# engine accepted and another refused (g < 0, eta outside [0, 1));
+# "{missing}" is a path under a directory that does not exist
+BAD_INPUT = [
+    (("protocol", "ghz", "--out", "{missing}"),
+     "config error: cannot write --out {missing}: no directory {folder}"),
+    (("protocol", "ghz", "--out", "{tmp}", "--force"),
+     "config error: cannot write --out {tmp}: Is a directory"),
+    (("protocol", "ghz", "--delta", "1e300"),
+     "config error: drive index 10 |delta| t / pi is not finite (delta = 1e+300, "
+     "t = 1.5707963267948966e+300); the coupling is too weak"),
+    (("protocol", "ghz", "--g", "1e200"),
+     "config error: effective coupling g^2 / (2 delta) = inf is not finite"),
+    (("protocol", "ghz", "--system", "ion", "--delta", "1e-310"),
+     "config error: stage time 0.0 is not positive and finite; lam is out of range"),
+    (("protocol", "ghz", "--engine", "full", "--delta", "5", "--nbar", "1e300"),
+     "config error: nbar 1e+300 is too large for a truncated thermal state"),
+    (("protocol", "ghz", "--g", "-1"), "config error: --g must be non-negative, got -1.0"),
+    (("protocol", "ghz", "--engine", "full", "--g", "-1", "--delta", "5"),
+     "config error: --g must be non-negative, got -1.0"),
+    (("protocol", "ghz", "--system", "ion", "--eta", "1.5"),
+     "config error: --eta must lie in [0, 1), got 1.5"),
+    (("protocol", "ghz", "--engine", "full-ion", "--eta", "1.5", "--delta", "2"),
+     "config error: --eta must lie in [0, 1), got 1.5"),
+    (("sweep", "ghz", "--system", "ion", "--sweep-param", "eta", "--sweep-from", "0.5",
+      "--sweep-to", "1.5", "--sweep-steps", "3"),
+     "config error: --eta must lie in [0, 1), got 1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
+    "out-no-directory", "out-is-directory", "delta-1e300", "g-1e200", "ion-delta-1e-310",
+    "nbar-1e300", "g-negative", "g-negative-full", "eta-1.5", "eta-1.5-full-ion",
+    "eta-sweep"])
+def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
+    missing = tmp_path / "absent" / "x.json"
+    paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}
+    code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (1, "", line.format(**paths) + "\n")
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("name, n", [
+    ("ghz", 2), ("ghz", 3), ("ghz", 8), ("ghz-three-level", 2), ("ghz-three-level", 6),
+    ("measure-reduce", 4), ("measure-reduce", 6), ("ghz-four-level", 2),
+    ("ghz-four-level", 4), ("two-atom-qutrit", 2),
+])
+def test_target_legs_match_a_scan_of_every_index(name, n):
+    lam = 0.05
+    plan = PLANNERS[name](lam) if name == "two-atom-qutrit" else PLANNERS[name](n, lam)
+    scanned = []
+    for idx in range(plan.space.dim):
+        if abs(plan.target.amplitudes[idx]) > 1e-12:
+            levels, _ = decode_index(plan.space, idx)
+            scanned.append("".join(LEVEL_LABELS[level] for level in levels))
+    assert cli._target_legs(plan) == scanned
+
+
+def test_importing_the_cli_leaves_the_integrator_and_optimizer_unloaded():
+    # only the reference integrator and the frequency fit use them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, spincavity.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # ------------------------------------------------------------ physics errors

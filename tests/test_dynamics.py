@@ -1,6 +1,7 @@
 """Propagator and master-equation checks against closed-form oracles."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spincavity.algebra import (
     basis_state,
     boson_ops,
     collective_sx,
+    coupled_basis,
     embed_atom_op,
     local_proj,
     make_space,
@@ -414,12 +416,13 @@ def test_decay_spec_validation():
 
 
 def _zero_generator(space):
-    return np.zeros((space.dim, space.dim), dtype=complex)
+    """The builder of V = 0: a zero block for any atoms isometry."""
+    return lambda basis: np.zeros((basis.shape[1] * space.mode_dim,) * 2, dtype=complex)
 
 
-def _lindblad_one(v, delta, decay, rho, t0, t1):
+def _lindblad_one(build, delta, decay, rho, t0, t1):
     """evolve_lindblad on one density matrix, its result validated as one."""
-    out = evolve_lindblad(v, delta, decay, rho.space, rho.matrix[None], t0, t1)
+    out = evolve_lindblad(build, delta, decay, rho.space, rho.matrix[None], t0, t1)
     return DensityMatrix(rho.space, out.states[0])
 
 
@@ -433,7 +436,8 @@ def test_lindblad_no_decay_matches_unitary():
         space, 0.5 * np.outer(psi_a, psi_a.conj()) + 0.5 * np.outer(psi_b, psi_b.conj())
     )
     t = 1.5
-    rho_t = _lindblad_one(h, 0.0, DecaySpec(kappa=0.0), rho0, 0.0, t)
+    rho_t = _lindblad_one(partial(interaction_terms, space, params), 0.0, DecaySpec(kappa=0.0),
+                          rho0, 0.0, t)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     expected = u @ rho0.matrix @ u.conj().T
@@ -515,11 +519,13 @@ def test_ion_series_evolution_close_to_first_order():
 
 # ------------------------------------------------------- exact propagation
 
+# each frame's generator builder with the space and parameters bound, as
+# the engines hand it to the propagators
 EXACT_FRAMES = {
-    "interaction": lambda space, p: interaction_terms(space, p),
-    "slow": lambda space, p: slow_terms(space, p),
-    "ion-series": lambda space, p: ion_terms(space, p, FrameTag.ION_INTERACTION),
-    "ion-first-order": lambda space, p: ion_terms(space, p, FrameTag.ION_LAMB_DICKE),
+    "interaction": lambda space, p: partial(interaction_terms, space, p),
+    "slow": lambda space, p: partial(slow_terms, space, p),
+    "ion-series": lambda space, p: partial(ion_terms, space, p, FrameTag.ION_INTERACTION),
+    "ion-first-order": lambda space, p: partial(ion_terms, space, p, FrameTag.ION_LAMB_DICKE),
 }
 
 FRAME_HAMILTONIANS = {
@@ -659,7 +665,7 @@ def test_exact_propagator_checks_leakage_on_the_weighted_mixture():
     # Fock levels (4, 5); weighted by 1e-10 the mixture stays faithful,
     # alone it trips the monitor
     space = make_space(2, 2, 5)
-    v = interaction_terms(space, DriveParams(g=1.0, delta=1.2))
+    v = partial(interaction_terms, space, DriveParams(g=1.0, delta=1.2))
     heavy = basis_state(space, "gg", 0).amplitudes
     light = basis_state(space, "ee", 3).amplitudes
     w = 1e-10
@@ -676,7 +682,7 @@ def test_exact_propagator_checks_leakage_on_the_weighted_mixture():
 
 def test_exact_propagator_rejects_non_hermitian_generator():
     space = make_space(1, 2, 2)
-    v = -0.1j * np.eye(space.dim)
+    v = lambda basis: -0.1j * np.eye(basis.shape[1] * space.mode_dim)  # noqa: E731
     psi = basis_state(space, "g", 0).amplitudes[:, None]
     with pytest.raises(ValueError, match="Hermitian"):
         evolve_exact(v, 1.0, space, psi, 0.0, 1.0)
@@ -876,3 +882,158 @@ def test_lindblad_without_decay_matches_exact_pure_propagation(frame, g, delta, 
     assert np.max(np.abs(mixed.states - expected)) <= 1e-12
     assert mixed.leak == pytest.approx(evolve_exact(v, delta, space, cols, t0, t1).leak,
                                        rel=1e-9, abs=1e-15)
+
+
+# ------------------------------------ multiplet blocks against the dense space
+#
+# The dense whole-space propagation the block propagators replaced, kept
+# here as their oracle: one eigendecomposition of H0 + V, or one
+# Chebyshev action of the whole-space Liouvillian with the radius
+# spread(H0 + V) + margin.
+
+
+def _dense_generator(build, delta, space):
+    v = build(None)
+    h0 = -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim)
+    return v + np.diag(h0), h0
+
+
+def _dense_exact(build, delta, space, cols, t0, t1):
+    gen, h0 = _dense_generator(build, delta, space)
+    w, vecs = np.linalg.eigh(gen)
+    coeffs = vecs.conj().T @ (np.exp(-1j * h0 * t0)[:, None] * cols)
+    return np.exp(1j * h0 * t1)[:, None] * (vecs @ (np.exp(-1j * (t1 - t0) * w)[:, None] * coeffs))
+
+
+def _dense_lindblad(build, delta, decay, space, rhos, t0, t1):
+    gen, h0 = _dense_generator(build, delta, space)
+    k, n = len(rhos), space.dim
+    spread = np.subtract.outer(h0, h0).ravel()
+    sigma = np.exp(-1j * spread * t0)[:, None] * rhos.reshape(k, n * n).T
+    w = np.linalg.eigvalsh(gen)
+    margin = dissipative_margin(space, decay)
+    sigma = chebyshev_action(liouvillian(gen, space, decay), sigma, t1 - t0,
+                             w[-1] - w[0] + margin, margin)
+    return (np.exp(1j * spread * t1)[:, None] * sigma).T.reshape(k, n, n)
+
+
+def _random_columns(rng, dim, count):
+    cols = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    return cols / np.linalg.norm(cols)
+
+
+BLOCK_CASES = dict(
+    frame=st.sampled_from(sorted(EXACT_FRAMES)),
+    atom_dim=st.sampled_from([2, 3, 4]),
+    atom_count=st.integers(1, 4),
+    cutoff=st.integers(1, 2),  # mode dimension below 4: no leakage monitor
+    g=st.floats(0.2, 1.5),
+    delta=st.floats(-6.0, 6.0),
+    omega=st.floats(0.0, 12.0),
+    eta=st.floats(0.0, 0.4),
+    t0=st.floats(0.0, 20.0),
+    duration=st.floats(0.01, 0.6),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**BLOCK_CASES)
+@example(frame="ion-series", atom_dim=4, atom_count=4, cutoff=1, g=1.0, delta=3.0,
+         omega=12.0, eta=0.4, t0=20.0, duration=0.6, seed=0)
+@example(frame="slow", atom_dim=3, atom_count=3, cutoff=1, g=1.5, delta=-6.0,
+         omega=0.0, eta=0.0, t0=0.0, duration=0.6, seed=1)
+def test_exact_blocks_match_the_dense_space(frame, atom_dim, atom_count, cutoff, g, delta,
+                                            omega, eta, t0, duration, seed):
+    # random columns that are not permutation symmetric and reach every
+    # spectator pattern and multiplet, propagated block by block and on
+    # the whole space (up to dimension 512, where the dense eigh costs
+    # about a second)
+    space = make_space(atom_count, atom_dim, cutoff)
+    assume(space.dim <= 512)
+    build = EXACT_FRAMES[frame](space, DriveParams(g=g, delta=delta, omega=omega, eta=eta,
+                                                   phi=0.7, lamb_dicke_order=2))
+    cols = _random_columns(np.random.default_rng(seed), space.dim, 3)
+    t1 = t0 + duration
+    prop = evolve_exact(build, delta, space, cols, t0, t1)
+    assert np.max(np.abs(prop.states - _dense_exact(build, delta, space, cols, t0, t1))) <= 1e-10
+    assert prop.block_dim == (atom_count + 1) * space.mode_dim
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(**BLOCK_CASES, kappa=st.floats(0.05, 0.5), nbar_bath=st.floats(0.05, 0.5))
+@example(frame="interaction", atom_dim=4, atom_count=2, cutoff=2, g=1.0, delta=3.0,
+         omega=12.0, eta=0.0, t0=20.0, duration=0.6, seed=0, kappa=0.5, nbar_bath=0.5)
+@example(frame="ion-first-order", atom_dim=2, atom_count=4, cutoff=2, g=1.0, delta=-2.0,
+         omega=8.0, eta=0.4, t0=3.0, duration=0.3, seed=2, kappa=0.2, nbar_bath=0.1)
+def test_lindblad_blocks_match_the_dense_space(frame, atom_dim, atom_count, cutoff, g, delta,
+                                               omega, eta, t0, duration, seed, kappa,
+                                               nbar_bath):
+    # a weighted stack of two full-rank random density matrices, so every
+    # pair of multiplet groups (diagonal and off-diagonal) is occupied
+    space = make_space(atom_count, atom_dim, cutoff)
+    assume(space.dim <= 64)
+    build = EXACT_FRAMES[frame](space, DriveParams(g=g, delta=delta, omega=omega, eta=eta,
+                                                   phi=0.7, lamb_dicke_order=2))
+    decay = DecaySpec(kappa=kappa, nbar_bath=nbar_bath)
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([weight * (x @ x.conj().T) for weight, x in
+                     ((0.6, _random_columns(rng, space.dim, space.dim)),
+                      (0.4, _random_columns(rng, space.dim, space.dim)))])
+    t1 = t0 + duration
+    prop = evolve_lindblad(build, delta, decay, space, rhos, t0, t1)
+    dense = _dense_lindblad(build, delta, decay, space, rhos, t0, t1)
+    assert np.max(np.abs(prop.states - dense)) <= 1e-10
+    largest = (atom_count + 1) * space.mode_dim
+    assert prop.block_dim == largest**2
+    again = evolve_lindblad(build, delta, decay, space, rhos, t0, t1)
+    assert again.states.tobytes() == prop.states.tobytes()
+
+
+def test_blocks_that_are_exactly_zero_are_skipped():
+    # |g g, 0> lies in the symmetric spin-1 multiplet alone: one block of
+    # 3 (cutoff + 1) is propagated, and the Liouville block is its square
+    space = make_space(2, 3, 2)
+    build = partial(interaction_terms, space, DriveParams(g=1.0, delta=4.0, omega=10.0))
+    psi = basis_state(space, "gg", 0).amplitudes[:, None]
+    prop = evolve_exact(build, 4.0, space, psi, 0.0, 0.5)
+    assert prop.block_dim == 9
+    assert np.max(np.abs(prop.states - _dense_exact(build, 4.0, space, psi, 0.0, 0.5))) <= 1e-12
+    rho = (psi @ psi.conj().T)[None]
+    mixed = evolve_lindblad(build, 4.0, DecaySpec(0.1), space, rho, 0.0, 0.5)
+    assert mixed.block_dim == 9**2
+    dense = _dense_lindblad(build, 4.0, DecaySpec(0.1), space, rho, 0.0, 0.5)
+    assert np.max(np.abs(mixed.states - dense)) <= 1e-12
+    # a block holding only 1e-6 of amplitude is propagated, not dropped
+    tiny = psi + 1e-6 * basis_state(space, "fg", 0).amplitudes[:, None]
+    prop = evolve_exact(build, 4.0, space, tiny, 0.0, 0.5)
+    assert np.max(np.abs(prop.states - _dense_exact(build, 4.0, space, tiny, 0.0, 0.5))) <= 1e-12
+    rho = (tiny @ tiny.conj().T)[None]
+    mixed = evolve_lindblad(build, 4.0, DecaySpec(0.1), space, rho, 0.0, 0.5)
+    dense = _dense_lindblad(build, 4.0, DecaySpec(0.1), space, rho, 0.0, 0.5)
+    assert np.max(np.abs(mixed.states - dense)) <= 1e-12
+
+
+def test_lindblad_pairs_whose_blocks_have_different_centres():
+    # a builder that adds 30 (2J + 1) to each block (a Casimir-like
+    # shift, exactly block diagonal) moves the centre of every
+    # off-diagonal pair's Hamiltonian part away from 0; the dense
+    # oracle adds the same shift through q
+    space = make_space(3, 2, 2)
+    basis = coupled_basis(3, 2)
+    widths = np.concatenate([[g.width] * (g.stop - g.start) for g in basis.groups])
+    shift = np.kron(basis.q @ np.diag(30.0 * widths) @ basis.q.T, np.eye(space.mode_dim))
+    drive = partial(interaction_terms, space, DriveParams(g=1.0, delta=2.0, omega=5.0))
+
+    def build(b):
+        if b is None:
+            return drive(None) + shift
+        return drive(b) + 30.0 * b.shape[1] * np.eye(b.shape[1] * space.mode_dim)
+
+    rng = np.random.default_rng(5)
+    x = _random_columns(rng, space.dim, space.dim)
+    rhos = (x @ x.conj().T)[None]
+    decay = DecaySpec(kappa=0.3, nbar_bath=0.2)
+    prop = evolve_lindblad(build, 2.0, decay, space, rhos, 1.0, 1.5)
+    dense = _dense_lindblad(build, 2.0, decay, space, rhos, 1.0, 1.5)
+    assert np.max(np.abs(prop.states - dense)) <= 1e-10

@@ -525,9 +525,11 @@ def test_lindblad_zero_decay_close_to_target():
     result = run_plan(plan, engine=engine)
     assert result.branch("all").probability == pytest.approx(1.0, abs=1e-8)
     assert result.branch_fidelity("all") >= 0.95
+    # dim is the largest Liouville-space block: the spin-1 multiplet of
+    # the two atoms times the 5 Fock levels, on both sides
     (record,) = result.diagnostics["stages"]
     assert (record.engine, record.frame, record.dim, record.method) == (
-        "Lindblad", "interaction_picture", 20 ** 2, "chebyshev")
+        "Lindblad", "interaction_picture", 15 ** 2, "chebyshev")
     assert 0.0 <= record.leak < 1e-6
     assert 0.0 <= record.drift <= 1e-10
 
@@ -547,8 +549,10 @@ def test_stage_records_one_per_drive_stage():
                         frame=FrameTag.SLOW_FRAME)
     records = run_plan(plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0),
                        engine=cavity).diagnostics["stages"]
+    # dim is the largest block propagated: the spin-1 multiplet of the
+    # two active atoms times the 7 Fock levels
     assert [(r.engine, r.frame, r.dim, r.method) for r in records] == [
-        ("FullCavity", "slow_frame", 63, "eigh")] * 2
+        ("FullCavity", "slow_frame", 21, "eigh")] * 2
     assert all(0.0 <= r.leak < 1e-6 and r.drift <= 1e-12 for r in records)
 
     ion_params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0,
@@ -557,7 +561,7 @@ def test_stage_records_one_per_drive_stage():
     (record,) = run_plan(plan_ghz_two_level(2, lambda_ion(1.0, 0.05, 2.0), delta=2.0),
                          engine=ion).diagnostics["stages"]
     assert (record.engine, record.frame, record.dim, record.method) == (
-        "FullIon", "ion_interaction", 28, "eigh")
+        "FullIon", "ion_interaction", 21, "eigh")
 
 
 def test_full_cavity_thermal_start_is_the_weighted_mixture():
