@@ -1,5 +1,6 @@
-"""Layer benchmark: generator builds, one drive stage of each exact
-engine, timed alone, and one whole ``run_plan`` per engine.
+"""Layer benchmark: the package import, generator builds, one drive
+stage of each exact engine, timed alone, the read-out and the report,
+and one whole ``run_plan`` per engine.
 
 Run from the repository root:
 
@@ -10,6 +11,13 @@ The file name does not match ``test_*``, so the unit suite does not
 collect it.  BLAS is pinned to one thread before numpy loads, and each
 benchmark records the pin, the core count and the numpy/scipy/BLAS
 versions in its ``extra_info``.
+
+Import:
+
+* ``fresh_import_cli``: ``import spincavity.cli`` in a fresh
+  interpreter (the benchmark times the whole child process; its
+  ``extra_info`` holds the median import time and peak RSS the child
+  measured on itself, and the scipy modules the import loaded).
 
 Generator builds (the static mode-frame V of one drive stage):
 
@@ -42,6 +50,16 @@ Stages:
   Both go through the engine's own stage step (``protocols._drive``),
   timed after one untimed call.
 
+Read-out and report, on the full-pure workload's full-cavity N = 4 GHZ
+result (cutoff 8, delta = 4.9 g; Hilbert dimension 144), computed once
+untimed:
+
+* ``reduce_and_fidelity``: the partial trace over the mode (with the
+  density-matrix checks) and the fidelity with the target, as
+  ``compare-frames`` reads a result.
+* ``render_json_report``: re-rendering that run's ``protocol`` JSON
+  report from its parsed payload; it must equal the CLI's bytes.
+
 Whole plans (initial state, every stage, branch read-out):
 
 * ``run_plan_effective``: measure-reduce on N = 6 qutrits (atomic
@@ -63,9 +81,13 @@ End to end:
 
 import contextlib
 import io
+import json
 import os
+import statistics
+import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" in sys.modules and any(os.environ.get(var) != "1" for var in BLAS_ENV):
@@ -80,6 +102,7 @@ import scipy  # noqa: E402
 
 from spincavity import cli  # noqa: E402
 from spincavity.algebra import basis_state, make_space  # noqa: E402
+from spincavity.analysis import fidelity, reduce_to_atoms  # noqa: E402
 from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa: E402
 from spincavity.hamiltonians import (  # noqa: E402
     DriveParams,
@@ -141,6 +164,31 @@ def _vacuum_rho(space):
 def record(benchmark):
     benchmark.extra_info.update(_machine())
     return benchmark
+
+
+IMPORT_PROBE = """
+import resource, sys, time
+start = time.perf_counter()
+import spincavity.cli
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(seconds, rss_mb, *sorted(m for m in sys.modules if m.startswith("scipy.")))
+"""
+
+
+def test_fresh_import_cli(record):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    samples = []
+
+    def fresh_import():
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                              text=True, check=True, env=env)
+        samples.append(done.stdout.split())
+
+    record.pedantic(fresh_import, rounds=7, iterations=1)
+    record.extra_info["import_s"] = statistics.median(float(s[0]) for s in samples)
+    record.extra_info["peak_rss_mb"] = statistics.median(float(s[1]) for s in samples)
+    record.extra_info["scipy_modules"] = samples[-1][2:]
 
 
 @pytest.mark.parametrize("atom_dim", [2, 3], ids=["144", "729"])
@@ -218,6 +266,30 @@ def test_effective_drive(record, planner, n_atoms):
     _drive(*step)
     record.extra_info["atoms_dim"] = plan.space.atoms_dim
     record(_drive, *step)
+
+
+GHZ4_ARGV = ["protocol", "ghz", "--n", "4", "--engine", "full", "--g", "1", "--delta", "4.9",
+             "--fock-cutoff", "8"]
+
+
+def test_reduce_and_fidelity(record):
+    plan = plan_ghz_two_level(4, lambda_cavity(1.0, 4.9), delta=4.9)
+    result = run_plan(plan, engine=FullCavity(DriveParams(g=1.0, delta=4.9), fock_cutoff=8))
+    state = result.branches[0].state
+    record.extra_info["hilbert_dim"] = state.space.dim
+
+    def read_out():
+        return fidelity(reduce_to_atoms(state, state.space), plan.target)
+
+    assert record(read_out) > 0.9
+
+
+def test_render_json_report(record):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(GHZ4_ARGV) == 0
+    payload = json.loads(out.getvalue())
+    assert record(cli._render_json, payload) == out.getvalue()
 
 
 def test_run_plan_effective(record):

@@ -301,19 +301,23 @@ class CoupledBasis:
     a state |J, M, alpha> of one spectator pattern: every atom is either
     active (g or e) or parked in one level f or h, and the k active atoms
     are coupled into total-spin multiplets.  groups holds one SpinGroup
-    per value of 2J, largest first.  Every copy (pattern x alpha) of a
-    multiplet carries the same matrix elements of a collective g/e
-    operator (S+, S-, S_x), and a collective operator never joins two
-    copies, so q^T S+ q is block diagonal and ``isometry(group)`` gives
-    the one block every copy of the group shares.
+    per value of 2J, largest first.  A collective operator never joins
+    two copies (pattern x alpha) of a multiplet, and on each copy of spin
+    J the collective S+ is the standard ladder ``spin_raising(2J)``, so
+    q^T S+ q is block diagonal with that block on every copy.
     """
 
     q: np.ndarray
     groups: tuple
 
-    def isometry(self, group: SpinGroup) -> np.ndarray:
-        """The d^N x (2J + 1) columns of the group's first copy."""
-        return self.q[:, group.start:group.start + group.width]
+
+def spin_raising(two_j: int) -> np.ndarray:
+    """The spin-J raising operator on one multiplet: the real
+    (2J + 1) x (2J + 1) matrix with columns (and rows) M = -J .. J and
+    S+ |J, M> = sqrt((J - M)(J + M + 1)) |J, M + 1>, as on every copy of
+    spin J in a CoupledBasis."""
+    two_m = np.arange(-two_j, two_j, 2)
+    return np.diag(0.5 * np.sqrt((two_j - two_m) * (two_j + two_m + 2.0)), -1)
 
 
 @lru_cache(maxsize=16)

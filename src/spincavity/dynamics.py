@@ -22,11 +22,13 @@ Numerical policy:
   basis (algebra.coupled_basis) x I_mode they are block diagonal, one
   (2J + 1) m block per copy of a spin-J multiplet, and all copies of one
   J share their block (Shammah et al., Phys. Rev. A 98, 063815 (2018)).
-  The propagators take the stage's builder, call it once per occupied
-  block with that multiplet's atoms isometry, rotate the states into
-  the basis on the atom axis, propagate, and rotate back.  This is exact
-  for every state; blocks that are exactly zero are skipped, and no
-  generator of the whole d^N m space is formed.
+  On a spin-J multiplet the collective S+ is the standard ladder
+  algebra.spin_raising(2J), known in closed form.  The propagators take
+  the stage's builder, call it once per occupied block with that
+  ladder, rotate the states into the basis on the atom axis, propagate,
+  and rotate back.  This is exact for every state; blocks that are
+  exactly zero are skipped, and no d^N x d^N operator or generator of
+  the whole d^N m space is formed.
 * ``evolve_exact`` propagates each occupied block of a drive stage with
   one eigendecomposition, pushing every copy and every state column
   through it at once.
@@ -40,13 +42,17 @@ Numerical policy:
   plus ``dissipative_margin``, a proven bound on the dissipator's
   numerical range; its substeps, series length and coefficients follow
   from those numbers alone, so identical calls give bitwise-identical
-  results.
+  results, and an action whose work exceeds CHEB_MAX_TERMS is refused
+  before its first product.
 * Neither exact propagator renormalizes, symmetrizes or clips: norm or
   trace drift beyond 1e-6 raises NormDriftError, and the engines
   validate final density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
   DOP853 and is kept as the independent reference the exact propagator
   is tested against; no engine calls it.
+* The pure-state engines need nothing beyond numpy: scipy.sparse and
+  scipy.special (for the decay engine) and scipy.integrate (for the
+  reference integrator) are imported on first use.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
   algebra.check_leakage (check_leakage_dm for density matrices).  The
   states of one ensemble carry their weights (columns the square roots,
@@ -60,12 +66,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh, eigvalsh
-from scipy.special import jv
+from numpy.linalg import eigh, eigvalsh
 
 from .algebra import (
-    CoupledBasis,
     DensityMatrix,
     NormDriftError,
     Operator,
@@ -76,6 +79,7 @@ from .algebra import (
     check_leakage_dm,
     coupled_basis,
     mode_lowering,
+    spin_raising,
 )
 # unused here; perfbench/spans.py wraps these names to count operator builds
 from .algebra import boson_ops, collective_sx  # noqa: F401
@@ -86,6 +90,11 @@ NORM_HARD = 1e-6
 #: the Chebyshev series of a stage is cut at the first order k beyond its
 #: argument with |J_k| below this
 CHEB_TOL = 2.0**-53
+
+#: most series terms (substeps x series length, about one sparse product
+#: each) one Chebyshev action may take; criterion 9 needs about 5e4 per
+#: decay rate in all
+CHEB_MAX_TERMS = 10**7
 
 
 def solve_ivp(*args, **kwargs):
@@ -229,11 +238,11 @@ def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
     return drift
 
 
-def _block_generator(builder, basis: CoupledBasis, group: SpinGroup, delta: float,
-                     mode_dim: int) -> np.ndarray:
-    """The static mode-frame generator H0 + V on one multiplet block
-    (B x I_mode), with V = builder(B) Hermitian and H0 = -delta adag a."""
-    v = builder(basis.isometry(group))
+def _block_generator(builder, group: SpinGroup, delta: float, mode_dim: int) -> np.ndarray:
+    """The static mode-frame generator H0 + V on one copy of the group's
+    multiplet x the mode, with V = builder(S+ of the multiplet) Hermitian
+    and H0 = -delta adag a."""
+    v = builder(spin_raising(group.two_j))
     herm = np.max(np.abs(v - v.conj().T))
     if herm > 1e-10:
         raise ValueError(f"generator is not Hermitian: max deviation {herm:.3e}")
@@ -245,10 +254,11 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
                  t_eval=None) -> Propagation:
     """Exact propagation of a generator that is static in the mode frame.
 
-    ``builder`` maps an atoms isometry B to the static generator V of
-    H(t) = e^{i H0 t} V e^{-i H0 t} (H0 = -delta adag a) on (B x I_mode),
-    as the ``hamiltonians`` builders do with their space and parameters
-    bound.  Then
+    ``builder`` maps the S+ block of a spin-J multiplet
+    (algebra.spin_raising) to the static generator V of
+    H(t) = e^{i H0 t} V e^{-i H0 t} (H0 = -delta adag a) on that
+    multiplet x the mode, as the ``hamiltonians`` builders do with their
+    space and parameters bound.  Then
 
         U(t, t0) = e^{i H0 t} e^{-i (H0 + V)(t - t0)} e^{-i H0 t0}.
 
@@ -278,7 +288,7 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
         rows = coeffs[group.start:group.stop]
         if not rows.any():
             continue
-        w, vecs = eigh(_block_generator(builder, basis, group, delta, m))
+        w, vecs = eigh(_block_generator(builder, group, delta, m))
         block = (rows.reshape(group.copies, group.width, m, k)
                  .transpose(1, 2, 0, 3).reshape(group.width * m, group.copies * k))
         phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
@@ -411,7 +421,7 @@ def apply_local(space: SpaceDescriptor, local: np.ndarray, atoms, x: np.ndarray)
 
 
 def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
-                right: np.ndarray | None = None) -> sp.csr_matrix:
+                right: np.ndarray | None = None) -> "scipy.sparse.csr_matrix":
     """The Liouvillian of a static generator as a sparse matrix on
     row-major vec(X), where vec(A X B) = (A kron B^T) vec(X):
 
@@ -424,6 +434,8 @@ def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
     space this is L rho = -i [H, rho] + D(rho); with H and H' the blocks
     of two multiplets it is the Liouvillian of the block of rho between
     them."""
+    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
+
     right = generator if right is None else right
     h, h_right = sp.csr_matrix(generator), sp.csr_matrix(right)
     p, q = h.shape[0], h_right.shape[0]
@@ -448,7 +460,7 @@ def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
     return decay.kappa * (1.0 + 2.0 * decay.nbar_bath) * space.fock_cutoff
 
 
-def chebyshev_action(a: sp.csr_matrix, b: np.ndarray, t: float, radius: float,
+def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radius: float,
                      margin: float) -> np.ndarray:
     """e^{t a} b for a static Liouvillian a = -i[H, .] + D and an (n, k)
     block b, by the Bessel-coefficient Chebyshev series (Tal-Ezer &
@@ -502,15 +514,25 @@ def chebyshev_action(a: sp.csr_matrix, b: np.ndarray, t: float, radius: float,
     from the vacuum on criterion 9's stages (kappa = 0.05, 0.2 g) and
     the decay-sweep's stage, is 3.9.  One substep of length t would
     instead meet e^{(3K/2) t}.  A zero radius means a' = 0.
+
+    The work, s times the series length, is known before the first
+    product; above CHEB_MAX_TERMS (or not finite) it raises ValueError.
+    Each substep's series runs past order radius tau, so
+    max(radius, margin) t is a lower bound on it, checked before the
+    coefficients are computed.
     """
+    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
+
     n = a.shape[0]
     mu = a.diagonal().sum() / n
     if radius == 0:
         return np.exp(mu * t) * b
-    x = ((2.0 / radius) * (a - mu * sp.identity(n, dtype=a.dtype, format="csr"))).tocsr()
+    _check_work(max(radius, margin) * t)
     steps = max(1, math.ceil(margin * t))
     tau = t / steps
     coeffs = _chebyshev_coefficients(radius * tau)
+    _check_work(steps * len(coeffs))
+    x = ((2.0 / radius) * (a - mu * sp.identity(n, dtype=a.dtype, format="csr"))).tocsr()
     damp = np.exp(mu * tau)
     for _ in range(steps):
         prev, cur = b, 0.5 * (x @ b)
@@ -525,9 +547,17 @@ def chebyshev_action(a: sp.csr_matrix, b: np.ndarray, t: float, radius: float,
     return b
 
 
+def _check_work(terms: float) -> None:
+    if not terms <= CHEB_MAX_TERMS:  # also refuses inf and nan
+        raise ValueError(f"the decay stage needs at least {terms:.4g} Chebyshev series terms "
+                         f"(substeps x series length), more than {CHEB_MAX_TERMS:.0e}")
+
+
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """J_0(z), 2 J_1(z), 2 J_2(z), ..., cut before the first order k > z
     with |J_k(z)| <= CHEB_TOL (at least two terms)."""
+    from scipy.special import jv  # loaded on first use: only the decay engine needs it
+
     size = int(z + 12.0 * z ** (1.0 / 3.0)) + 16  # the Airy tail beyond k = z
     while True:
         order = np.arange(size)
@@ -588,6 +618,7 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     sigma = _both_sides(basis.q.T, sigma, basis.q)
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
+    _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
     blocks = {}
     block_dim = 0
     for left in basis.groups:
@@ -597,7 +628,7 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
                 continue
             for group in (left, right):
                 if group not in blocks:
-                    gen = _block_generator(builder, basis, group, delta, m)
+                    gen = _block_generator(builder, group, delta, m)
                     blocks[group] = gen, eigvalsh(gen)
             (h_left, w_left), (h_right, w_right) = blocks[left], blocks[right]
             p, q = len(h_left), len(h_right)

@@ -24,16 +24,17 @@ so ``H(t) = e^{i H0 t} V e^{-i H0 t}`` with ``H0 = -delta adag a`` and
 dynamics.evolve_exact and dynamics.evolve_lindblad take the builder
 itself with its space and parameters bound (see below).  ``at_time``
 turns V into H(t), and ``h_*(space, params, t)`` returns H(t) as an
-Operator.  Each term of V is an atoms-only collective
-operator (d^N x d^N) joined to an m x m mode operator by one np.kron;
-no product of full-space matrices is formed.
+Operator.  Each term of V is the collective raising operator S+ (or
+S_x = (S+ + S+^T) / 2, or their adjoints) joined to an m x m mode
+operator by one np.kron; no product of full-space matrices is formed.
 
-The ``*_terms`` builders take an optional atoms isometry B (``basis``,
-the columns of one multiplet of algebra.coupled_basis) and then return
-the same formula on (B x I_mode): the r x r collective B^T S B, formed
-from the same atoms-only collective, joined to the mode operators, an
-(r m) x (r m) block.  The exact propagators call them once per occupied
-block; without B they return the dense V of the whole space, which the
+The ``*_terms`` builders take an optional ``raising``: the S+ of one
+spin-J multiplet of algebra.coupled_basis, the (2J + 1) x (2J + 1)
+ladder algebra.spin_raising(2J).  They then return the same formula on
+that multiplet x the mode, a (2J + 1) m block, without forming any
+d^N-sized matrix.  The exact propagators call them once per occupied
+block.  Without it they use the dense atoms-only S+ (d^N x d^N, summed
+over the atoms) and return the V of the whole space, which the
 acceptance suite and the tests use.
 
 All builders treat |f> and |h> as spectators: the cavity and the drive
@@ -146,11 +147,12 @@ def _collective(space: SpaceDescriptor, local: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _atoms_collective(space: SpaceDescriptor, local: np.ndarray, basis) -> np.ndarray:
-    """The atoms-only collective sum_j local_j, or B^T (sum_j local_j) B
-    for an atoms isometry B (``basis``, real d^N x r)."""
-    mat = _collective(space.atoms_only(), local)
-    return mat if basis is None else basis.T @ mat @ basis
+def _raising(space: SpaceDescriptor, raising: np.ndarray | None) -> np.ndarray:
+    """The collective S+ = sum_j |e_j><g_j| on the atoms alone: ``raising``
+    (one multiplet's block) when given, else the dense d^N x d^N sum."""
+    if raising is None:
+        return _collective(space.atoms_only(), local_sp(space.atom_dim))
+    return raising
 
 
 def at_time(space: SpaceDescriptor, v: np.ndarray, delta: float, t: float) -> np.ndarray:
@@ -161,17 +163,17 @@ def at_time(space: SpaceDescriptor, v: np.ndarray, delta: float, t: float) -> np
 
 
 def interaction_terms(space: SpaceDescriptor, params: DriveParams,
-                      basis: np.ndarray | None = None) -> np.ndarray:
+                      raising: np.ndarray | None = None) -> np.ndarray:
     """Static mode-frame generator V of the driven interaction picture
 
     H(t) = sum_j [ g (e^{-i delta t} adag Sj- + e^{+i delta t} a Sj+)
                    + omega (Sj+ + Sj-) ],
 
-    on the whole space, or on (B x I_mode) for an atoms isometry B
-    (``basis``; see the module docstring).
+    on the whole space, or on one multiplet x the mode for its block
+    ``raising`` of S+ (see the module docstring).
     """
     a = mode_lowering(space)
-    sp = _atoms_collective(space, local_sp(space.atom_dim), basis)
+    sp = _raising(space, raising)
     emit = np.kron(sp.conj().T, a.conj().T)
     drive = np.kron(sp + sp.conj().T, np.eye(space.mode_dim))
     return params.g * (emit + emit.conj().T) + params.omega * drive
@@ -183,17 +185,18 @@ def h_interaction(space: SpaceDescriptor, params: DriveParams, t: float) -> Oper
 
 
 def slow_terms(space: SpaceDescriptor, params: DriveParams,
-               basis: np.ndarray | None = None) -> np.ndarray:
+               raising: np.ndarray | None = None) -> np.ndarray:
     """Static mode-frame generator V of the drive-rotated frame with its
     fast sidebands dropped
 
     H(t) = g (e^{-i delta t} adag + e^{+i delta t} a) S_x,
 
-    on the whole space or on (B x I_mode) for an atoms isometry B.
+    on the whole space or on one multiplet x the mode for its block
+    ``raising`` of S+.
     """
     a = mode_lowering(space)
-    d = space.atom_dim
-    sx = _atoms_collective(space, 0.5 * (local_sp(d) + local_sm(d)), basis)
+    sp = _raising(space, raising)
+    sx = 0.5 * (sp + sp.T)
     return params.g * np.kron(sx, a.conj().T + a)
 
 
@@ -233,9 +236,10 @@ def h0_drive(space: SpaceDescriptor, omega: float) -> Operator:
 
 
 def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag,
-              basis: np.ndarray | None = None) -> np.ndarray:
+              raising: np.ndarray | None = None) -> np.ndarray:
     """Static mode-frame generator V of the sideband-driven ion chain, on
-    the whole space or on (B x I_mode) for an atoms isometry B.
+    the whole space or on one multiplet x the mode for its block
+    ``raising`` of S+.
 
     ION_LAMB_DICKE is the first-order expansion
 
@@ -260,7 +264,7 @@ def ion_terms(space: SpaceDescriptor, params: DriveParams, frame: FrameTag,
         up, dn = _displacement_partial_sums(a, eta, params.lamb_dicke_order)
     else:
         raise ValueError(f"frame {frame} is not an ion frame")
-    coupling = pref * np.kron(_atoms_collective(space, local_sp(space.atom_dim), basis), up + dn)
+    coupling = pref * np.kron(_raising(space, raising), up + dn)
     return coupling + coupling.conj().T
 
 

@@ -23,6 +23,7 @@ from spincavity.algebra import (
     make_space,
     mode_population,
     permutation_op,
+    spin_raising,
 )
 
 
@@ -328,21 +329,33 @@ def test_coupled_basis_block_diagonalises_the_collective_raising_operator(atom_c
         assert group.copies == _multiplets(atom_count, atom_dim, group.two_j)
     assert {g.two_j for g in basis.groups} == {
         two_j for two_j in range(atom_count + 1) if _multiplets(atom_count, atom_dim, two_j)}
-    # q^T S+ q: one standard spin-J ladder per copy, weights
-    # sqrt((J - M)(J + M + 1)) from M to M + 1, and nothing else
+    # q^T S+ q: the ladder spin_raising(2J) on every copy, and nothing else
     atoms = make_space(atom_count, atom_dim, 0, no_mode=True)
     s_plus = sum(embed_atom_op(atoms, j, local_sp(atom_dim)).matrix.real
                  for j in range(atom_count))
+    rotated = q.T @ s_plus @ q
     expected = np.zeros((dim, dim))
     for group in basis.groups:
-        spin = group.two_j / 2.0
-        m = np.arange(-spin, spin)
-        ladder = np.diag(np.sqrt((spin - m) * (spin + m + 1.0)), -1)
         for copy in range(group.copies):
-            at = group.start + copy * group.width
-            expected[at:at + group.width, at:at + group.width] = ladder
-        assert np.array_equal(basis.isometry(group), q[:, group.start:group.start + group.width])
-    assert np.max(np.abs(q.T @ s_plus @ q - expected)) <= 1e-14
+            at = slice(group.start + copy * group.width, group.start + (copy + 1) * group.width)
+            assert np.max(np.abs(rotated[at, at] - spin_raising(group.two_j))) <= 1e-14
+            expected[at, at] = spin_raising(group.two_j)
+    assert np.max(np.abs(rotated - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("two_j", range(7))
+def test_spin_raising_is_the_standard_ladder(two_j):
+    # S+|J, M> = sqrt((J - M)(J + M + 1)) |J, M + 1>, columns M = -J .. J,
+    # so [S+, S-] = 2 S_z and S+ annihilates M = J
+    up = spin_raising(two_j)
+    assert up.shape == (two_j + 1, two_j + 1) and up.dtype == float
+    spin = two_j / 2.0
+    for col, m in enumerate(np.arange(-spin, spin)):
+        assert up[col + 1, col] == pytest.approx(math.sqrt((spin - m) * (spin + m + 1.0)),
+                                                 abs=1e-15)
+    s_z = np.diag(np.arange(-spin, spin + 1.0))
+    assert np.max(np.abs(up @ up.T - up.T @ up - 2.0 * s_z)) <= 1e-13
+    assert not up[:, -1].any()
 
 
 def test_coupled_basis_keeps_spectators_and_orders_atoms_as_basis_index():

@@ -381,9 +381,13 @@ def test_thermal_start_checks_leakage_on_the_mixture(capsys):
 
 
 # bad input that used to escape main() as a traceback (an unwritable
-# --out, finite flags whose lambda, t or omega overflow) or that one
-# engine accepted and another refused (g < 0, eta outside [0, 1));
-# "{missing}" is a path under a directory that does not exist
+# --out, finite flags whose lambda, t or omega overflow, a kappa whose
+# substep count overflows), never ended (a kappa whose decay stage takes
+# about 1e301 products) or that one engine accepted and another refused
+# (g < 0, eta outside [0, 1)); "{missing}" is a path under a directory
+# that does not exist
+DECAY_GHZ = ("protocol", "ghz", "--n", "2", "--engine", "lindblad", "--fock-cutoff", "4",
+             "--delta", "5")
 BAD_INPUT = [
     (("protocol", "ghz", "--out", "{missing}"),
      "config error: cannot write --out {missing}: no directory {folder}"),
@@ -408,19 +412,31 @@ BAD_INPUT = [
     (("sweep", "ghz", "--system", "ion", "--sweep-param", "eta", "--sweep-from", "0.5",
       "--sweep-to", "1.5", "--sweep-steps", "3"),
      "config error: --eta must lie in [0, 1), got 1.0"),
+    (DECAY_GHZ + ("--kappa", "5e307"),
+     "config error: the decay stage needs at least inf Chebyshev series terms "
+     "(substeps x series length), more than 1e+07"),
+    (DECAY_GHZ + ("--kappa", "1e300"),
+     "config error: the decay stage needs at least 3.142e+301 Chebyshev series terms "
+     "(substeps x series length), more than 1e+07"),
 ]
 
 
 @pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
     "out-no-directory", "out-is-directory", "delta-1e300", "g-1e200", "ion-delta-1e-310",
     "nbar-1e300", "g-negative", "g-negative-full", "eta-1.5", "eta-1.5-full-ion",
-    "eta-sweep"])
+    "eta-sweep", "kappa-5e307", "kappa-1e300"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
     missing = tmp_path / "absent" / "x.json"
     paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out, err) == (1, "", line.format(**paths) + "\n")
     assert not missing.parent.exists()
+
+
+def test_strong_decay_within_the_work_budget_still_runs(capsys):
+    code, out, err = _run(capsys, *DECAY_GHZ, "--kappa", "10")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["branches"][0]["probability"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("name, n", [
@@ -440,13 +456,21 @@ def test_target_legs_match_a_scan_of_every_index(name, n):
 
 
 def test_importing_the_cli_leaves_the_integrator_and_optimizer_unloaded():
-    # only the reference integrator and the frequency fit use them
+    # only the reference integrator and the frequency fit use scipy's
+    # integrate and optimize, and only the decay engine its sparse and
+    # special: the pure engines, full and effective, run on numpy alone
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, spincavity.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    code = ("import contextlib, io, sys, spincavity.cli as cli\n"
+            "loaded = lambda names: sorted(m for m in names if m in sys.modules)\n"
+            "print(loaded(('scipy.integrate', 'scipy.optimize')))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['protocol', 'ghz', '--n', '3', '--engine', 'full', '--delta',\n"
+            "                       '4.9', '--fock-cutoff', '7']),\n"
+            "             cli.main(['protocol', 'ghz', '--n', '10'])]\n"
+            "print(codes, loaded(('scipy.linalg', 'scipy.sparse', 'scipy.special')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[0, 0] []\n", "")
 
 
 # ------------------------------------------------------------ physics errors

@@ -416,7 +416,7 @@ def test_decay_spec_validation():
 
 
 def _zero_generator(space):
-    """The builder of V = 0: a zero block for any atoms isometry."""
+    """The builder of V = 0: a zero block for any multiplet's S+ block."""
     return lambda basis: np.zeros((basis.shape[1] * space.mode_dim,) * 2, dtype=complex)
 
 
@@ -776,6 +776,21 @@ def test_chebyshev_action_product_count_on_the_decay_sweep_stage():
     _CountingCSR.products = 0
     chebyshev_action(_CountingCSR(a), _random_rho_block(space, 9), t, radius, margin)
     assert radius * t <= _CountingCSR.products < 2 * radius * t
+
+
+@pytest.mark.parametrize("scale_radius, scale_margin", [
+    (1e8, 1.0), (1.0, 1e8), (math.inf, 1.0), (1.0, math.inf)])
+def test_chebyshev_action_refuses_work_beyond_the_budget(scale_radius, scale_margin):
+    # the work (substeps x series length) is known before the first
+    # product: a radius or a margin that asks for more than
+    # CHEB_MAX_TERMS series terms, or for infinitely many, raises and
+    # takes no product
+    space, (a, radius, margin), t = _decay_sweep_stage()
+    _CountingCSR.products = 0
+    with pytest.raises(ValueError, match=r"Chebyshev series terms .* more than 1e\+07"):
+        chebyshev_action(_CountingCSR(a), _random_rho_block(space, 1), t,
+                         radius * scale_radius, margin * scale_margin)
+    assert _CountingCSR.products == 0
 
 
 def _reference_master_equation(h_of_t, decay, space, rho, t0, t1):

@@ -26,6 +26,7 @@ from spincavity.algebra import (
     make_space,
     permutation_op,
 )
+from spincavity import hamiltonians
 from spincavity.analysis import extract_frequency, fidelity, leg_populations, trace_distance
 from spincavity.dynamics import DecaySpec, ThermalSpec
 from spincavity.hamiltonians import (
@@ -455,6 +456,26 @@ def test_mode_engine_initial_mode_validation(kind, initial_mode):
     plan = plan_ghz_two_level(2, engine.lam(), delta=engine.params.delta)
     with pytest.raises(ValueError):
         run_plan(plan, engine=engine)
+
+
+@pytest.mark.parametrize("kind, frame", [
+    (FullCavity, FrameTag.INTERACTION_PICTURE), (FullCavity, FrameTag.SLOW_FRAME),
+    (FullIon, FrameTag.ION_INTERACTION), (FullIon, FrameTag.ION_LAMB_DICKE), (Lindblad, None)])
+def test_drive_stages_build_no_dense_collective(monkeypatch, kind, frame):
+    # each occupied block takes its S+ from the closed-form spin-J ladder,
+    # so no stage builds the d^N x d^N atoms-only collective
+    engine = _mode_engine(kind, fock_cutoff=6)
+    if frame is not None:
+        engine = replace(engine, frame=frame)
+    plan = plan_ghz_two_level(2, engine.lam(), delta=engine.params.delta)
+    expected = run_plan(plan, engine=engine)
+
+    def refuse(*args):
+        raise AssertionError("a drive stage built the dense collective")
+
+    monkeypatch.setattr(hamiltonians, "_collective", refuse)
+    result = run_plan(plan, engine=engine)
+    assert result.fidelities == expected.fidelities and result.fidelities[0] > 0.9
 
 
 def test_lindblad_accepts_full_space_initial():
