@@ -268,10 +268,6 @@ def test_effective_drive(record, planner, n_atoms):
     record(_drive, *step)
 
 
-GHZ4_ARGV = ["protocol", "ghz", "--n", "4", "--engine", "full", "--g", "1", "--delta", "4.9",
-             "--fock-cutoff", "8"]
-
-
 def test_reduce_and_fidelity(record):
     plan = plan_ghz_two_level(4, lambda_cavity(1.0, 4.9), delta=4.9)
     result = run_plan(plan, engine=FullCavity(DriveParams(g=1.0, delta=4.9), fock_cutoff=8))
@@ -287,7 +283,8 @@ def test_reduce_and_fidelity(record):
 def test_render_json_report(record):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(GHZ4_ARGV) == 0
+        assert cli.main(["protocol", "ghz", "--n", "4", "--engine", "full", "--g", "1",
+                         "--delta", "4.9", "--fock-cutoff", "8"]) == 0
     payload = json.loads(out.getvalue())
     assert record(cli._render_json, payload) == out.getvalue()
 

@@ -517,9 +517,9 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
 
     The work, s times the series length, is known before the first
     product; above CHEB_MAX_TERMS (or not finite) it raises ValueError.
-    Each substep's series runs past order radius tau, so
-    max(radius, margin) t is a lower bound on it, checked before the
-    coefficients are computed.
+    Each of the s >= margin t substeps takes at least two terms and runs
+    past order radius tau, so max(radius, margin) t is a lower bound on
+    it, checked before the coefficients are computed.
     """
     import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
 

@@ -417,7 +417,7 @@ def test_decay_spec_validation():
 
 def _zero_generator(space):
     """The builder of V = 0: a zero block for any multiplet's S+ block."""
-    return lambda basis: np.zeros((basis.shape[1] * space.mode_dim,) * 2, dtype=complex)
+    return lambda raising: np.zeros((raising.shape[1] * space.mode_dim,) * 2, dtype=complex)
 
 
 def _lindblad_one(build, delta, decay, rho, t0, t1):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
+from spincavity import hamiltonians
 from spincavity.algebra import (
     DensityMatrix,
     PhysicsError,
@@ -26,7 +27,6 @@ from spincavity.algebra import (
     make_space,
     permutation_op,
 )
-from spincavity import hamiltonians
 from spincavity.analysis import extract_frequency, fidelity, leg_populations, trace_distance
 from spincavity.dynamics import DecaySpec, ThermalSpec
 from spincavity.hamiltonians import (

@@ -45,7 +45,8 @@ def test_tracer_installs_and_uninstalls_against_the_package():
                              "full", "--delta", "1", "--fock-cutoff", "6"])
     finally:
         tracer.uninstall()
-    assert result.fidelities[0] > 0.9 and code == 0
+    assert result.fidelities[0] > 0.9
+    assert code == 0
     names = {span.name for span in tracer.spans}
     assert {"protocols.run_plan", "hamiltonians.build", "algebra.ops"} <= names
     for (mod, attr), original in originals.items():
