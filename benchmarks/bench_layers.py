@@ -26,6 +26,12 @@ Generator builds (the static mode-frame V of one drive stage):
 * ``build_ion_terms_series``: the ion displacement series to order 2,
   N = 2 qubits, cutoff 6 (dimension 28).
 
+Series coefficients:
+
+* ``chebyshev_coefficients``: the decay engine's Bessel coefficients
+  J_0(z), 2 J_k(z) at z = 1352.7, the argument of the decay-sweep
+  stage's series (about 1470 terms).
+
 Stages:
 
 * ``lindblad_decay_sweep``: the decay-sweep workload's stage, N = 2
@@ -77,6 +83,10 @@ End to end:
   two-atom-qutrit --g 1 --delta 4.9 --fock-cutoff 8`` (the full-pure
   workload's frames request: the Effective run and both full-cavity
   frames, two stages each, and the report).
+* ``cli_sweep_lindblad``: one in-process ``sweep ghz --n 2 --engine
+  lindblad`` over three kappa points, 0.05, 0.125 and 0.2 g, at
+  delta = 4.1 g and cutoff 6 (the decay-sweep workload's shape), with
+  its CSV report.
 """
 
 import contextlib
@@ -103,7 +113,12 @@ import scipy  # noqa: E402
 from spincavity import cli  # noqa: E402
 from spincavity.algebra import basis_state, make_space  # noqa: E402
 from spincavity.analysis import fidelity, reduce_to_atoms  # noqa: E402
-from spincavity.dynamics import DecaySpec, evolve_exact, evolve_lindblad  # noqa: E402
+from spincavity.dynamics import (  # noqa: E402
+    DecaySpec,
+    _chebyshev_coefficients,
+    evolve_exact,
+    evolve_lindblad,
+)
 from spincavity.hamiltonians import (  # noqa: E402
     DriveParams,
     FrameTag,
@@ -203,6 +218,11 @@ def test_build_ion_terms_series(record):
     params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=0.5 * np.pi, lamb_dicke_order=2)
     record.extra_info["hilbert_dim"] = space.dim
     record(ion_terms, space, params, FrameTag.ION_INTERACTION)
+
+
+def test_chebyshev_coefficients(record):
+    record.extra_info["terms"] = len(_chebyshev_coefficients(1352.7))
+    record(_chebyshev_coefficients, 1352.7)
 
 
 def test_lindblad_decay_sweep(record):
@@ -326,3 +346,15 @@ def _cli_compare_frames_qutrit():
 
 def test_cli_compare_frames_qutrit(record):
     assert record(_cli_compare_frames_qutrit) == 0
+
+
+def _cli_sweep_lindblad():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["sweep", "ghz", "--n", "2", "--engine", "lindblad", "--g", "1",
+                         "--delta", "4.1", "--fock-cutoff", "6", "--sweep-param", "kappa",
+                         "--sweep-from", "0.05", "--sweep-to", "0.2", "--sweep-steps", "3",
+                         "--format", "csv"])
+
+
+def test_cli_sweep_lindblad(record):
+    assert record(_cli_sweep_lindblad) == 0

@@ -43,16 +43,20 @@ Numerical policy:
   numerical range; its substeps, series length and coefficients follow
   from those numbers alone, so identical calls give bitwise-identical
   results, and an action whose work exceeds CHEB_MAX_TERMS is refused
-  before its first product.
+  before its first product.  Each series term is one call of scipy's
+  compiled CSR product kernel on preallocated rows, and the Bessel
+  coefficients come from Miller's backward recurrence, not from
+  scipy.special.
 * Neither exact propagator renormalizes, symmetrizes or clips: norm or
   trace drift beyond 1e-6 raises NormDriftError, and the engines
   validate final density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
   DOP853 and is kept as the independent reference the exact propagator
   is tested against; no engine calls it.
-* The pure-state engines need nothing beyond numpy: scipy.sparse and
-  scipy.special (for the decay engine) and scipy.integrate (for the
-  reference integrator) are imported on first use.
+* The pure-state engines need nothing beyond numpy: scipy.sparse (for
+  the decay engine's Liouvillians and their product kernel) and
+  scipy.integrate (for the reference integrator) are imported on first
+  use.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
   algebra.check_leakage (check_leakage_dm for density matrices).  The
   states of one ensemble carry their weights (columns the square roots,
@@ -95,6 +99,10 @@ CHEB_TOL = 2.0**-53
 #: each) one Chebyshev action may take; criterion 9 needs about 5e4 per
 #: decay rate in all
 CHEB_MAX_TERMS = 10**7
+
+#: series terms a Chebyshev action keeps at once before it adds their
+#: weighted sum to the result (one matrix-vector product per block)
+CHEB_RING = 32
 
 
 def solve_ivp(*args, **kwargs):
@@ -433,23 +441,25 @@ def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
     each side (c' on the right), so with right omitted and H on the whole
     space this is L rho = -i [H, rho] + D(rho); with H and H' the blocks
     of two multiplets it is the Liouvillian of the block of rho between
-    them."""
+    them.
+
+    It is formed from the effective generators G = -i H - sum_c c^dag c / 2
+    and G' = i H' - sum_c c'^dag c' / 2 as L = G kron I + I kron G'^T +
+    sum_c c kron conj(c'): one sparse Kronecker product per term."""
     import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
 
     right = generator if right is None else right
-    h, h_right = sp.csr_matrix(generator), sp.csr_matrix(right)
-    p, q = h.shape[0], h_right.shape[0]
-    eye_p = sp.identity(p, dtype=complex, format="csr")
-    eye_q = sp.identity(q, dtype=complex, format="csr")
-    out = -1j * (sp.kron(h, eye_q) - sp.kron(eye_p, h_right.T))
-    m = space.mode_dim
-    for c in _collapse_ops(space, decay):
-        c_left = sp.kron(sp.identity(p // m), c, format="csr")
-        c_right = sp.kron(sp.identity(q // m), c, format="csr")
-        out = out + sp.kron(c_left, c_right.conj()) - 0.5 * (
-            sp.kron(c_left.conj().T @ c_left, eye_q)
-            + sp.kron(eye_p, (c_right.conj().T @ c_right).T))
-    return out.tocsr()
+    p, q, m = len(generator), len(right), space.mode_dim
+    ops = _collapse_ops(space, decay)
+    damping = sum((c.conj().T @ c for c in ops), np.zeros((m, m)))
+    g_left = -1j * generator - 0.5 * np.kron(np.eye(p // m), damping)
+    g_right = 1j * right - 0.5 * np.kron(np.eye(q // m), damping)
+    out = (sp.kron(g_left, sp.identity(q), format="csr")
+           + sp.kron(sp.identity(p), g_right.T, format="csr"))
+    for c in ops:
+        out = out + sp.kron(np.kron(np.eye(p // m), c), np.kron(np.eye(q // m), c.conj()),
+                            format="csr")
+    return out
 
 
 def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
@@ -478,7 +488,17 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     length tau = t/s, and each substep's series stops at the first order
     k > z with |J_k(z)| <= CHEB_TOL: s (z + O(z^{1/3})) products in all,
     the same ones for identical calls, so the result is bitwise
-    reproducible.
+    reproducible.  The J_k(z) come from Miller's backward recurrence,
+    normalised by J_0 + 2 sum_k J_2k = 1 (``_chebyshev_coefficients``).
+
+    Cost per term: phi_{k+1} is written into a ring of CHEB_RING
+    preallocated rows by copying phi_{k-1} into its row and adding
+    (2/radius) a' phi_k there with one call of the compiled kernel
+    behind ``csr_matrix @ ndarray`` (scipy.sparse._sparsetools, which
+    computes y += x v: the three-term update itself), through
+    ``_csr_product``, with no scipy.sparse dispatch and no allocation.
+    The weighted sum takes one coefficients @ rows product per
+    CHEB_RING terms.
 
     ``radius`` is W + margin, with W = max - min eigenvalue of H (so
     -i[H, .] has its spectrum on i[-W, W]; for a block -i (H X - X H')
@@ -524,6 +544,8 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
 
     n = a.shape[0]
+    if b.ndim != 2 or b.shape[0] != n:  # the kernel reads n rows of b unchecked
+        raise ValueError(f"b must be an ({n}, k) block, not {b.shape}")
     mu = a.diagonal().sum() / n
     if radius == 0:
         return np.exp(mu * t) * b
@@ -533,18 +555,56 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     coeffs = _chebyshev_coefficients(radius * tau)
     _check_work(steps * len(coeffs))
     x = ((2.0 / radius) * (a - mu * sp.identity(n, dtype=a.dtype, format="csr"))).tocsr()
+    kernel, args = _csr_kernel(x, b.shape[1])
+    depth = min(CHEB_RING, len(coeffs))
+    ring = np.zeros((depth, b.size), dtype=complex)
+    rows, flat = list(ring), ring.view(float)  # real coefficients act on re and im alike
     damp = np.exp(mu * tau)
     for _ in range(steps):
-        prev, cur = b, 0.5 * (x @ b)
-        f = coeffs[0] * prev + coeffs[1] * cur
-        for c in coeffs[2:]:
-            nxt = x @ cur
-            nxt += prev
-            f += c * nxt
-            prev, cur = cur, nxt
-        f *= damp
-        b = f
+        rows[0][:] = b.ravel()
+        rows[1][:] = 0.0
+        _csr_product(kernel, args, rows[0], rows[1])
+        rows[1] *= 0.5
+        f = np.zeros(2 * b.size)
+        for start in range(0, len(coeffs), depth):
+            stop = min(start + depth, len(coeffs))
+            for k in range(max(start, 2), stop):
+                row = rows[k % depth]
+                row[:] = rows[(k - 2) % depth]
+                _csr_product(kernel, args, rows[(k - 1) % depth], row)
+            f += coeffs[start:stop] @ flat[: stop - start]
+        b = f.view(complex).reshape(b.shape)
+        b *= damp
     return b
+
+
+def _csr_kernel(x: "scipy.sparse.csr_matrix", k: int):
+    """scipy's compiled CSR product for x times an (n, k) complex block,
+    and the leading arguments it takes from x, for ``_csr_product``.
+
+    The kernel is the one behind ``x @ v`` (scipy.sparse._sparsetools),
+    called without the dispatch that checks its arguments, so x's arrays
+    are checked and converted here, once: int32 or int64 indices and
+    complex128 data, C-contiguous.
+    """
+    from scipy.sparse import _sparsetools  # loaded with scipy.sparse
+
+    index = np.result_type(x.indptr, x.indices)
+    if index not in (np.int32, np.int64):
+        raise TypeError(f"CSR indices must be int32 or int64, not {index}")
+    arrays = (np.ascontiguousarray(x.indptr, dtype=index),
+              np.ascontiguousarray(x.indices, dtype=index),
+              np.ascontiguousarray(x.data, dtype=complex))
+    if k == 1:
+        return _sparsetools.csr_matvec, (*x.shape, *arrays)
+    return _sparsetools.csr_matvecs, (*x.shape, k, *arrays)
+
+
+def _csr_product(kernel, args, v: np.ndarray, out: np.ndarray) -> None:
+    """out += x v for the matrix x of ``_csr_kernel(x, k)`` = (kernel,
+    args), with v and out the row-major (n, k) blocks as C-contiguous
+    complex128 arrays; every product of ``chebyshev_action`` is one call."""
+    kernel(*args, v, out)
 
 
 def _check_work(terms: float) -> None:
@@ -555,18 +615,34 @@ def _check_work(terms: float) -> None:
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """J_0(z), 2 J_1(z), 2 J_2(z), ..., cut before the first order k > z
-    with |J_k(z)| <= CHEB_TOL (at least two terms)."""
-    from scipy.special import jv  # loaded on first use: only the decay engine needs it
+    with |J_k(z)| <= CHEB_TOL (at least two terms).
 
-    size = int(z + 12.0 * z ** (1.0 / 3.0)) + 16  # the Airy tail beyond k = z
-    while True:
-        order = np.arange(size)
-        j = jv(order, z)
-        cut = np.nonzero((order > z) & (np.abs(j) <= CHEB_TOL))[0]
-        if cut.size:
-            break
-        size *= 2
-    coeffs = 2.0 * j[: max(int(cut[0]), 2)]
+    The J_k come from Miller's backward recurrence J_{k-1} = (2k/z) J_k
+    - J_{k+1}, started from 0 and 1 at order z + 24 z^{1/3} + 40, where
+    J_k(z) is below 1e-50 (checked for z from 2^-52 to 1e7, the largest
+    argument the work guard lets through).  Run downwards, the
+    recurrence amplifies J_k and damps its other solution Y_k, so the
+    values (rescaled whenever they pass 1e100) become proportional to
+    J_k long before the cut, which lies below the start; they are
+    normalised by J_0 + 2 sum_k J_2k = 1.  Below z = 2^-52 the series is
+    1 + z T_1 to double precision.
+    """
+    if z <= 2.0**-52:
+        return np.array([1.0, z])
+    top = int(z + 24.0 * z ** (1.0 / 3.0)) + 40
+    j = np.zeros(top + 1)
+    j[top] = cur = 1.0
+    nxt = 0.0
+    for k in range(top, 0, -1):
+        cur, nxt = (2.0 * k / z) * cur - nxt, cur
+        if abs(cur) > 1e100:
+            j[k:] *= 1e-100
+            cur *= 1e-100
+            nxt *= 1e-100
+        j[k - 1] = cur
+    j /= j[0] + 2.0 * j[2::2].sum()
+    cut = np.nonzero((np.arange(top + 1) > z) & (np.abs(j) <= CHEB_TOL))[0][0]
+    coeffs = 2.0 * j[: max(int(cut), 2)]
     coeffs[0] = j[0]
     return coeffs
 

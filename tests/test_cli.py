@@ -457,8 +457,9 @@ def test_target_legs_match_a_scan_of_every_index(name, n):
 
 def test_importing_the_cli_leaves_the_integrator_and_optimizer_unloaded():
     # only the reference integrator and the frequency fit use scipy's
-    # integrate and optimize, and only the decay engine its sparse and
-    # special: the pure engines, full and effective, run on numpy alone
+    # integrate and optimize, and only the decay engine its sparse: the
+    # pure engines, full and effective, run on numpy alone, and the decay
+    # engine's Bessel coefficients need no scipy.special
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import contextlib, io, sys, spincavity.cli as cli\n"
             "loaded = lambda names: sorted(m for m in names if m in sys.modules)\n"
@@ -467,10 +468,15 @@ def test_importing_the_cli_leaves_the_integrator_and_optimizer_unloaded():
             "    codes = [cli.main(['protocol', 'ghz', '--n', '3', '--engine', 'full', '--delta',\n"
             "                       '4.9', '--fock-cutoff', '7']),\n"
             "             cli.main(['protocol', 'ghz', '--n', '10'])]\n"
-            "print(codes, loaded(('scipy.linalg', 'scipy.sparse', 'scipy.special')))")
+            "print(codes, loaded(('scipy.linalg', 'scipy.sparse', 'scipy.special')))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['protocol', 'ghz', '--n', '2', '--engine', 'lindblad', '--delta',\n"
+            "                     '4.1', '--fock-cutoff', '6', '--kappa', '0.1'])\n"
+            "print(code, loaded(('scipy.sparse', 'scipy.special')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[0, 0] []\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "[]\n[0, 0] []\n0 ['scipy.sparse']\n", "")
 
 
 # ------------------------------------------------------------ physics errors

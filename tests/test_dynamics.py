@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from spincavity import dynamics
 from spincavity.algebra import (
     DensityMatrix,
     NormDriftError,
@@ -42,6 +42,7 @@ from spincavity.dynamics import (
     propagator_u,
     thermal_state,
 )
+from spincavity.dynamics import _chebyshev_coefficients, _csr_kernel, _csr_product
 from spincavity.hamiltonians import (
     DriveParams,
     FrameTag,
@@ -721,12 +722,15 @@ def _random_rho_block(space, seed):
 # property test uses; pure dissipation (V = 0, so the radius is the
 # margin alone); no generator at all (radius 0, L = 0); and a stiff
 # point with kappa / g = 2 and a warm bath
-@pytest.mark.parametrize("atoms,cutoff,params,delta,decay,t", [
+CHEBYSHEV_CASES = [
     (2, 8, DriveParams(g=1.0, delta=8.0, omega=20.0), 8.0, DecaySpec(0.5, 0.5), 3.0),
     (1, 4, DriveParams(g=0.0, delta=0.0, omega=0.0), 0.0, DecaySpec(0.5), 1.4),
     (1, 4, DriveParams(g=0.0, delta=0.0, omega=0.0), 0.0, DecaySpec(0.0), 1.4),
     (2, 6, DriveParams(g=1.0, delta=4.0, omega=10.0), 4.0, DecaySpec(2.0, 1.0), 2.0),
-])
+]
+
+
+@pytest.mark.parametrize("atoms,cutoff,params,delta,decay,t", CHEBYSHEV_CASES)
 def test_chebyshev_action_matches_dense_expm(atoms, cutoff, params, delta, decay, t):
     space = make_space(atoms, 2, cutoff)
     a, radius, margin = _stage_liouvillian(space, params, delta, decay)
@@ -734,6 +738,36 @@ def test_chebyshev_action_matches_dense_expm(atoms, cutoff, params, delta, decay
     exact = expm(t * a.toarray()) @ b
     out = chebyshev_action(a, b, t, radius, margin)
     assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def _liouvillian_term_by_term(h, h_right, space, decay):
+    """-i (H kron I - I kron H'^T) + sum_c [c kron conj(c') - (c^dag c kron I
+    + I kron (c'^dag c')^T) / 2], each term formed on its own (dense)."""
+    p, q, m = len(h), len(h_right), space.mode_dim
+    a = np.diag(np.sqrt(np.arange(1.0, m)), 1)
+    out = -1j * (np.kron(h, np.eye(q)) - np.kron(np.eye(p), h_right.T))
+    for c in (math.sqrt(decay.kappa * (1.0 + decay.nbar_bath)) * a,
+              math.sqrt(decay.kappa * decay.nbar_bath) * a.T):
+        left, right = np.kron(np.eye(p // m), c), np.kron(np.eye(q // m), c)
+        out += np.kron(left, right.conj()) - 0.5 * (
+            np.kron(left.T @ left, np.eye(q)) + np.kron(np.eye(p), (right.T @ right).T))
+    return out
+
+
+@pytest.mark.parametrize("atoms,cutoff,params,delta,decay,t", CHEBYSHEV_CASES)
+def test_liouvillian_from_the_effective_generators_matches_the_term_by_term_form(
+        atoms, cutoff, params, delta, decay, t):
+    # the whole space, and a block between two generators of different
+    # sizes; only the warm-bath damping sums c^dag c are added in another
+    # order, which moves the diagonal by at most one rounding
+    space = make_space(atoms, 2, cutoff)
+    gen = interaction_terms(space, params) + np.diag(
+        -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim))
+    for right in (gen, gen[: space.mode_dim, : space.mode_dim]):
+        new = liouvillian(gen, space, decay, right)
+        old = _liouvillian_term_by_term(gen, right, space, decay)
+        assert new.nnz == np.count_nonzero(old)
+        assert np.abs(new.toarray() - old).max() <= 1e-15 * np.abs(old).max()
 
 
 def _decay_sweep_stage():
@@ -758,39 +792,84 @@ def test_chebyshev_action_substeps_compose():
     assert 0.0 < np.max(np.abs(pieces - whole)) <= 1e-12
 
 
-class _CountingCSR(sp.csr_matrix):
-    """A sparse matrix that counts its products with dense blocks; the
-    centred, scaled copies the action makes keep the class."""
+def _count_products(monkeypatch):
+    """A list that grows by one at every call of the Chebyshev action's
+    product helper."""
+    calls = []
+    product = dynamics._csr_product
 
-    products = 0
+    def counted(*args):
+        calls.append(None)
+        product(*args)
 
-    def __matmul__(self, other):
-        if isinstance(other, np.ndarray):
-            _CountingCSR.products += 1
-        return super().__matmul__(other)
+    monkeypatch.setattr(dynamics, "_csr_product", counted)
+    return calls
 
 
-def test_chebyshev_action_product_count_on_the_decay_sweep_stage():
+def test_chebyshev_action_product_count_on_the_decay_sweep_stage(monkeypatch):
     # about radius * t products plus each substep's O(z^{1/3}) tail
     space, (a, radius, margin), t = _decay_sweep_stage()
-    _CountingCSR.products = 0
-    chebyshev_action(_CountingCSR(a), _random_rho_block(space, 9), t, radius, margin)
-    assert radius * t <= _CountingCSR.products < 2 * radius * t
+    products = _count_products(monkeypatch)
+    chebyshev_action(a, _random_rho_block(space, 9), t, radius, margin)
+    assert radius * t <= len(products) < 2 * radius * t
 
 
 @pytest.mark.parametrize("scale_radius, scale_margin", [
     (1e8, 1.0), (1.0, 1e8), (math.inf, 1.0), (1.0, math.inf)])
-def test_chebyshev_action_refuses_work_beyond_the_budget(scale_radius, scale_margin):
+def test_chebyshev_action_refuses_work_beyond_the_budget(monkeypatch, scale_radius,
+                                                         scale_margin):
     # the work (substeps x series length) is known before the first
     # product: a radius or a margin that asks for more than
     # CHEB_MAX_TERMS series terms, or for infinitely many, raises and
     # takes no product
     space, (a, radius, margin), t = _decay_sweep_stage()
-    _CountingCSR.products = 0
+    products = _count_products(monkeypatch)
     with pytest.raises(ValueError, match=r"Chebyshev series terms .* more than 1e\+07"):
-        chebyshev_action(_CountingCSR(a), _random_rho_block(space, 1), t,
+        chebyshev_action(a, _random_rho_block(space, 1), t,
                          radius * scale_radius, margin * scale_margin)
-    assert _CountingCSR.products == 0
+    assert products == []
+
+
+@pytest.mark.parametrize("shape", [(783, 1), (785, 2), (784,)])
+def test_chebyshev_action_refuses_a_block_of_the_wrong_shape(shape):
+    # the compiled product reads n rows of the block without a bounds check
+    _, (a, radius, margin), t = _decay_sweep_stage()
+    with pytest.raises(ValueError, match=r"b must be an \(784, k\) block"):
+        chebyshev_action(a, np.ones(shape, dtype=complex), t, radius, margin)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_csr_product_is_the_sparse_product(k):
+    # from zero it is x @ v bit for bit (the same compiled kernel);
+    # otherwise it adds x v to what out holds
+    _, (a, _, _), _ = _decay_sweep_stage()
+    rng = np.random.default_rng(k)
+    v = rng.normal(size=(a.shape[0], k)) + 1j * rng.normal(size=(a.shape[0], k))
+    kernel, args = _csr_kernel(a, k)
+    out = np.zeros_like(v)
+    _csr_product(kernel, args, v, out)
+    assert out.tobytes() == (a @ v).tobytes()
+    _csr_product(kernel, args, v, out)
+    assert np.max(np.abs(out - 2 * (a @ v))) <= 1e-15 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("z", [1e-3, 2.404825557695773, 215.3, 1352.7, 8000.0])
+def test_chebyshev_coefficients_match_mpmath_and_the_scipy_series_length(z):
+    # Miller's recurrence against mpmath's J_k at both ends and the middle
+    # of the series, and the cut rule applied to scipy's J_k gives the
+    # same length; 2.4048... is the first zero of J_0
+    import mpmath
+    from scipy.special import jv
+
+    coeffs = _chebyshev_coefficients(z)
+    n = len(coeffs)
+    for k in sorted({0, 1, n // 2, n - 2, n - 1}):
+        exact = (1 if k == 0 else 2) * mpmath.besselj(k, z, maxterms=10**6, maxprec=20000)
+        assert abs(coeffs[k] - float(exact)) <= 1e-14
+    order = np.arange(int(2 * z) + 64)
+    j = jv(order, z)
+    cut = np.nonzero((order > z) & (np.abs(j) <= dynamics.CHEB_TOL))[0][0]
+    assert len(coeffs) == max(int(cut), 2)
 
 
 def _reference_master_equation(h_of_t, decay, space, rho, t0, t1):
