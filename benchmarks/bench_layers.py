@@ -166,7 +166,7 @@ def _stage(plan, index, space, delta):
     """The stage's generator builder and its start and end times."""
     t0, stage = _drives(plan)[index]
     build = partial(interaction_terms, space,
-                    DriveParams(g=1.0, delta=delta, omega=stage.params.omega))
+                    DriveParams(g=1.0, delta=delta, omega=stage.omega))
     return build, t0, t0 + stage.duration
 
 

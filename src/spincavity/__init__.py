@@ -16,11 +16,8 @@ from .algebra import (
     boson_ops,
     collective_sx,
     decode_index,
-    displacement_series,
     embed_atom_op,
     make_space,
-    mode_population,
-    permutation_op,
 )
 from .analysis import (
     TimeSeries,
@@ -78,7 +75,6 @@ from .protocols import (
     plan_ghz_two_level,
     plan_measure_reduce,
     plan_two_atom_qutrit,
-    plan_unitary,
     reduce_rotation_matrix,
     run_plan,
     sample_outcome,

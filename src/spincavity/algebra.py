@@ -124,12 +124,6 @@ class StateVector:
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-9")
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.space, self.amplitudes / self.norm())
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -157,9 +151,6 @@ class DensityMatrix:
         if wmin < -1e-9:
             raise ValueError(f"matrix has negative eigenvalue {wmin:.3e}")
         object.__setattr__(self, "matrix", mat)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -404,35 +395,6 @@ def boson_ops(space: SpaceDescriptor) -> tuple[Operator, Operator]:
     return Operator(space, a), Operator(space, a.conj().T)
 
 
-def displacement_series(space: SpaceDescriptor, eta: float, order=None) -> Operator:
-    """Displacement-coupling operator on the mode factor.
-
-    For ``order=None`` (exact) returns the truncated-space exponential
-    exp(i*eta*(a + adag)).  For an integer ``order`` returns the odd
-    partial sum that multiplies the collective raising operator in the
-    sideband Hamiltonian,
-
-        exp(-eta^2/2) * sum_{j=0..order} (i eta)^(2j+1) / (j! (j+1)!)
-                        * (adag^(j+1) a^j + adag^j a^(j+1)),
-
-    i.e. ``order`` is the largest series index j kept, so the sum holds
-    order + 1 terms.
-    """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    a = mode_lowering(space)
-    if order is None or order == math.inf:
-        from scipy.linalg import expm
-
-        mode_op = expm(1j * eta * (a + a.conj().T))
-    elif order < 0:
-        raise ValueError("order must be non-negative")
-    else:
-        up, dn = _displacement_partial_sums(a, eta, int(order))
-        mode_op = math.exp(-(eta**2) / 2.0) * (up + dn)
-    return Operator(space, np.kron(np.eye(space.atoms_dim), mode_op))
-
-
 def _displacement_partial_sums(a: np.ndarray, eta: float, order: int):
     """Partial sums on the mode ladder a (without the exp(-eta^2/2) prefactor):
 
@@ -450,28 +412,6 @@ def _displacement_partial_sums(a: np.ndarray, eta: float, order: int):
         up += c * (np.linalg.matrix_power(adag, j + 1) @ aj)
         dn += c * (np.linalg.matrix_power(adag, j) @ (aj @ a))
     return up, dn
-
-
-def permutation_op(space: SpaceDescriptor, perm) -> Operator:
-    """Unitary that relabels atoms: atom i of the output takes the state
-    of atom perm[i] of the input."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(space.atom_count)):
-        raise ValueError(f"{perm} is not a permutation of 0..{space.atom_count - 1}")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for idx in range(space.dim):
-        levels, n = decode_index(space, idx)
-        out = tuple(levels[perm[i]] for i in range(space.atom_count))
-        mat[basis_index(space, out, n), idx] = 1.0
-    return Operator(space, mat)
-
-
-def mode_population(space: SpaceDescriptor, amplitudes: np.ndarray, n: int) -> float:
-    """Total population with the mode in Fock level n."""
-    if space.no_mode:
-        raise ValueError("space has no bosonic mode")
-    amps = amplitudes.reshape(space.atoms_dim, space.mode_dim)
-    return float(np.sum(np.abs(amps[:, n]) ** 2))
 
 
 def check_leakage(space: SpaceDescriptor, amplitudes: np.ndarray) -> float:

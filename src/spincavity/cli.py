@@ -48,7 +48,7 @@ ENGINES = ("effective", "full", "full-cavity", "full-ion", "lindblad")
 SYSTEMS = ("cavity", "ion")
 ION_OMEGA = 1.0  # laser Rabi frequency of the ion system's drive
 DEFAULT_DELTA = 20.0  # effective-engine fallback; full engines require --delta
-#: refuse a run whose largest array would take more bytes than this
+#: refuse a run whose arrays would together take more bytes than this
 MEMORY_BUDGET = 2**30
 #: atomic levels each protocol's planner uses
 ATOM_LEVELS = {"two-atom-qutrit": 3, "ghz": 2, "ghz-three-level": 3,
@@ -267,31 +267,60 @@ def _system_lambda(config: RunConfig) -> float:
     return lambda_cavity(config.g, config.delta)
 
 
-def _check_memory(config: RunConfig):
-    """Refuse a run whose largest array, computed from the space
-    dimensions before anything is allocated, exceeds MEMORY_BUDGET.
+def _widest_group(n: int, d: int) -> int:
+    """The most columns of algebra.coupled_basis(n, d) sharing one 2J:
+    2J + 1 per copy, a pattern of k active atoms x a spin-J multiplet."""
+    def multiplets(k, two_j):
+        low = (k - two_j) // 2
+        return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+    return max((two_j + 1) * sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, two_j)
+                                 for k in range(two_j, n + 1, 2)) for two_j in range(max(n, 0) + 1))
 
-    The effective engine's largest arrays are d^N state columns (it
-    applies each drive stage in the product eigenbasis of S_x); the
-    full engines' are generators on the mode-attached space of
-    dimension D = d^N (cutoff + 1); the decay engine's is its
-    sparse Liouvillian, whose D^2 rows hold at most 4 N + 4 entries (two
-    copies of a generator row with N drive and N coupling entries and a
-    diagonal, plus the collapse terms).
+
+def _check_memory(config: RunConfig):
+    """Refuse a run whose arrays, sized from the space dimensions before
+    anything is allocated, would together exceed MEMORY_BUDGET bytes.
+    With A = d^N, m = cutoff + 1, D = A m and 16 bytes per complex entry:
+
+    * effective: twelve arrays of A entries (state, target, S_x phases,
+      apply_local's products);
+    * full and decay: coupled_basis's q, the columns it is stacked from
+      and the complex copy of q a rotation makes (32 A^2 bytes), and its
+      cached spin-1/2 multiplets (8 (4^(N+1) - 1) / 3 bytes);
+    * full: eight (D, k) column blocks (k = m thermal columns, else 1),
+      the eigh of the widest ((N + 1) m)^2 block, six A x A arrays of
+      compare-frames, and for a thermal start 2d + 3 D x D matrices (the
+      d branches, the previous sweep point's, read-out temporaries);
+    * decay: 8 + d D x D arrays (the density stack, its _both_sides
+      temporaries, the previous sweep point's branches), 36 arrays of
+      (G m)^2 entries for the Chebyshev ring and columns of the widest
+      pair of spin groups (G = ``_widest_group``), about 1152 bytes per
+      row of the ((N + 1) m)^2-row pair Liouvillian, and 32 MiB for
+      loading scipy.sparse (about 21 MB of RSS).
+
+    Measured peak RSS stays below this at two sizes of every engine.
     """
-    atoms = ATOM_LEVELS[config.protocol] ** config.n
+    d, n = ATOM_LEVELS[config.protocol], config.n
+    atoms, m = d**n, config.fock_cutoff + 1
+    dim, widest = atoms * m, ((n + 1) * m) ** 2
     _, kind = _resolve_system_engine(config)
     if kind == "effective":
-        entries = atoms
-    elif kind == "full":
-        entries = (atoms * (config.fock_cutoff + 1)) ** 2
+        size = 16 * 12 * atoms
     else:
-        entries = (atoms * (config.fock_cutoff + 1)) ** 2 * (4 * config.n + 4)
-    size = 16 * entries
+        size = 32 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3
+    if kind == "full":
+        k = m if config.nbar > 0 else 1
+        size += 16 * (6 * atoms**2 + 8 * dim * k + 8 * widest
+                      + (2 * d + 3) * dim**2 * (k > 1))
+    elif kind == "lindblad":
+        size += 16 * (8 + d) * dim**2 + 1152 * widest + 2**25
+        if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
+            size += 16 * 36 * (_widest_group(n, d) * m) ** 2
     if size > MEMORY_BUDGET:
+        gib = f"{size / 2**30:.3g}" if size < 2**1000 else "over 1e290"
         raise ConfigError(
             f"{config.protocol} on {config.n} atoms with the {kind} engine needs "
-            f"{size / 2**30:.3g} GiB for its largest array, beyond the "
+            f"{gib} GiB at its peak, beyond the "
             f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n or --fock-cutoff")
 
 

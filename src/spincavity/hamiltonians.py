@@ -107,11 +107,11 @@ class DriveParams:
 
 
 class FrameTag(Enum):
-    """Which frame (and hence which generator) a drive stage runs in."""
+    """The frame (and hence the generator) of a full engine's drive stages:
+    a cavity frame for FullCavity, an ion frame for FullIon."""
 
     INTERACTION_PICTURE = "interaction_picture"
     SLOW_FRAME = "slow_frame"
-    EFFECTIVE = "effective"
     ION_INTERACTION = "ion_interaction"
     ION_LAMB_DICKE = "ion_lamb_dicke"
 

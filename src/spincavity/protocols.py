@@ -39,9 +39,10 @@ through.  The decay engine does the same in Liouville space with
 dynamics.evolve_lindblad: the cavity dissipator is static in that frame
 too and acts on the mode alone, so a stage is one Liouvillian and one
 Chebyshev action per occupied pair of blocks, carrying the density
-matrices of every live branch at once.  ``_drive`` hands the propagators
-the stage's builder (``hamiltonians.*_terms`` with the space and
-parameters bound), which they call once per occupied block.
+matrices of every branch at once.  ``_drive`` hands the propagators the
+stage's builder (``hamiltonians.*_terms`` with the space and the
+engine's parameters bound, the stage giving only its drive omega),
+which they call once per occupied block.
 
 Drive stages of one plan run at consecutive absolute times so that the
 e^{i delta t} drive phases stay continuous across stage boundaries.
@@ -59,7 +60,6 @@ import numpy as np
 
 from .algebra import (
     DensityMatrix,
-    Operator,
     PhysicsError,
     SpaceDescriptor,
     StateVector,
@@ -100,20 +100,19 @@ from .hamiltonians import (
 
 @dataclass(frozen=True)
 class CollectiveDrive:
-    """A collective-interaction pulse.
-
-    params.omega is the classical Rabi frequency solved by the planner;
-    lam is the effective collective rate the timing was derived from.
-    Engines supply the remaining physical parameters (g, delta, eta, ...)
-    and must agree with lam.
+    """A collective-interaction pulse: the classical drive omega (the Rabi
+    frequency the planner solved for) held for duration.  lam is the
+    effective collective rate the timing was derived from; the engine
+    supplies the rest (g, delta, eta, the frame) and must agree with it.
     """
 
-    params: DriveParams
+    omega: float
     duration: float
-    frame: FrameTag
     lam: float
 
     def __post_init__(self):
+        if not 0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be non-negative and finite, got {self.omega!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
 
@@ -271,10 +270,6 @@ def reduce_rotation_matrix() -> np.ndarray:
 ARCSIN_1_SQRT3 = math.asin(1.0 / math.sqrt(3.0))
 
 
-def _drive_params(omega: float) -> DriveParams:
-    return DriveParams(omega=omega)
-
-
 def _stage_time(t: float) -> float:
     """A planner's stage time, refused unless positive and finite (lam
     near the float range's ends can give 0 or inf)."""
@@ -346,9 +341,9 @@ def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None =
     target = StateVector(space, amps)
 
     stages = (
-        CollectiveDrive(_drive_params(omega), t1, FrameTag.EFFECTIVE, lam),
+        CollectiveDrive(omega, t1, lam),
         LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"),
-        CollectiveDrive(_drive_params(omega_prime), t2, FrameTag.EFFECTIVE, lam),
+        CollectiveDrive(omega_prime, t2, lam),
     )
     timings = Timings(t1, t2, omega, omega_prime, k, k_prime)
     return ProtocolPlan("two-atom-qutrit", stages, space, target, timings)
@@ -380,7 +375,7 @@ def _ghz_drive(n_atoms: int, lam: float, n_choice: int | None,
         if n < 0:
             raise ValueError("n_choice must be non-negative")
         omega = (2.0 * n + 0.75) * math.pi / t
-    return CollectiveDrive(_drive_params(omega), t, FrameTag.EFFECTIVE, lam), n
+    return CollectiveDrive(omega, t, lam), n
 
 
 def plan_ghz_two_level(n_atoms: int, lam: float, n_choice: int | None = None,
@@ -409,7 +404,7 @@ def plan_ghz_two_level(n_atoms: int, lam: float, n_choice: int | None = None,
     amps[basis_index(space, "e" * n_atoms)] = overall * np.exp(1j * math.pi / 4.0) * sign / math.sqrt(2.0)
     target = StateVector(space, amps)
 
-    timings = Timings(drive.duration, None, drive.params.omega, None, n, None)
+    timings = Timings(drive.duration, None, drive.omega, None, n, None)
     return ProtocolPlan("ghz", (drive,), space, target, timings)
 
 
@@ -437,8 +432,7 @@ def plan_ghz_three_level(n_atoms: int, lam: float, n_choice: int | None = None,
     target = StateVector(space, amps)
 
     stages = (drive1, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive2)
-    timings = Timings(drive1.duration, drive2.duration, drive1.params.omega,
-                      drive2.params.omega, n1, n2)
+    timings = Timings(drive1.duration, drive2.duration, drive1.omega, drive2.omega, n1, n2)
     return ProtocolPlan("ghz-three-level", stages, space, target, timings)
 
 
@@ -504,7 +498,7 @@ def plan_ghz_four_level(n_atoms: int, lam: float, n_choice: int | None = None,
         drives[2][0],
     )
     timings = Timings(drives[0][0].duration, drives[1][0].duration,
-                      drives[0][0].params.omega, drives[1][0].params.omega,
+                      drives[0][0].omega, drives[1][0].omega,
                       drives[0][1], drives[1][1])
     return ProtocolPlan("ghz-four-level", stages, space, target, timings)
 
@@ -542,6 +536,10 @@ class FullCavity:
     initial_mode: object = 0
     frame: FrameTag = FrameTag.INTERACTION_PICTURE
 
+    def __post_init__(self):
+        if self.frame not in (FrameTag.INTERACTION_PICTURE, FrameTag.SLOW_FRAME):
+            raise ValueError(f"FullCavity cannot run frame {self.frame}")
+
     def lam(self) -> float:
         return lambda_cavity(self.params.g, self.params.delta)
 
@@ -556,6 +554,10 @@ class FullIon:
     fock_cutoff: int = 10
     initial_mode: object = 0
     frame: FrameTag = FrameTag.ION_INTERACTION
+
+    def __post_init__(self):
+        if self.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
+            raise ValueError(f"FullIon cannot run frame {self.frame}")
 
     def lam(self) -> float:
         return lambda_ion(self.params.omega, self.params.eta, self.params.delta)
@@ -704,37 +706,23 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
     name = type(engine).__name__
     if isinstance(engine, Effective):
         block = np.hstack(states)
-        out = evolve_factored(space_run, stage.lam, stage.params.omega, stage.duration, block)
+        out = evolve_factored(space_run, stage.lam, stage.omega, stage.duration, block)
         drift = norm_drift(np.linalg.norm(block, axis=0), np.linalg.norm(out, axis=0))
         return _split_columns(out, states), StageRecord(
-            name, FrameTag.EFFECTIVE.value, plan.space.atoms_dim, "factored", None, drift)
+            name, "effective", plan.space.atoms_dim, "factored", None, drift)
     _check_lam(engine.lam(), stage.lam)
     if isinstance(engine, FullIon):
-        if engine.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
-            raise ValueError(f"FullIon cannot run frame {engine.frame}")
         builder = partial(ion_terms, space_run, engine.params, engine.frame)
     else:
-        merged = replace(engine.params, omega=stage.params.omega)
-        if isinstance(engine, Lindblad) or engine.frame == FrameTag.INTERACTION_PICTURE:
-            builder = partial(interaction_terms, space_run, merged)
-        elif engine.frame == FrameTag.SLOW_FRAME:
-            builder = partial(slow_terms, space_run, merged)
-        else:
-            raise ValueError(f"cavity engine cannot run frame {engine.frame}")
+        slow = isinstance(engine, FullCavity) and engine.frame == FrameTag.SLOW_FRAME
+        builder = partial(slow_terms if slow else interaction_terms, space_run,
+                          replace(engine.params, omega=stage.omega))
     t_end = t_abs + stage.duration
     if isinstance(engine, Lindblad):
-        out = list(states)
-        live = [i for i, rho in enumerate(states) if np.trace(rho).real > 1e-30]
-        leak = drift = 0.0
-        block_dim = 0
-        if live:
-            prop = evolve_lindblad(builder, engine.params.delta, engine.decay, space_run,
-                                   np.stack([states[i] for i in live]), t_abs, t_end)
-            for i, rho in zip(live, prop.states):
-                out[i] = rho
-            leak, drift, block_dim = prop.leak, prop.drift, prop.block_dim
-        return out, StageRecord(name, FrameTag.INTERACTION_PICTURE.value, block_dim,
-                                "chebyshev", leak, drift)
+        prop = evolve_lindblad(builder, engine.params.delta, engine.decay, space_run,
+                               np.stack(states), t_abs, t_end)
+        return list(prop.states), StageRecord(name, FrameTag.INTERACTION_PICTURE.value,
+                                              prop.block_dim, "chebyshev", prop.leak, prop.drift)
     prop = evolve_exact(builder, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
     return _split_columns(prop.states, states), StageRecord(
         name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift)
@@ -771,19 +759,6 @@ def _read_out(space_run: SpaceDescriptor, x, target: StateVector, mixed: bool):
     if x.shape[1] == 1:
         return prob, StateVector(space_run, x[:, 0] / math.sqrt(prob)), fid
     return prob, DensityMatrix(space_run, (x @ x.conj().T) / prob), fid
-
-
-def plan_unitary(plan: ProtocolPlan) -> Operator:
-    """Compose the unitary stages (drives and transfers) of a plan on the
-    atomic factor, skipping measurements."""
-    dim = plan.space.atoms_dim
-    u = np.eye(dim, dtype=complex)
-    for stage in plan.stages:
-        if isinstance(stage, CollectiveDrive):
-            u = evolve_factored(plan.space, stage.lam, stage.params.omega, stage.duration, u)
-        elif isinstance(stage, LocalTransfer):
-            u = apply_local(plan.space, stage.matrix, stage.atoms, u)
-    return Operator(plan.space, u)
 
 
 def sample_outcome(result: ProtocolResult, seed: int) -> str:

@@ -114,7 +114,7 @@ def test_reduce_entangled_state_is_mixed():
     amps[basis_index(space, "e", 1)] = 1.0 / math.sqrt(2.0)
     rho = reduce_to_atoms(StateVector(space, amps), space)
     assert np.allclose(rho.matrix, 0.5 * np.eye(2), atol=1e-14)
-    assert rho.purity() == pytest.approx(0.5, abs=1e-12)
+    assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_reduce_commutes_with_atomic_unitaries():

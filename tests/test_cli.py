@@ -262,6 +262,8 @@ def test_config_file_integers_fill_float_fields(tmp_path, capsys):
     ("sweep", "ghz", "--n", "40", "--sweep-param", "g", "--sweep-from", "0.5",
      "--sweep-to", "1", "--sweep-steps", "2"),
     ("compare-frames", "ghz", "--n", "40", "--delta", "5"),
+    # the size is an integer far beyond any float; the message still renders
+    ("protocol", "ghz", "--n", "100000", "--engine", "lindblad", "--delta", "10"),
 ])
 def test_run_beyond_memory_budget_exit_1(capsys, argv):
     # --n 40 used to die in numpy ("Unable to allocate 16.0 TiB"); the
@@ -272,7 +274,33 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("config error: ghz on ")
-    assert "GiB for its largest array, beyond the 1 GiB budget" in err
+    assert "GiB at its peak, beyond the 1 GiB budget" in err
+
+
+@pytest.mark.parametrize("argv, admitted", [
+    # a Fock start on the full engine holds the coupled basis (about
+    # 45 MB here), not a 15360-square generator
+    (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
+      "--fock-cutoff", "14"), True),
+    # a thermal start forms a D x D density matrix per branch at read-out
+    (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
+      "--fock-cutoff", "14", "--nbar", "0.2"), False),
+    # the decay engine's density matrix alone is 1.44 GB
+    (("ghz-three-level", "--n", "6", "--engine", "lindblad", "--delta", "10",
+      "--fock-cutoff", "12"), False),
+    (("ghz-three-level", "--n", "4", "--engine", "lindblad", "--delta", "10",
+      "--fock-cutoff", "14"), True),
+    # the Effective engine holds about twelve d^N-long arrays at once
+    (("ghz", "--n", "22"), True),
+    (("ghz", "--n", "24"), False),
+])
+def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
+    config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))
+    if admitted:
+        cli._check_memory(config)
+    else:
+        with pytest.raises(cli.ConfigError, match="GiB at its peak"):
+            cli._check_memory(config)
 
 
 def test_effective_run_sized_by_its_state_column(capsys):

@@ -776,7 +776,7 @@ def _decay_sweep_stage():
     (stage,) = [s for s in plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1).stages
                 if isinstance(s, CollectiveDrive)]
     space = make_space(2, 2, 6)
-    params = DriveParams(g=1.0, delta=4.1, omega=stage.params.omega)
+    params = DriveParams(g=1.0, delta=4.1, omega=stage.omega)
     return space, _stage_liouvillian(space, params, 4.1, DecaySpec(0.2)), stage.duration
 
 

@@ -15,7 +15,6 @@ from spincavity.algebra import (
     embed_atom_op,
     local_sp,
     make_space,
-    permutation_op,
 )
 from spincavity.hamiltonians import (
     DriveParams,
@@ -156,9 +155,19 @@ def test_effective_permutation_invariant():
     space = make_space(4, 2, 0, no_mode=True)
     h = h_effective(space, 0.9).matrix
     for _ in range(4):
-        perm = tuple(int(x) for x in rng.permutation(4))
-        p = permutation_op(space, perm).matrix
-        assert np.max(np.abs(p @ h @ p.conj().T - h)) <= 1e-12
+        # relabel the atoms on the row and the column axes alike
+        perm = [int(x) for x in rng.permutation(4)]
+        permuted = h.reshape((2,) * 8).transpose(perm + [4 + p for p in perm])
+        assert np.max(np.abs(permuted.reshape(h.shape) - h)) <= 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g", -1.0), ("omega", -1.0), ("omega", math.inf), ("eta", -0.1), ("eta", 1.0),
+    ("lamb_dicke_order", -1)])
+def test_drive_params_validation(field, value):
+    # a negative eta never reaches the displacement series
+    with pytest.raises(ValueError):
+        DriveParams(**{field: value})
 
 
 # ---------------------------------------------------------------------------
