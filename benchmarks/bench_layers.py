@@ -39,6 +39,17 @@ Stages:
   784).
 * ``lindblad_criterion_9``: criterion 9's second drive stage, two
   qutrits at delta = 10 g, cutoff 5, kappa = 0.2 g (dimension 2916).
+* ``lindblad_criterion_9_pairs``: the same stage from a full-rank
+  (seeded) atomic density matrix with the mode in the vacuum, so all
+  nine pairs of its three spin groups are occupied, two of the groups
+  with two copies: three diagonal pairs in real arithmetic and three
+  mirrored couples, one action each.
+* ``pair_action[float64]``, ``pair_action[complex128]``: one
+  ``chebyshev_action`` on the decay-sweep stage's one occupied pair, the
+  spin-1 block (441 Liouville rows, one column from the vacuum, 1712
+  products): on the float64 ``real_liouvillian`` as ``evolve_lindblad``
+  runs it, and on the complex ``liouvillian`` with the same radius and
+  margin.  The operator is built untimed.
 * ``exact_two_atom_qutrit``: the same stage on the full cavity engine
   at the README's cutoff 8 (Hilbert dimension 81).
 * ``drive_stage[full-ghz3]``, ``drive_stage[full-ghz4]``: the full-pure
@@ -110,14 +121,18 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import scipy  # noqa: E402
 
-from spincavity import cli  # noqa: E402
-from spincavity.algebra import basis_state, make_space  # noqa: E402
+from spincavity import cli, dynamics  # noqa: E402
+from spincavity.algebra import basis_state, coupled_basis, make_space  # noqa: E402
 from spincavity.analysis import fidelity, reduce_to_atoms  # noqa: E402
 from spincavity.dynamics import (  # noqa: E402
     DecaySpec,
+    _block_generator,
     _chebyshev_coefficients,
+    chebyshev_action,
+    dissipative_margin,
     evolve_exact,
     evolve_lindblad,
+    liouvillian,
 )
 from spincavity.hamiltonians import (  # noqa: E402
     DriveParams,
@@ -242,6 +257,41 @@ def test_lindblad_criterion_9(record):
     record.extra_info["liouville_dim"] = space.dim ** 2
     record.pedantic(evolve_lindblad, (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
                     rounds=3, iterations=1)
+
+
+def test_lindblad_criterion_9_pairs(record):
+    space = make_space(2, 3, 5)
+    plan = plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0)
+    build, t0, t1 = _stage(plan, 1, space, 10.0)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    vacuum = np.zeros((space.mode_dim, space.mode_dim))
+    vacuum[0, 0] = 1.0
+    rhos = np.kron(x @ x.conj().T / np.linalg.norm(x) ** 2, vacuum)[None]
+    record.extra_info["groups"] = len(coupled_basis(2, 3).groups)
+    record.pedantic(evolve_lindblad, (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
+                    rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "complex128"])
+def test_pair_action(record, dtype):
+    space, decay = make_space(2, 2, 6), DecaySpec(0.2)
+    plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
+    build, t0, t1 = _stage(plan, 0, space, 4.1)
+    (group,) = [g for g in coupled_basis(2, 2).groups if g.two_j == 2]
+    gen = _block_generator(build, group, 4.1, space.mode_dim)
+    w = np.linalg.eigvalsh(gen)
+    margin = dissipative_margin(space, decay)
+    if dtype == "float64":
+        # read off the module, so the other layers still run against a
+        # source tree without real_liouvillian
+        a = dynamics.real_liouvillian(gen, space, decay)
+    else:
+        a = liouvillian(gen, space, decay)
+    b = np.zeros((a.shape[0], 1), dtype=dtype)
+    b[0] = 1.0  # |J = 1, M = -1> x |0>, the vacuum |gg, 0>
+    record.extra_info.update(liouville_rows=a.shape[0], nnz=a.nnz)
+    record(chebyshev_action, a, b, t1 - t0, w[-1] - w[0] + margin, margin)
 
 
 def test_exact_two_atom_qutrit(record):

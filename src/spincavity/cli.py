@@ -267,14 +267,17 @@ def _system_lambda(config: RunConfig) -> float:
     return lambda_cavity(config.g, config.delta)
 
 
-def _widest_group(n: int, d: int) -> int:
-    """The most columns of algebra.coupled_basis(n, d) sharing one 2J:
-    2J + 1 per copy, a pattern of k active atoms x a spin-J multiplet."""
+def _group_columns(n: int, d: int) -> list[int]:
+    """The columns of algebra.coupled_basis(n, d) of each 2J = 0 .. n that
+    occurs: 2J + 1 per copy, a pattern of k active atoms x a spin-J
+    multiplet."""
     def multiplets(k, two_j):
         low = (k - two_j) // 2
         return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
-    return max((two_j + 1) * sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, two_j)
-                                 for k in range(two_j, n + 1, 2)) for two_j in range(max(n, 0) + 1))
+    columns = ((two_j + 1) * sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, two_j)
+                                 for k in range(two_j, n + 1, 2))
+               for two_j in range(max(n, 0) + 1))
+    return [c for c in columns if c]
 
 
 def _check_memory(config: RunConfig):
@@ -284,19 +287,23 @@ def _check_memory(config: RunConfig):
 
     * effective: twelve arrays of A entries (state, target, S_x phases,
       apply_local's products);
-    * full and decay: coupled_basis's q, the columns it is stacked from
-      and the complex copy of q a rotation makes (32 A^2 bytes), and its
-      cached spin-1/2 multiplets (8 (4^(N+1) - 1) / 3 bytes);
+    * full and decay: coupled_basis's q and the columns it is stacked
+      from (16 A^2 bytes; a rotation multiplies q by the real view of
+      the states, so it makes no complex copy of q), and its cached
+      spin-1/2 multiplets (8 (4^(N+1) - 1) / 3 bytes);
     * full: eight (D, k) column blocks (k = m thermal columns, else 1),
       the eigh of the widest ((N + 1) m)^2 block, six A x A arrays of
-      compare-frames, and for a thermal start 2d + 3 D x D matrices (the
-      d branches, the previous sweep point's, read-out temporaries);
-    * decay: 8 + d D x D arrays (the density stack, its _both_sides
-      temporaries, the previous sweep point's branches), 36 arrays of
-      (G m)^2 entries for the Chebyshev ring and columns of the widest
-      pair of spin groups (G = ``_widest_group``), about 1152 bytes per
-      row of the ((N + 1) m)^2-row pair Liouvillian, and 32 MiB for
-      loading scipy.sparse (about 21 MB of RSS).
+      compare-frames, and for a thermal start d + 3 D x D matrices (the
+      d branches and read-out temporaries);
+    * decay: 8 + d D x D arrays (the density stack and its _both_sides
+      temporaries, and the states a plan holds while a stage runs: a
+      traced three-level GHZ run holds 3 of them while its second stage
+      makes 6.6 more), about 1152 bytes per row of the ((N + 1) m)^2-row
+      pair Liouvillian, 32 MiB for loading scipy.sparse (about 21 MB of
+      RSS), and 36 arrays of the Chebyshev ring and columns of the
+      widest pair of spin groups: (G m)^2 float64 entries for a diagonal
+      pair, which runs in real arithmetic, or G G' m^2 complex ones for
+      two groups, with G >= G' the two largest of ``_group_columns``.
 
     Measured peak RSS stays below this at two sizes of every engine.
     """
@@ -307,15 +314,16 @@ def _check_memory(config: RunConfig):
     if kind == "effective":
         size = 16 * 12 * atoms
     else:
-        size = 32 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3
+        size = 16 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3
     if kind == "full":
         k = m if config.nbar > 0 else 1
         size += 16 * (6 * atoms**2 + 8 * dim * k + 8 * widest
-                      + (2 * d + 3) * dim**2 * (k > 1))
+                      + (d + 3) * dim**2 * (k > 1))
     elif kind == "lindblad":
         size += 16 * (8 + d) * dim**2 + 1152 * widest + 2**25
         if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
-            size += 16 * 36 * (_widest_group(n, d) * m) ** 2
+            widest_two = sorted(_group_columns(n, d), reverse=True) + [0]
+            size += 36 * m**2 * max(8 * widest_two[0]**2, 16 * widest_two[0] * widest_two[1])
     if size > MEMORY_BUDGET:
         gib = f"{size / 2**30:.3g}" if size < 2**1000 else "over 1e290"
         raise ConfigError(
@@ -480,11 +488,7 @@ def cmd_sweep(config: RunConfig) -> str:
         value = config.sweep_from + frac * (config.sweep_to - config.sweep_from)
         point = replace(config, **{config.sweep_param: value})
         _check_numbers(point)
-        plan = _build_plan(point)
-        engine = _build_engine(point)
-        result = run_plan(plan, engine=engine)
-        for b, f in zip(result.branches, result.fidelities):
-            rows.append((config.sweep_param, value, b.label, b.probability, f))
+        rows += _sweep_rows(point, config.sweep_param, value)
     if config.format == "json":
         payload = {
             "rows": [
@@ -499,6 +503,14 @@ def cmd_sweep(config: RunConfig) -> str:
     for p, v, lbl, prob, fid in rows:
         lines.append(f"{p},{_fmt(v)},{lbl},{_fmt(prob)},{_fmt(fid)}")
     return "\n".join(lines) + "\n"
+
+
+def _sweep_rows(point: RunConfig, param: str, value: float) -> list:
+    """The report rows of one sweep point.  Its result (every branch's
+    state) is released on return, before the next point runs."""
+    result = run_plan(_build_plan(point), engine=_build_engine(point))
+    return [(param, value, b.label, b.probability, f)
+            for b, f in zip(result.branches, result.fidelities)]
 
 
 def _strip_measurements(plan: ProtocolPlan) -> ProtocolPlan:

@@ -47,9 +47,17 @@ Numerical policy:
   compiled CSR product kernel on preallocated rows, and the Bessel
   coefficients come from Miller's backward recurrence, not from
   scipy.special.
-* Neither exact propagator renormalizes, symmetrizes or clips: norm or
-  trace drift beyond 1e-6 raises NormDriftError, and the engines
-  validate final density matrices (Hermiticity, trace, eigenvalues).
+* Density matrices are Hermitian and L commutes with X -> X^dag, so of
+  the mirrored pairs (J, J') and (J', J) only one is propagated and the
+  other is its adjoint, and each diagonal pair (J, J) runs in real
+  arithmetic: its Hermitian blocks X in the coordinates Re X + Im X
+  under the real matrix Re L + (Im L) P, P the transpose
+  (``real_liouvillian``), one float64 action with the radius, margin
+  and products of the complex one.  Each pair's operator is written
+  straight into CSR arrays from the nonzeros of its generator.
+* Neither exact propagator renormalizes or clips: norm or trace drift
+  beyond 1e-6 raises NormDriftError, and the engines validate final
+  density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
   DOP853 and is kept as the independent reference the exact propagator
   is tested against; no engine calls it.
@@ -289,7 +297,7 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
     h0 = -delta * np.arange(m)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
     start = np.exp(-1j * h0 * t0)[:, None] * columns.reshape(atoms, m, k)
-    coeffs = basis.q.T @ start.reshape(atoms, m * k)
+    coeffs = _rotate(basis.q.T, start.reshape(atoms, m * k))
     out = np.zeros((len(times), atoms, m * k), dtype=complex)
     block_dim = 0
     for group in basis.groups:
@@ -306,7 +314,8 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
             .transpose(0, 3, 1, 2, 4).reshape(len(times), group.stop - group.start, m * k))
         block_dim = max(block_dim, group.width * m)
     traj = (np.exp(1j * np.outer(times, h0))[:, None, :, None]
-            * (basis.q @ out).reshape(len(times), atoms, m, k)).reshape(len(times), atoms * m, k)
+            * _rotate(basis.q, out).reshape(len(times), atoms, m, k))
+    traj = traj.reshape(len(times), atoms * m, k)
 
     drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(traj, axis=1))
     top = traj.reshape(len(times), atoms, m, -1)[:, :, -2:]
@@ -445,21 +454,88 @@ def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
 
     It is formed from the effective generators G = -i H - sum_c c^dag c / 2
     and G' = i H' - sum_c c'^dag c' / 2 as L = G kron I + I kron G'^T +
-    sum_c c kron conj(c'): one sparse Kronecker product per term."""
-    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
-
+    sum_c c kron conj(c'), written straight into CSR arrays from the
+    nonzeros of each factor (``_liouvillian_entries``, ``_csr``)."""
     right = generator if right is None else right
+    return _csr(*_liouvillian_entries(generator, space, decay, right),
+                len(generator) * len(right))
+
+
+def real_liouvillian(generator: np.ndarray, space: SpaceDescriptor,
+                     decay: DecaySpec) -> "scipy.sparse.csr_matrix":
+    """The Liouvillian L of ``liouvillian(generator, space, decay)`` on
+    Hermitian p x p blocks X, in the real coordinates Y = Re X + Im X:
+    the real matrix
+
+        R = Re L + (Im L) P,   P vec(Y) = vec(Y^T),
+
+    on row-major vec(Y).  Re X is symmetric and Im X antisymmetric, so
+    Y -> X is an isometry with Re X = (Y + Y^T)/2, Im X = (Y - Y^T)/2,
+    P Y = Re X - Im X, and Re(L X) + Im(L X) = Re L (Re X + Im X) +
+    Im L (Re X - Im X) = R Y.  L maps Hermitian blocks to Hermitian
+    blocks (it commutes with X -> X^dag for any Hermitian generator and
+    any collapse operators), so R Y holds the coordinates of L X, and
+    e^{t R} those of e^{t L} X.  R has the spectrum of L, hence its
+    trace, so ``chebyshev_action`` takes it with the same radius and
+    margin."""
+    rows, cols, vals = _liouvillian_entries(generator, space, decay, generator)
+    p = len(generator)
+    swapped = cols % p * p + cols // p
+    return _csr(np.concatenate([rows, rows]), np.concatenate([cols, swapped]),
+                np.concatenate([vals.real, vals.imag]), p * p)
+
+
+def _liouvillian_entries(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
+                         right: np.ndarray):
+    """The entries of ``liouvillian(generator, space, decay, right)`` as
+    (rows, cols, values), one term after another; an entry that two terms
+    share appears once per term."""
     p, q, m = len(generator), len(right), space.mode_dim
     ops = _collapse_ops(space, decay)
     damping = sum((c.conj().T @ c for c in ops), np.zeros((m, m)))
-    g_left = -1j * generator - 0.5 * np.kron(np.eye(p // m), damping)
-    g_right = 1j * right - 0.5 * np.kron(np.eye(q // m), damping)
-    out = (sp.kron(g_left, sp.identity(q), format="csr")
-           + sp.kron(sp.identity(p), g_right.T, format="csr"))
-    for c in ops:
-        out = out + sp.kron(np.kron(np.eye(p // m), c), np.kron(np.eye(q // m), c.conj()),
-                            format="csr")
-    return out
+    g_left = -1j * generator - 0.5 * _eye_kron(p // m, damping)
+    g_right = 1j * right - 0.5 * _eye_kron(q // m, damping)
+    terms = [_kron_entries(g_left, np.eye(q)), _kron_entries(np.eye(p), g_right.T)]
+    terms += [_kron_entries(_eye_kron(p // m, c), _eye_kron(q // m, c.conj())) for c in ops]
+    return tuple(np.concatenate(part) for part in zip(*terms))
+
+
+def _eye_kron(k: int, c: np.ndarray) -> np.ndarray:
+    """I_k kron c, written into its diagonal blocks: for these small
+    factors several times faster than numpy's generic kron."""
+    out = np.zeros((k, len(c), k, len(c)), dtype=c.dtype)
+    out[range(k), :, range(k)] = c
+    return out.reshape(k * len(c), -1)
+
+
+def _kron_entries(a: np.ndarray, b: np.ndarray):
+    """The entries of a kron b made from the nonzeros of a and b, as
+    (rows, cols, values)."""
+    ai, aj = np.nonzero(a)
+    bi, bj = np.nonzero(b)
+    rows = np.add.outer(ai * b.shape[0], bi).ravel()
+    cols = np.add.outer(aj * b.shape[1], bj).ravel()
+    return rows, cols, np.multiply.outer(a[ai, aj], b[bi, bj]).ravel()
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+         n: int) -> "scipy.sparse.csr_matrix":
+    """The n x n CSR matrix with the sum of the given entries at each
+    position, in row-major order, exact zeros dropped.  Entries at one
+    position are added in the order given, so identical calls give
+    identical bits."""
+    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
+
+    live = vals != 0
+    key, vals = rows[live] * n + cols[live], vals[live]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[first], np.add.reduceat(vals[order], first)
+    live = vals != 0
+    key, vals = key[live], vals[live]
+    indptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
+    return sp.csr_matrix((vals, key % n, indptr), shape=(n, n))
 
 
 def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
@@ -491,6 +567,12 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     reproducible.  The J_k(z) come from Miller's backward recurrence,
     normalised by J_0 + 2 sum_k J_2k = 1 (``_chebyshev_coefficients``).
 
+    The arithmetic is that of a and b: float64 when both are real, as
+    for ``real_liouvillian`` on the real coordinates of Hermitian
+    blocks, where mu is real too and a product costs about half a
+    complex one; complex128 otherwise.  The number of products depends
+    on radius, margin and t alone.
+
     Cost per term: phi_{k+1} is written into a ring of CHEB_RING
     preallocated rows by copying phi_{k-1} into its row and adding
     (2/radius) a' phi_k there with one call of the compiled kernel
@@ -521,7 +603,9 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     lies in [-(W + K), W + K] / radius + i [-3K/2, K] / radius: the
     margin in the radius keeps its real extent inside [-1, 1] (and
     keeps the radius positive at V = 0), and its imaginary extent is at
-    most 3K/(2 radius).
+    most 3K/(2 radius).  In real coordinates the recurrence is the same
+    one, term by term, applied to Hermitian blocks, so the bound holds
+    for it unchanged.
 
     Why margin tau <= 1 keeps T_k bounded: at an eigenvalue x = u + i v
     of M, |T_k(x)| = |cos(k arccos x)| <= e^{k |Im arccos x|}, with
@@ -554,10 +638,11 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     tau = t / steps
     coeffs = _chebyshev_coefficients(radius * tau)
     _check_work(steps * len(coeffs))
+    dtype = np.result_type(a.dtype, b.dtype)
     x = ((2.0 / radius) * (a - mu * sp.identity(n, dtype=a.dtype, format="csr"))).tocsr()
-    kernel, args = _csr_kernel(x, b.shape[1])
+    kernel, args = _csr_kernel(x.astype(dtype, copy=False), b.shape[1])
     depth = min(CHEB_RING, len(coeffs))
-    ring = np.zeros((depth, b.size), dtype=complex)
+    ring = np.zeros((depth, b.size), dtype=dtype)
     rows, flat = list(ring), ring.view(float)  # real coefficients act on re and im alike
     damp = np.exp(mu * tau)
     for _ in range(steps):
@@ -565,7 +650,7 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
         rows[1][:] = 0.0
         _csr_product(kernel, args, rows[0], rows[1])
         rows[1] *= 0.5
-        f = np.zeros(2 * b.size)
+        f = np.zeros(flat.shape[1])
         for start in range(0, len(coeffs), depth):
             stop = min(start + depth, len(coeffs))
             for k in range(max(start, 2), stop):
@@ -573,28 +658,31 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
                 row[:] = rows[(k - 2) % depth]
                 _csr_product(kernel, args, rows[(k - 1) % depth], row)
             f += coeffs[start:stop] @ flat[: stop - start]
-        b = f.view(complex).reshape(b.shape)
+        b = f.view(dtype).reshape(b.shape)
         b *= damp
     return b
 
 
 def _csr_kernel(x: "scipy.sparse.csr_matrix", k: int):
-    """scipy's compiled CSR product for x times an (n, k) complex block,
-    and the leading arguments it takes from x, for ``_csr_product``.
+    """scipy's compiled CSR product for x times an (n, k) block of x's
+    dtype, and the leading arguments it takes from x, for
+    ``_csr_product``.
 
     The kernel is the one behind ``x @ v`` (scipy.sparse._sparsetools),
     called without the dispatch that checks its arguments, so x's arrays
     are checked and converted here, once: int32 or int64 indices and
-    complex128 data, C-contiguous.
+    float64 or complex128 data, C-contiguous.
     """
     from scipy.sparse import _sparsetools  # loaded with scipy.sparse
 
     index = np.result_type(x.indptr, x.indices)
     if index not in (np.int32, np.int64):
         raise TypeError(f"CSR indices must be int32 or int64, not {index}")
+    if x.dtype not in (np.float64, np.complex128):
+        raise TypeError(f"CSR data must be float64 or complex128, not {x.dtype}")
     arrays = (np.ascontiguousarray(x.indptr, dtype=index),
               np.ascontiguousarray(x.indices, dtype=index),
-              np.ascontiguousarray(x.data, dtype=complex))
+              np.ascontiguousarray(x.data))
     if k == 1:
         return _sparsetools.csr_matvec, (*x.shape, *arrays)
     return _sparsetools.csr_matvecs, (*x.shape, k, *arrays)
@@ -603,7 +691,8 @@ def _csr_kernel(x: "scipy.sparse.csr_matrix", k: int):
 def _csr_product(kernel, args, v: np.ndarray, out: np.ndarray) -> None:
     """out += x v for the matrix x of ``_csr_kernel(x, k)`` = (kernel,
     args), with v and out the row-major (n, k) blocks as C-contiguous
-    complex128 arrays; every product of ``chebyshev_action`` is one call."""
+    arrays of x's dtype; every product of ``chebyshev_action`` is one
+    call."""
     kernel(*args, v, out)
 
 
@@ -676,11 +765,25 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     tr(c^dag c) / n depends on the mode alone and each c has the same
     norm as on the whole space.
 
+    The members are Hermitian, and L commutes with X -> X^dag, so:
+
+    * the block (J', J) is the adjoint of the block (J, J'): only J <= J'
+      (in the order of the basis' groups) is propagated, and the other
+      is filled in;
+    * a diagonal pair (J, J) runs in real arithmetic.  Its copy blocks
+      X_cc are Hermitian, and so are X_12 + X_21 and i (X_12 - X_21) for
+      copies 1 < 2, which give X_12 = (A - i B) / 2 back from their
+      propagated A and B.  These C^2 Hermitian blocks per member (C
+      copies) take one float64 action of ``real_liouvillian`` in the
+      coordinates Re X + Im X, with the radius and margin of the complex
+      action, so with as many products, each on real rows.
+
     ``rhos`` (k, dim, dim) are the members of one ensemble, each scaled
     by its weight (trace = weight), so leakage is checked on the
     weighted mixture of the flat result.  drift is the largest relative
-    trace change (NormDriftError beyond 1e-6); nothing is renormalized,
-    symmetrized or clipped.
+    trace change (NormDriftError beyond 1e-6); nothing is renormalized
+    or clipped.  Only the pairs on and above the diagonal are read, and
+    the result in the coupled basis is exactly Hermitian.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -691,14 +794,14 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     h0 = -delta * np.arange(m)
     spread = np.subtract.outer(h0, h0)[:, None, :]  # e^{-i H0 t} . e^{i H0 t} on (n, n')
     sigma = np.exp(-1j * spread * t0) * rhos.reshape(k, atoms, m, atoms, m)
-    sigma = _both_sides(basis.q.T, sigma, basis.q)
+    sigma = _both_sides(basis.q.T, sigma)
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
     _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
     blocks = {}
     block_dim = 0
-    for left in basis.groups:
-        for right in basis.groups:
+    for i, left in enumerate(basis.groups):
+        for right in basis.groups[i:]:
             x = sigma[:, left.start:left.stop, :, right.start:right.stop]
             if not x.any():
                 continue
@@ -710,15 +813,22 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
             p, q = len(h_left), len(h_right)
             centre = np.trace(h_left).real / p - np.trace(h_right).real / q
             width = max(w_left[-1] - w_right[0] - centre, centre - w_left[0] + w_right[-1])
-            cols = (x.reshape(k, left.copies, left.width, m, right.copies, right.width, m)
-                    .transpose(2, 3, 5, 6, 0, 1, 4).reshape(p * q, -1))
-            cols = chebyshev_action(liouvillian(h_left, space, decay, h_right), cols,
-                                    t1 - t0, width + margin, margin)
-            out[:, left.start:left.stop, :, right.start:right.stop] = (
-                cols.reshape(left.width, m, right.width, m, k, left.copies, right.copies)
-                .transpose(4, 5, 0, 1, 6, 2, 3).reshape(x.shape))
+            if right is left:
+                y = chebyshev_action(real_liouvillian(h_left, space, decay),
+                                     _real_columns(x, left, m), t1 - t0, width + margin, margin)
+                x = _from_real_columns(y, left, m, k)
+            else:
+                cols = (x.reshape(k, left.copies, left.width, m, right.copies, right.width, m)
+                        .transpose(2, 3, 5, 6, 0, 1, 4).reshape(p * q, -1))
+                cols = chebyshev_action(liouvillian(h_left, space, decay, h_right), cols,
+                                        t1 - t0, width + margin, margin)
+                x = (cols.reshape(left.width, m, right.width, m, k, left.copies, right.copies)
+                     .transpose(4, 5, 0, 1, 6, 2, 3).reshape(x.shape))
+                out[:, right.start:right.stop, :, left.start:left.stop] = (
+                    x.conj().transpose(0, 3, 4, 1, 2))
+            out[:, left.start:left.stop, :, right.start:right.stop] = x
             block_dim = max(block_dim, p * q)
-    out = (np.exp(1j * spread * t1) * _both_sides(basis.q, out, basis.q.T)).reshape(rhos.shape)
+    out = (np.exp(1j * spread * t1) * _both_sides(basis.q, out)).reshape(rhos.shape)
 
     drift = norm_drift(np.trace(rhos, axis1=1, axis2=2).real,
                        np.trace(out, axis1=1, axis2=2).real)
@@ -726,11 +836,51 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     return Propagation(out, leak, drift, block_dim)
 
 
-def _both_sides(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left x right on the atom axes (1 and 3) of a (k, A, m, A, m) stack."""
+def _real_columns(x: np.ndarray, group: SpinGroup, m: int) -> np.ndarray:
+    """The (p^2, k C^2) real columns of the diagonal pair block x
+    (k, C w, m, C w, m) of C copies, p = w m: per member, Re X + Im X of
+    each copy block X_cc, then of X_12 + X_21 and of i (X_12 - X_21) for
+    each pair of copies 1 < 2 (``_from_real_columns`` inverts it)."""
+    k, c, p = len(x), group.copies, group.width * m
+    x = x.reshape(k, c, p, c, p).transpose(0, 1, 3, 2, 4)
+    upper, lower = np.triu_indices(c, 1)
+    pairs, mirrors = x[:, upper, lower], x[:, lower, upper]
+    herm = np.concatenate([x[:, range(c), range(c)], pairs + mirrors,
+                           1j * (pairs - mirrors)], axis=1)
+    return (herm.real + herm.imag).reshape(k * c * c, p * p).T
+
+
+def _from_real_columns(y: np.ndarray, group: SpinGroup, m: int, k: int) -> np.ndarray:
+    """The (k, C w, m, C w, m) diagonal pair block whose real columns
+    (``_real_columns``) are y: Re X = (Y + Y^T)/2 and Im X = (Y - Y^T)/2
+    of each Hermitian block, then X_12 = (A - i B)/2 and X_21 = X_12^dag."""
+    c, p = group.copies, group.width * m
+    y = y.T.reshape(k, c * c, p, p)
+    herm = np.empty(y.shape, dtype=complex)
+    herm.real = (y + y.swapaxes(2, 3)) / 2
+    herm.imag = (y - y.swapaxes(2, 3)) / 2
+    upper, lower = np.triu_indices(c, 1)
+    pairs = len(upper)
+    x = np.empty((k, c, c, p, p), dtype=complex)
+    x[:, range(c), range(c)] = herm[:, :c]
+    x[:, upper, lower] = (herm[:, c:c + pairs] - 1j * herm[:, c + pairs:]) / 2
+    x[:, lower, upper] = x[:, upper, lower].conj().swapaxes(2, 3)
+    return x.transpose(0, 1, 3, 2, 4).reshape(k, c * group.width, m, c * group.width, m)
+
+
+def _rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u @ x for a real u and a complex x, on x's second-to-last axis:
+    u multiplies the real and imaginary parts as the columns of
+    x.view(float), so matmul makes no complex copy of u."""
+    return (u @ np.ascontiguousarray(x).view(float)).view(complex)
+
+
+def _both_sides(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u x u^T on the atom axes (1 and 3) of a complex (k, A, m, A, m)
+    stack, for a real A x A u."""
     k, atoms, m = x.shape[:3]
-    y = (left @ x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
-    return (y.swapaxes(2, 3) @ right).swapaxes(2, 3).reshape(x.shape)
+    y = _rotate(u, x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
+    return _rotate(u, y).reshape(x.shape)
 
 
 def _collapse_ops(space: SpaceDescriptor, decay: DecaySpec) -> list[np.ndarray]:

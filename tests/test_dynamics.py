@@ -40,6 +40,7 @@ from spincavity.dynamics import (
     liouvillian,
     norm_drift,
     propagator_u,
+    real_liouvillian,
     thermal_state,
 )
 from spincavity.dynamics import _chebyshev_coefficients, _csr_kernel, _csr_product
@@ -770,6 +771,33 @@ def test_liouvillian_from_the_effective_generators_matches_the_term_by_term_form
         assert np.abs(new.toarray() - old).max() <= 1e-15 * np.abs(old).max()
 
 
+@pytest.mark.parametrize("frame", ["interaction", "ion-series"])
+def test_real_liouvillian_is_re_l_plus_im_l_times_the_transpose(frame):
+    # R = Re L + (Im L) P with P vec(Y) = vec(Y^T), for a real cavity
+    # generator and a complex ion one (phi = 0.7) with a warm bath; it
+    # maps the coordinates Re X + Im X of a Hermitian X to those of L X
+    space = make_space(2, 2, 3)
+    params = DriveParams(g=1.0, delta=3.0, omega=5.0, eta=0.3, phi=0.7, lamb_dicke_order=2)
+    gen = EXACT_FRAMES[frame](space, params)(None) + np.diag(
+        -3.0 * np.tile(np.arange(space.mode_dim), space.atoms_dim))
+    assert (np.abs(gen.imag).max() > 0) == (frame == "ion-series")
+    decay = DecaySpec(0.4, 0.3)
+    n = space.dim
+    full = liouvillian(gen, space, decay).toarray()
+    transpose = np.arange(n * n).reshape(n, n).T.ravel()
+    expected = full.real + full.imag[:, transpose]
+    r = real_liouvillian(gen, space, decay)
+    assert r.dtype == np.float64
+    assert r.nnz == np.count_nonzero(expected)
+    assert np.abs(r.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
+    x = _random_columns(np.random.default_rng(3), n, n)
+    x = x @ x.conj().T + 1j * (x - x.conj().T)
+    lx = (full @ x.ravel()).reshape(n, n)
+    assert np.abs(lx - lx.conj().T).max() <= 1e-14 * np.abs(lx).max()
+    y = r @ (x.real + x.imag).ravel()
+    assert np.abs(y - (lx.real + lx.imag).ravel()).max() <= 1e-14 * np.abs(lx).max()
+
+
 def _decay_sweep_stage():
     """The decay-sweep's stage: N = 2 GHZ at delta = 4.1 g, cutoff 6,
     kappa = 0.2 g."""
@@ -814,6 +842,30 @@ def test_chebyshev_action_product_count_on_the_decay_sweep_stage(monkeypatch):
     assert radius * t <= len(products) < 2 * radius * t
 
 
+def test_the_decay_sweep_stage_runs_on_float64_rows_with_the_complex_product_count(
+        monkeypatch):
+    # from the vacuum only the spin-1 diagonal pair is occupied; its
+    # action runs every product on float64 rows and takes the 1712
+    # products the complex action on the same pair took
+    space = make_space(2, 2, 6)
+    (stage,) = [s for s in plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1).stages
+                if isinstance(s, CollectiveDrive)]
+    build = partial(interaction_terms, space, DriveParams(g=1.0, delta=4.1, omega=stage.omega))
+    psi = basis_state(space, "gg", 0).amplitudes
+    rows = []
+    product = dynamics._csr_product
+
+    def counted(kernel, args, v, out):
+        rows.append(out.dtype)
+        product(kernel, args, v, out)
+
+    monkeypatch.setattr(dynamics, "_csr_product", counted)
+    evolve_lindblad(build, 4.1, DecaySpec(0.2), space, np.outer(psi, psi.conj())[None],
+                    0.0, stage.duration)
+    assert len(rows) == 1712
+    assert set(rows) == {np.dtype(np.float64)}
+
+
 @pytest.mark.parametrize("scale_radius, scale_margin", [
     (1e8, 1.0), (1.0, 1e8), (math.inf, 1.0), (1.0, math.inf)])
 def test_chebyshev_action_refuses_work_beyond_the_budget(monkeypatch, scale_radius,
@@ -838,13 +890,16 @@ def test_chebyshev_action_refuses_a_block_of_the_wrong_shape(shape):
         chebyshev_action(a, np.ones(shape, dtype=complex), t, radius, margin)
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
 @pytest.mark.parametrize("k", [1, 3])
-def test_csr_product_is_the_sparse_product(k):
+def test_csr_product_is_the_sparse_product(k, real):
     # from zero it is x @ v bit for bit (the same compiled kernel);
     # otherwise it adds x v to what out holds
     _, (a, _, _), _ = _decay_sweep_stage()
     rng = np.random.default_rng(k)
     v = rng.normal(size=(a.shape[0], k)) + 1j * rng.normal(size=(a.shape[0], k))
+    if real:
+        a, v = a.real.tocsr(), v.real.copy()
     kernel, args = _csr_kernel(a, k)
     out = np.zeros_like(v)
     _csr_product(kernel, args, v, out)
@@ -1131,3 +1186,32 @@ def test_lindblad_pairs_whose_blocks_have_different_centres():
     prop = evolve_lindblad(build, 2.0, decay, space, rhos, 1.0, 1.5)
     dense = _dense_lindblad(build, 2.0, decay, space, rhos, 1.0, 1.5)
     assert np.max(np.abs(prop.states - dense)) <= 1e-10
+
+
+def test_lindblad_full_rank_stage_with_copies_takes_one_action_per_mirrored_pair(monkeypatch):
+    # N = 3 qubits: spin 3/2 (one copy) and spin 1/2 (two copies), G = 2
+    # groups, so a full-rank stack occupies G^2 = 4 pairs.  The two
+    # diagonal pairs run on float64 columns (C^2 k: 1 and 4 per member),
+    # and the pair of different spins once, complex, for itself and its
+    # mirror: G (G + 1) / 2 = 3 actions
+    space = make_space(3, 2, 2)
+    build = partial(interaction_terms, space, DriveParams(g=1.0, delta=3.0, omega=6.0))
+    decay = DecaySpec(0.3, 0.2)
+    rng = np.random.default_rng(11)
+    rhos = np.stack([weight * (x @ x.conj().T) for weight, x in
+                     ((0.7, _random_columns(rng, space.dim, space.dim)),
+                      (0.3, _random_columns(rng, space.dim, space.dim)))])
+    dense = _dense_lindblad(build, 3.0, decay, space, rhos, 2.0, 2.4)
+    actions = []
+    action = dynamics.chebyshev_action
+
+    def counted(a, b, *args):
+        actions.append((str(a.dtype), b.shape[1]))
+        return action(a, b, *args)
+
+    monkeypatch.setattr(dynamics, "chebyshev_action", counted)
+    prop = evolve_lindblad(build, 3.0, decay, space, rhos, 2.0, 2.4)
+    assert sorted(actions) == [("complex128", 4), ("float64", 2), ("float64", 8)]
+    assert np.max(np.abs(prop.states - dense)) <= 1e-10
+    again = evolve_lindblad(build, 3.0, decay, space, rhos, 2.0, 2.4)
+    assert again.states.tobytes() == prop.states.tobytes()
