@@ -291,13 +291,13 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
       "--fock-cutoff", "12"), False),
     (("ghz-three-level", "--n", "4", "--engine", "lindblad", "--delta", "10",
       "--fock-cutoff", "14"), True),
+    # the Effective engine holds about twelve d^N-long arrays at once
+    (("ghz", "--n", "22"), True),
+    (("ghz", "--n", "24"), False),
     # the widest diagonal pair (spin 3/2, 14 copies) runs on a float64
     # ring: 974 MiB in all, against 1132 MiB with a complex ring; the run
     # from the vacuum rose 418 MB in peak RSS
     (("ghz", "--n", "7", "--engine", "lindblad", "--delta", "10", "--fock-cutoff", "15"), True),
-    # the Effective engine holds about twelve d^N-long arrays at once
-    (("ghz", "--n", "22"), True),
-    (("ghz", "--n", "24"), False),
 ])
 def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
     config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))
