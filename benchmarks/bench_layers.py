@@ -26,6 +26,13 @@ Generator builds (the static mode-frame V of one drive stage):
 * ``build_ion_terms_series``: the ion displacement series to order 2,
   N = 2 qubits, cutoff 6 (dimension 28).
 
+Basis build:
+
+* ``coupled_basis_build[qubits-11]``, ``coupled_basis_build[qutrits-6]``:
+  ``algebra.coupled_basis`` from scratch (every cache cleared before each
+  round) for N = 11 qubits (q is 2048 x 2048) and N = 6 qutrits
+  (729 x 729).
+
 Series coefficients:
 
 * ``chebyshev_coefficients``: the decay engine's Bessel coefficients
@@ -98,6 +105,10 @@ End to end:
   lindblad`` over three kappa points, 0.05, 0.125 and 0.2 g, at
   delta = 4.1 g and cutoff 6 (the decay-sweep workload's shape), with
   its CSV report.
+* ``cli_protocol_ghz11_full``: one in-process ``protocol ghz --n 11
+  --engine full --g 1 --delta 10 --fock-cutoff 14``, the coupled basis
+  built anew each round as in a fresh process (Hilbert dimension
+  30720).
 """
 
 import contextlib
@@ -121,7 +132,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import scipy  # noqa: E402
 
-from spincavity import cli, dynamics  # noqa: E402
+from spincavity import algebra, cli, dynamics  # noqa: E402
 from spincavity.algebra import basis_state, coupled_basis, make_space  # noqa: E402
 from spincavity.analysis import fidelity, reduce_to_atoms  # noqa: E402
 from spincavity.dynamics import (  # noqa: E402
@@ -233,6 +244,23 @@ def test_build_ion_terms_series(record):
     params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=0.5 * np.pi, lamb_dicke_order=2)
     record.extra_info["hilbert_dim"] = space.dim
     record(ion_terms, space, params, FrameTag.ION_INTERACTION)
+
+
+def _clear_basis_caches():
+    """Drop every cached basis, and the multiplet cache of source trees
+    that keep one, so the next build starts from scratch."""
+    coupled_basis.cache_clear()
+    multiplets = getattr(algebra, "_spin_half_multiplets", None)
+    if multiplets is not None:
+        multiplets.cache_clear()
+
+
+@pytest.mark.parametrize("atom_count, atom_dim", [(11, 2), (6, 3)],
+                         ids=["qubits-11", "qutrits-6"])
+def test_coupled_basis_build(record, atom_count, atom_dim):
+    record.extra_info["atoms_dim"] = atom_dim**atom_count
+    record.pedantic(coupled_basis, (atom_count, atom_dim), setup=_clear_basis_caches,
+                    rounds=7, iterations=1)
 
 
 def test_chebyshev_coefficients(record):
@@ -408,3 +436,17 @@ def _cli_sweep_lindblad():
 
 def test_cli_sweep_lindblad(record):
     assert record(_cli_sweep_lindblad) == 0
+
+
+def _cli_ghz11_full():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["protocol", "ghz", "--n", "11", "--engine", "full", "--g", "1",
+                         "--delta", "10", "--fock-cutoff", "14"])
+
+
+def test_cli_protocol_ghz11_full(record):
+    record.extra_info["hilbert_dim"] = 2**11 * 15
+    codes = []
+    record.pedantic(lambda: codes.append(_cli_ghz11_full()), setup=_clear_basis_caches,
+                    rounds=5, iterations=1)
+    assert codes == [0] * len(codes)

@@ -292,14 +292,31 @@ class CoupledBasis:
     a state |J, M, alpha> of one spectator pattern: every atom is either
     active (g or e) or parked in one level f or h, and the k active atoms
     are coupled into total-spin multiplets.  groups holds one SpinGroup
-    per value of 2J, largest first.  A collective operator never joins
-    two copies (pattern x alpha) of a multiplet, and on each copy of spin
-    J the collective S+ is the standard ladder ``spin_raising(2J)``, so
-    q^T S+ q is block diagonal with that block on every copy.
+    per value of 2J, largest first (``spin_groups``).  A collective
+    operator never joins two copies (pattern x alpha) of a multiplet, and
+    on each copy of spin J the collective S+ is the standard ladder
+    ``spin_raising(2J)``, so q^T S+ q is block diagonal with that block
+    on every copy.  States enter and leave the basis through ``rotate``
+    and ``both_sides``; no other module of the package reads q.
     """
 
     q: np.ndarray
     groups: tuple
+
+    def rotate(self, x: np.ndarray, back: bool = False) -> np.ndarray:
+        """q^T x, the coefficients of a complex x in the basis (q x with
+        ``back``), on x's second-to-last axis: q multiplies the real and
+        imaginary parts as the columns of x.view(float), so matmul makes
+        no complex copy of q."""
+        u = self.q if back else self.q.T
+        return (u @ np.ascontiguousarray(x).view(float)).view(complex)
+
+    def both_sides(self, x: np.ndarray, back: bool = False) -> np.ndarray:
+        """q^T x q (q x q^T with ``back``) on the atom axes (1 and 3) of a
+        complex (k, A, m, A, m) stack."""
+        k, atoms, m = x.shape[:3]
+        y = self.rotate(x.reshape(k, atoms, -1), back).reshape(k, atoms * m, atoms, m)
+        return self.rotate(y, back).reshape(x.shape)
 
 
 def spin_raising(two_j: int) -> np.ndarray:
@@ -311,52 +328,66 @@ def spin_raising(two_j: int) -> np.ndarray:
     return np.diag(0.5 * np.sqrt((two_j - two_m) * (two_j + two_m + 2.0)), -1)
 
 
-@lru_cache(maxsize=16)
-def _spin_half_multiplets(k: int) -> tuple:
-    """(2J, vectors) of every total-spin multiplet of k spin-1/2 (|g> is
-    M = -1/2, the first spin the most significant digit), each a
-    (2^k, 2J + 1) block with columns M = -J .. J.
+def spin_groups(atom_count: int, atom_dim: int) -> tuple:
+    """The groups of coupled_basis(atom_count, atom_dim), counted in
+    closed form without building it: spin J has one copy per pattern of
+    k active atoms (C(N, k) (d - 2)^(N - k) patterns) and per spin-J
+    multiplet of k spin-1/2 (C(k, l) - C(k, l - 1) of them, l = k/2 - J)."""
+    n, d = atom_count, atom_dim
 
-    The spins are added one at a time with the Condon-Shortley
-    Clebsch-Gordan coefficients of j x 1/2:
-
-        |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
-        |j - 1/2, M> = -b |j, M - 1/2>|e> + a |j, M + 1/2>|g>,
-
-    a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)).
-    """
-    if k == 0:
-        one = np.ones((1, 1))
-        one.flags.writeable = False
-        return ((0, one),)
-    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    out = []
-    for two_j, vecs in _spin_half_multiplets(k - 1):
-        for two_big in (two_j + 1, two_j - 1):
-            if two_big < 0:
-                continue
-            new = np.zeros((2 * len(vecs), two_big + 1))
-            for col, two_m in enumerate(range(-two_big, two_big + 1, 2)):
-                a = math.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
-                b = math.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
-                with_e, with_g = (a, b) if two_big > two_j else (-b, a)
-                below, above = (two_j + two_m - 1) // 2, (two_j + two_m + 1) // 2
-                if 0 <= below <= two_j:
-                    new[:, col] += with_e * np.kron(vecs[:, below], e)
-                if 0 <= above <= two_j:
-                    new[:, col] += with_g * np.kron(vecs[:, above], g)
-            new.flags.writeable = False
-            out.append((two_big, new))
-    return tuple(out)
+    def multiplets(k, low):  # of spin J = k/2 - low among k spin-1/2
+        return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+    groups, start = [], 0
+    for two_j in range(n, -1, -1):
+        copies = sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, (k - two_j) // 2)
+                     for k in range(two_j, n + 1, 2))
+        if copies:
+            groups.append(SpinGroup(two_j, start, copies))
+            start = groups[-1].stop
+    return tuple(groups)
 
 
 @lru_cache(maxsize=8)
 def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
-    """The CoupledBasis of atom_count atoms with atom_dim levels (built
-    once per shape; see the class docstring)."""
+    """The CoupledBasis of atom_count atoms with atom_dim levels, built
+    once per shape (see the class docstring).
+
+    The multiplets of k = 1 .. N spin-1/2 (|g> is M = -1/2, the first
+    spin the most significant digit) come from those of k - 1 with the
+    Condon-Shortley Clebsch-Gordan coefficients of j x 1/2:
+
+        |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
+        |j - 1/2, M> = -b |j, M - 1/2>|e> + a |j, M + 1/2>|g>,
+
+    a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)),
+    the |e> part going into the odd rows of the 2^k-row vectors and the
+    |g> part into the even ones.  These levels (8 (4^(N+1) - 1) / 3
+    bytes in all) live only during the build: each spectator pattern
+    (itertools order) writes its multiplets into q's rows of its active
+    atoms, at the next free columns of their groups.
+    """
     d, n = atom_dim, atom_count
+    levels = [[(0, np.ones((1, 1)))]]  # (2J, (2^k, 2J + 1) vectors) of k = 0 .. n spins
+    for _ in range(n):
+        grown = []
+        for two_j, vecs in levels[-1]:
+            for two_big in (two_j + 1, two_j - 1):
+                if two_big < 0:
+                    continue
+                two_m = np.arange(-two_big, two_big + 1, 2)
+                a = np.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
+                b = np.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
+                new = np.zeros((2 * len(vecs), two_big + 1))
+                if two_big > two_j:  # M = -J' has no |e> part, M = J' no |g> part
+                    new[1::2, 1:], new[0::2, :-1] = a[1:] * vecs, b[:-1] * vecs
+                else:
+                    new[1::2], new[0::2] = -b * vecs[:, :-1], a * vecs[:, 1:]
+                grown.append((two_big, new))
+        levels.append(grown)
+    groups = spin_groups(n, d)
+    free = {group.two_j: group.start for group in groups}
+    q = np.zeros((d**n, d**n))
     digits = d ** np.arange(n - 1, -1, -1)  # atom 1 the most significant
-    copies: dict[int, list] = {}
     for pattern in itertools.product((None,) + tuple(range(2, d)), repeat=n):
         active = [j for j, level in enumerate(pattern) if level is None]
         parked = sum(int(digits[j]) * level for j, level in enumerate(pattern)
@@ -364,18 +395,11 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
         k = len(active)
         bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
         rows = parked + bits @ digits[active]
-        for two_j, vecs in _spin_half_multiplets(k):
-            cols = np.zeros((d**n, two_j + 1))
-            cols[rows] = vecs
-            copies.setdefault(two_j, []).append(cols)
-    groups, columns, start = [], [], 0
-    for two_j in sorted(copies, reverse=True):
-        groups.append(SpinGroup(two_j, start, len(copies[two_j])))
-        columns.extend(copies[two_j])
-        start = groups[-1].stop
-    q = np.hstack(columns)
+        for two_j, vecs in levels[k]:
+            q[rows, free[two_j]:free[two_j] + two_j + 1] = vecs
+            free[two_j] += two_j + 1
     q.flags.writeable = False
-    return CoupledBasis(q, tuple(groups))
+    return CoupledBasis(q, groups)
 
 
 def mode_lowering(space: SpaceDescriptor) -> np.ndarray:

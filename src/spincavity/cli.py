@@ -28,7 +28,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .algebra import LEVEL_LABELS, PhysicsError, decode_index
+from .algebra import LEVEL_LABELS, PhysicsError, decode_index, spin_groups
 from .analysis import fidelity, leg_populations, reduce_to_atoms, trace_distance
 from .dynamics import DecaySpec, ThermalSpec
 from .hamiltonians import DriveParams, FrameTag, lambda_cavity, lambda_ion
@@ -267,45 +267,45 @@ def _system_lambda(config: RunConfig) -> float:
     return lambda_cavity(config.g, config.delta)
 
 
-def _group_columns(n: int, d: int) -> list[int]:
-    """The columns of algebra.coupled_basis(n, d) of each 2J = 0 .. n that
-    occurs: 2J + 1 per copy, a pattern of k active atoms x a spin-J
-    multiplet."""
-    def multiplets(k, two_j):
-        low = (k - two_j) // 2
-        return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
-    columns = ((two_j + 1) * sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, two_j)
-                                 for k in range(two_j, n + 1, 2))
-               for two_j in range(max(n, 0) + 1))
-    return [c for c in columns if c]
-
-
-def _check_memory(config: RunConfig):
+def _check_memory(config: RunConfig, frames: bool = False) -> int:
     """Refuse a run whose arrays, sized from the space dimensions before
-    anything is allocated, would together exceed MEMORY_BUDGET bytes.
-    With A = d^N, m = cutoff + 1, D = A m and 16 bytes per complex entry:
+    anything is allocated, would together exceed MEMORY_BUDGET bytes;
+    returns that size.  With A = d^N, m = cutoff + 1, D = A m and 16
+    bytes per complex entry:
 
     * effective: twelve arrays of A entries (state, target, S_x phases,
       apply_local's products);
-    * full and decay: coupled_basis's q and the columns it is stacked
-      from (16 A^2 bytes; a rotation multiplies q by the real view of
-      the states, so it makes no complex copy of q), and its cached
-      spin-1/2 multiplets (8 (4^(N+1) - 1) / 3 bytes);
+    * full and decay: coupled_basis's q (8 A^2 bytes; it is filled in
+      place, and a rotation multiplies it by the real view of the
+      states, so no stacked or complex copy of q is made), the
+      Clebsch-Gordan levels it is built from (8 (4^(N+1) - 1) / 3
+      bytes, freed after the build), and 8 KiB per row of q for BLAS
+      work buffers (a rotation with two OpenBLAS threads packs about
+      3.4 KiB per row, with one thread 0.3);
     * full: eight (D, k) column blocks (k = m thermal columns, else 1),
-      the eigh of the widest ((N + 1) m)^2 block, six A x A arrays of
-      compare-frames, and for a thermal start d + 3 D x D matrices (the
-      d branches and read-out temporaries);
-    * decay: 8 + d D x D arrays (the density stack and its _both_sides
+      the eigh of the widest ((N + 1) m)^2 block, and for a thermal
+      start d + 3 D x D matrices (the d branches and read-out
+      temporaries);
+    * decay: 8 + d D x D arrays (the density stack and its rotation
       temporaries, and the states a plan holds while a stage runs: a
-      traced three-level GHZ run holds 3 of them while its second stage
-      makes 6.6 more), about 1152 bytes per row of the ((N + 1) m)^2-row
-      pair Liouvillian, 32 MiB for loading scipy.sparse (about 21 MB of
-      RSS), and 36 arrays of the Chebyshev ring and columns of the
-      widest pair of spin groups: (G m)^2 float64 entries for a diagonal
-      pair, which runs in real arithmetic, or G G' m^2 complex ones for
-      two groups, with G >= G' the two largest of ``_group_columns``.
+      traced three-level GHZ run holds 4 of them when its second stage
+      starts and makes 3 more in its rotations), about 1152 bytes per
+      row of the ((N + 1) m)^2-row pair Liouvillian, 32 MiB for loading
+      scipy.sparse (about 21 MB of RSS), and 36 arrays of the Chebyshev
+      ring and columns of the widest pair of spin groups: (G m)^2
+      float64 entries for a diagonal pair, which runs in real
+      arithmetic, or G G' m^2 complex ones for two groups, with G >= G'
+      the two largest column counts of ``algebra.spin_groups``;
+    * ``frames`` (compare-frames): six A x A arrays, the reduced states
+      of its three runs and the trace distances' temporaries.
 
-    Measured peak RSS stays below this at two sizes of every engine.
+    Measured peak RSS stays below this at two sizes of every engine
+    (tests/test_cli.py::test_memory_guard_bounds_the_measured_rise); the
+    figure over the rise, 2 vCPUs, OpenBLAS 0.3.31 on 2 threads:
+    effective 1.57-1.58x (GHZ N = 19, 20), full cavity 1.08x (qutrit
+    GHZ N = 8, cutoff 8) to 1.30x (GHZ N = 11, cutoff 14) and 1.56x from
+    a thermal start, full ion 1.12-1.27x (GHZ N = 12, 11, cutoff 10),
+    decay 1.99-2.20x (GHZ N = 5, 6) and compare-frames 1.31x (N = 10).
     """
     d, n = ATOM_LEVELS[config.protocol], config.n
     atoms, m = d**n, config.fock_cutoff + 1
@@ -314,22 +314,23 @@ def _check_memory(config: RunConfig):
     if kind == "effective":
         size = 16 * 12 * atoms
     else:
-        size = 16 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3
+        size = 8 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3 + 8192 * atoms
     if kind == "full":
         k = m if config.nbar > 0 else 1
-        size += 16 * (6 * atoms**2 + 8 * dim * k + 8 * widest
-                      + (d + 3) * dim**2 * (k > 1))
+        size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))
     elif kind == "lindblad":
         size += 16 * (8 + d) * dim**2 + 1152 * widest + 2**25
         if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
-            widest_two = sorted(_group_columns(n, d), reverse=True) + [0]
+            widest_two = sorted((g.stop - g.start for g in spin_groups(n, d)), reverse=True) + [0]
             size += 36 * m**2 * max(8 * widest_two[0]**2, 16 * widest_two[0] * widest_two[1])
+    size += 16 * 6 * atoms**2 * frames
     if size > MEMORY_BUDGET:
         gib = f"{size / 2**30:.3g}" if size < 2**1000 else "over 1e290"
         raise ConfigError(
             f"{config.protocol} on {config.n} atoms with the {kind} engine needs "
             f"{gib} GiB at its peak, beyond the "
             f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n or --fock-cutoff")
+    return size
 
 
 def _build_plan(config: RunConfig) -> ProtocolPlan:
@@ -524,7 +525,7 @@ def cmd_compare_frames(config: RunConfig) -> str:
     if kind == "lindblad":
         raise ConfigError("compare-frames runs on unitary engines only")
     full = replace(config, engine="full", system=system)
-    _check_memory(full)
+    _check_memory(full, frames=True)
     plan = _strip_measurements(_build_plan(config))
     if system == "ion":
         variants = [

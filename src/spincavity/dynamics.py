@@ -25,10 +25,11 @@ Numerical policy:
   On a spin-J multiplet the collective S+ is the standard ladder
   algebra.spin_raising(2J), known in closed form.  The propagators take
   the stage's builder, call it once per occupied block with that
-  ladder, rotate the states into the basis on the atom axis, propagate,
-  and rotate back.  This is exact for every state; blocks that are
-  exactly zero are skipped, and no d^N x d^N operator or generator of
-  the whole d^N m space is formed.
+  ladder, rotate the states into the basis on the atom axis
+  (CoupledBasis.rotate, or both_sides for density matrices; the basis
+  alone reads its q), propagate, and rotate back.  This is exact for
+  every state; blocks that are exactly zero are skipped, and no
+  d^N x d^N operator or generator of the whole d^N m space is formed.
 * ``evolve_exact`` propagates each occupied block of a drive stage with
   one eigendecomposition, pushing every copy and every state column
   through it at once.
@@ -297,7 +298,7 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
     h0 = -delta * np.arange(m)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
     start = np.exp(-1j * h0 * t0)[:, None] * columns.reshape(atoms, m, k)
-    coeffs = _rotate(basis.q.T, start.reshape(atoms, m * k))
+    coeffs = basis.rotate(start.reshape(atoms, m * k))
     out = np.zeros((len(times), atoms, m * k), dtype=complex)
     block_dim = 0
     for group in basis.groups:
@@ -314,7 +315,7 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
             .transpose(0, 3, 1, 2, 4).reshape(len(times), group.stop - group.start, m * k))
         block_dim = max(block_dim, group.width * m)
     traj = (np.exp(1j * np.outer(times, h0))[:, None, :, None]
-            * _rotate(basis.q, out).reshape(len(times), atoms, m, k))
+            * basis.rotate(out, back=True).reshape(len(times), atoms, m, k))
     traj = traj.reshape(len(times), atoms * m, k)
 
     drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(traj, axis=1))
@@ -783,7 +784,9 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     weighted mixture of the flat result.  drift is the largest relative
     trace change (NormDriftError beyond 1e-6); nothing is renormalized
     or clipped.  Only the pairs on and above the diagonal are read, and
-    the result in the coupled basis is exactly Hermitian.
+    the result in the coupled basis is exactly Hermitian.  sigma is
+    dropped once every pair is read and the t1 frame phase is applied in
+    place, so rotating back makes no more arrays than rotating in.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -793,8 +796,8 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     atoms, m, k = space.atoms_dim, space.mode_dim, len(rhos)
     h0 = -delta * np.arange(m)
     spread = np.subtract.outer(h0, h0)[:, None, :]  # e^{-i H0 t} . e^{i H0 t} on (n, n')
-    sigma = np.exp(-1j * spread * t0) * rhos.reshape(k, atoms, m, atoms, m)
-    sigma = _both_sides(basis.q.T, sigma)
+    traces = np.trace(rhos, axis1=1, axis2=2).real
+    sigma = basis.both_sides(np.exp(-1j * spread * t0) * rhos.reshape(k, atoms, m, atoms, m))
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
     _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
@@ -828,10 +831,12 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
                     x.conj().transpose(0, 3, 4, 1, 2))
             out[:, left.start:left.stop, :, right.start:right.stop] = x
             block_dim = max(block_dim, p * q)
-    out = (np.exp(1j * spread * t1) * _both_sides(basis.q, out)).reshape(rhos.shape)
+    del sigma  # every pair is read
+    out = basis.both_sides(out, back=True)
+    out *= np.exp(1j * spread * t1)
+    out = out.reshape(rhos.shape)
 
-    drift = norm_drift(np.trace(rhos, axis1=1, axis2=2).real,
-                       np.trace(out, axis1=1, axis2=2).real)
+    drift = norm_drift(traces, np.trace(out, axis1=1, axis2=2).real)
     leak = check_leakage_dm(space, out.sum(axis=0))
     return Propagation(out, leak, drift, block_dim)
 
@@ -866,21 +871,6 @@ def _from_real_columns(y: np.ndarray, group: SpinGroup, m: int, k: int) -> np.nd
     x[:, upper, lower] = (herm[:, c:c + pairs] - 1j * herm[:, c + pairs:]) / 2
     x[:, lower, upper] = x[:, upper, lower].conj().swapaxes(2, 3)
     return x.transpose(0, 1, 3, 2, 4).reshape(k, c * group.width, m, c * group.width, m)
-
-
-def _rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u @ x for a real u and a complex x, on x's second-to-last axis:
-    u multiplies the real and imaginary parts as the columns of
-    x.view(float), so matmul makes no complex copy of u."""
-    return (u @ np.ascontiguousarray(x).view(float)).view(complex)
-
-
-def _both_sides(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u x u^T on the atom axes (1 and 3) of a complex (k, A, m, A, m)
-    stack, for a real A x A u."""
-    k, atoms, m = x.shape[:3]
-    y = _rotate(u, x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
-    return _rotate(u, y).reshape(x.shape)
 
 
 def _collapse_ops(space: SpaceDescriptor, decay: DecaySpec) -> list[np.ndarray]:

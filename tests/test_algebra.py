@@ -1,6 +1,8 @@
 """Space construction, embeddings, collective and bosonic operators."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from spincavity.algebra import (
     local_sp,
     make_space,
     mode_lowering,
+    spin_groups,
     spin_raising,
 )
 
@@ -344,3 +347,90 @@ def test_coupled_basis_keeps_spectators_and_orders_atoms_as_basis_index():
     expected[basis_index(space, "ge")] = -math.sqrt(0.5)
     assert np.max(np.abs(singlet - expected)) <= 1e-15
     assert coupled_basis(2, 3) is basis
+
+
+def _reference_multiplets(k):
+    """(2J, (2^k, 2J + 1) vectors) of the multiplets of k spin-1/2, one
+    spin added at a time through np.kron and one column at a time."""
+    if k == 0:
+        return [(0, np.ones((1, 1)))]
+    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    out = []
+    for two_j, vecs in _reference_multiplets(k - 1):
+        for two_big in (two_j + 1, two_j - 1):
+            if two_big < 0:
+                continue
+            new = np.zeros((2 * len(vecs), two_big + 1))
+            for col, two_m in enumerate(range(-two_big, two_big + 1, 2)):
+                a = math.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
+                b = math.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
+                with_e, with_g = (a, b) if two_big > two_j else (-b, a)
+                below, above = (two_j + two_m - 1) // 2, (two_j + two_m + 1) // 2
+                if 0 <= below <= two_j:
+                    new[:, col] += with_e * np.kron(vecs[:, below], e)
+                if 0 <= above <= two_j:
+                    new[:, col] += with_g * np.kron(vecs[:, above], g)
+            out.append((two_big, new))
+    return out
+
+
+def _reference_q(atom_count, atom_dim):
+    """q stacked from one d^N-row column block per copy, 2J descending,
+    spectator patterns in itertools order."""
+    d, n = atom_dim, atom_count
+    digits = d ** np.arange(n - 1, -1, -1)
+    copies = {}
+    for pattern in itertools.product((None,) + tuple(range(2, d)), repeat=n):
+        active = [j for j, level in enumerate(pattern) if level is None]
+        parked = sum(int(digits[j]) * level for j, level in enumerate(pattern)
+                     if level is not None)
+        bits = (np.arange(2 ** len(active))[:, None] >> np.arange(len(active) - 1, -1, -1)) & 1
+        for two_j, vecs in _reference_multiplets(len(active)):
+            cols = np.zeros((d**n, two_j + 1))
+            cols[parked + bits @ digits[active]] = vecs
+            copies.setdefault(two_j, []).append(cols)
+    return np.hstack([cols for two_j in sorted(copies, reverse=True) for cols in copies[two_j]])
+
+
+@pytest.mark.parametrize("atom_count, atom_dim", [(n, 2) for n in range(1, 9)]
+                         + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 6)])
+def test_coupled_basis_equals_the_column_by_column_build(atom_count, atom_dim):
+    # the same arithmetic in another order: equal values (an exact zero
+    # may differ in sign)
+    assert np.array_equal(coupled_basis(atom_count, atom_dim).q,
+                          _reference_q(atom_count, atom_dim))
+
+
+@pytest.mark.parametrize("atom_count, atom_dim", [(n, 2) for n in range(1, 11)]
+                         + [(n, 3) for n in range(1, 7)] + [(n, 4) for n in range(1, 6)])
+def test_spin_groups_count_the_coupled_basis_groups(atom_count, atom_dim):
+    assert spin_groups(atom_count, atom_dim) == coupled_basis(atom_count, atom_dim).groups
+
+
+def test_coupled_basis_is_built_in_place():
+    # the build holds q and the Clebsch-Gordan levels of k = 0 .. N spins
+    # (8 (4^(N+1) - 1) / 3 bytes) at its peak, and afterwards only q: no
+    # stacked copy of q and no cached multiplets
+    q_bytes, levels = 8 * 4**10, 8 * (4**11 - 1) // 3
+    tracemalloc.start()
+    try:
+        basis = coupled_basis.__wrapped__(10, 2)  # uncached
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.q.nbytes == q_bytes
+    assert peak <= q_bytes + levels + 2**20
+    assert held <= 1.01 * q_bytes
+
+
+def test_coupled_basis_rotations_multiply_by_q():
+    basis = coupled_basis(3, 3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(27, 4)) + 1j * rng.normal(size=(27, 4))
+    assert np.max(np.abs(basis.rotate(x) - basis.q.T @ x)) <= 1e-13
+    assert np.max(np.abs(basis.rotate(x, back=True) - basis.q @ x)) <= 1e-13
+    rho = (rng.normal(size=(2, 27 * 2, 27 * 2)) + 0j).reshape(2, 27, 2, 27, 2)
+    both = np.einsum("ai,kamcn,cj->kimjn", basis.q, rho, basis.q)
+    assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
+    back = np.einsum("ia,kamcn,jc->kimjn", basis.q, rho, basis.q)
+    assert np.max(np.abs(basis.both_sides(rho, back=True) - back)) <= 1e-13

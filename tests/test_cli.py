@@ -2,6 +2,7 @@
 byte-stable reports."""
 
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -280,7 +281,8 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
 
 @pytest.mark.parametrize("argv, admitted", [
     # a Fock start on the full engine holds the coupled basis (about
-    # 45 MB here), not a 15360-square generator
+    # 32 MiB here with its build and BLAS buffers), not a 15360-square
+    # generator
     (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
       "--fock-cutoff", "14"), True),
     # a thermal start forms a D x D density matrix per branch at read-out
@@ -298,14 +300,80 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     # ring: 974 MiB in all, against 1132 MiB with a complex ring; the run
     # from the vacuum rose 418 MB in peak RSS
     (("ghz", "--n", "7", "--engine", "lindblad", "--delta", "10", "--fock-cutoff", "15"), True),
+    # q is 328 MiB here; the six A x A arrays of compare-frames, once
+    # charged to every full run, made it 4.5 GiB
+    (("ghz-three-level", "--n", "8", "--engine", "full", "--g", "1", "--delta", "10",
+      "--fock-cutoff", "8"), True),
 ])
 def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
     config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))
     if admitted:
-        cli._check_memory(config)
+        assert 0 < cli._check_memory(config) <= cli.MEMORY_BUDGET
     else:
         with pytest.raises(cli.ConfigError, match="GiB at its peak"):
             cli._check_memory(config)
+
+
+# the child runs one request with the guard reporting its figure instead
+# of refusing, and prints that figure and its own peak-RSS rise since
+# the import, in bytes
+RSS_PROBE = """
+import contextlib, io, sys
+from spincavity import cli
+
+def rss(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+
+figures, check = [], cli._check_memory
+
+def report(config, frames=False):
+    cli.MEMORY_BUDGET = float("inf")
+    figures.append(check(config, frames))
+    return figures[-1]
+
+cli._check_memory = report
+base = rss("VmRSS:")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, max(figures), rss("VmHWM:") - base)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+@pytest.mark.parametrize("argv", [
+    ("protocol", "ghz", "--n", "19"),
+    ("protocol", "ghz", "--n", "20"),
+    ("protocol", "ghz", "--n", "11", "--engine", "full", "--g", "1", "--delta", "10",
+     "--fock-cutoff", "14"),
+    ("protocol", "ghz-three-level", "--n", "8", "--engine", "full", "--g", "1",
+     "--delta", "10", "--fock-cutoff", "8"),
+    ("protocol", "ghz", "--n", "6", "--engine", "full", "--g", "1", "--delta", "10",
+     "--fock-cutoff", "14", "--nbar", "0.2"),
+    ("protocol", "ghz", "--n", "11", "--system", "ion", "--engine", "full", "--delta", "1",
+     "--fock-cutoff", "10"),
+    ("protocol", "ghz", "--n", "12", "--system", "ion", "--engine", "full", "--delta", "1",
+     "--fock-cutoff", "10"),
+    ("protocol", "ghz", "--n", "5", "--engine", "lindblad", "--g", "1", "--delta", "5",
+     "--fock-cutoff", "15", "--kappa", "0.01"),
+    ("protocol", "ghz", "--n", "6", "--engine", "lindblad", "--g", "1", "--delta", "6",
+     "--fock-cutoff", "12", "--kappa", "0.01"),
+    ("compare-frames", "ghz", "--n", "10", "--g", "1", "--delta", "10", "--fock-cutoff", "10"),
+], ids=["effective-19", "effective-20", "full-11", "full-qutrit-8", "full-thermal-6",
+        "ion-11", "ion-12", "lindblad-5", "lindblad-6", "compare-frames-10"])
+def test_memory_guard_bounds_the_measured_rise(argv):
+    # the guard is an upper bound on what a run really takes: each
+    # request's peak-RSS rise (50-360 MiB here) stays at or below the
+    # guard's figure.  RSS depends on the allocator and BLAS, so no lower
+    # bound is checked.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, figure, rise = (int(word) for word in done.stdout.split())
+    assert code == 0
+    assert rise <= figure, f"rise {rise / 2**20:.1f} MiB > guard {figure / 2**20:.1f} MiB"
 
 
 def test_sweep_releases_each_point_before_the_next_runs(monkeypatch, capsys):
