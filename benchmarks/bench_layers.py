@@ -66,13 +66,15 @@ Stages:
   decay engine, N = 2 GHZ at delta = 4.1 g, cutoff 6, kappa = 0.2 g
   (Liouville dimension 784).
   These three go through the engine's own stage step
-  (``protocols._drive``) from |g..g, 0>, timed after one untimed call.
+  (``protocols._drive``) from |g..g, 0>, the start state as the engine's
+  ``protocols._initial_state`` resolves it, timed after one untimed call.
 * ``effective_drive[ghz-1024]``: the first drive stage of the N = 10
   GHZ plan on the Effective engine (atomic dimension 1024, one column).
 * ``effective_drive[three-level-729]``: the first drive stage of the
   N = 6 three-level GHZ plan (atomic dimension 729, one column).
-  Both go through the engine's own stage step (``protocols._drive``),
-  timed after one untimed call.
+  Both go through the engine's own stage step (``protocols._drive``)
+  from the start state ``protocols._initial_state`` resolves, timed
+  after one untimed call.
 
 Read-out and report, on the full-pure workload's full-cavity N = 4 GHZ
 result (cutoff 8, delta = 4.9 g; Hilbert dimension 144), computed once
@@ -91,6 +93,10 @@ Whole plans (initial state, every stage, branch read-out):
 * ``run_plan_full_cavity``: two-atom-qutrit at delta = 10 g, cutoff 8.
 * ``run_plan_lindblad``: N = 2 GHZ at delta = 4.1 g, cutoff 6,
   kappa = 0.1 g.
+* ``run_plan_lindblad_measure_reduce``: measure-reduce on N = 4 qutrits
+  at delta = 10 g, cutoff 4, kappa = 0.05 g (Hilbert dimension 405): two
+  decay stages, two transfers and the measurement's three density-matrix
+  branches.
 
 End to end:
 
@@ -163,7 +169,7 @@ from spincavity.protocols import (  # noqa: E402
     plan_two_atom_qutrit,
     run_plan,
 )
-from spincavity.protocols import _drive  # noqa: E402
+from spincavity.protocols import _drive, _initial_state  # noqa: E402
 
 
 def _machine() -> dict:
@@ -194,6 +200,14 @@ def _stage(plan, index, space, delta):
     build = partial(interaction_terms, space,
                     DriveParams(g=1.0, delta=delta, omega=stage.omega))
     return build, t0, t0 + stage.duration
+
+
+def _drive_start(plan, engine):
+    """The run's space and its start from |g..g, 0> as ``_drive`` takes
+    it: the engine's state object, or a one-branch list on source trees
+    whose ``_drive`` takes a list of branch states."""
+    space, start = _initial_state(plan, None, engine)
+    return space, start if hasattr(start, "x") else [start]
 
 
 def _vacuum_rho(space):
@@ -343,11 +357,10 @@ def test_drive_stage(record, name):
     n_atoms, cutoff, delta, engine = DRIVE_STAGES[name]
     plan = plan_ghz_two_level(n_atoms, lambda_cavity(1.0, delta), delta=delta)
     engine = engine(DriveParams(g=1.0, delta=delta))
-    space = plan.space.with_mode(cutoff)
-    psi = basis_state(space, "g" * n_atoms, 0).amplitudes[:, None]
-    state = psi @ psi.conj().T if isinstance(engine, Lindblad) else psi
+    space, start = _drive_start(plan, engine)
+    assert space.fock_cutoff == cutoff
     t0, stage = _drives(plan)[0]
-    step = (plan, space, stage, engine, [state], t0)
+    step = (plan, space, stage, engine, start, t0)
     _drive(*step)
     record.extra_info["hilbert_dim"] = space.dim
     record(_drive, *step)
@@ -359,8 +372,8 @@ def test_drive_stage(record, name):
 def test_effective_drive(record, planner, n_atoms):
     plan = planner(n_atoms, lambda_cavity(1.0, 20.0), delta=20.0)
     t0, stage = _drives(plan)[0]
-    states = [basis_state(plan.space, "g" * n_atoms).amplitudes[:, None]]
-    step = (plan, plan.space, stage, Effective(), states, t0)
+    space, start = _drive_start(plan, Effective())
+    step = (plan, space, stage, Effective(), start, t0)
     _drive(*step)
     record.extra_info["atoms_dim"] = plan.space.atoms_dim
     record(_drive, *step)
@@ -405,6 +418,14 @@ def test_run_plan_lindblad(record):
     engine = Lindblad(DriveParams(g=1.0, delta=4.1), DecaySpec(0.1), fock_cutoff=6)
     record.extra_info["liouville_dim"] = plan.space.with_mode(6).dim ** 2
     record(run_plan, plan, engine=engine)
+
+
+def test_run_plan_lindblad_measure_reduce(record):
+    plan = plan_measure_reduce(4, lambda_cavity(1.0, 10.0), delta=10.0)
+    engine = Lindblad(DriveParams(g=1.0, delta=10.0), DecaySpec(0.05), fock_cutoff=4)
+    record.extra_info["hilbert_dim"] = plan.space.with_mode(4).dim
+    result = record.pedantic(run_plan, (plan,), {"engine": engine}, rounds=3, iterations=1)
+    assert [b.label for b in result.branches] == ["g", "e", "f"]
 
 
 def _cli_ghz10():

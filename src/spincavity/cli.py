@@ -286,11 +286,14 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
       the eigh of the widest ((N + 1) m)^2 block, and for a thermal
       start d + 3 D x D matrices (the d branches and read-out
       temporaries);
-    * decay: 8 + d D x D arrays (the density stack and its rotation
-      temporaries, and the states a plan holds while a stage runs: a
-      traced three-level GHZ run holds 4 of them when its second stage
-      starts and makes 3 more in its rotations), about 1152 bytes per
-      row of the ((N + 1) m)^2-row pair Liouvillian, 32 MiB for loading
+    * decay: 6 + d D x D arrays (a stage holds the stack it starts from
+      and at most three more in its rotations and pair loop; the
+      read-out holds the branches, their normalized copies and the
+      density-matrix checks' temporaries, which is the run's peak
+      outside the Chebyshev actions: 8.05 D x D traced for measure-reduce
+      N = 4 and its d = 3 branches, 4.0-4.1 for GHZ runs of two, three
+      and four levels), about 1152 bytes per row of the
+      ((N + 1) m)^2-row pair Liouvillian, 32 MiB for loading
       scipy.sparse (about 21 MB of RSS), and 36 arrays of the Chebyshev
       ring and columns of the widest pair of spin groups: (G m)^2
       float64 entries for a diagonal pair, which runs in real
@@ -305,7 +308,8 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     effective 1.57-1.58x (GHZ N = 19, 20), full cavity 1.08x (qutrit
     GHZ N = 8, cutoff 8) to 1.30x (GHZ N = 11, cutoff 14) and 1.56x from
     a thermal start, full ion 1.12-1.27x (GHZ N = 12, 11, cutoff 10),
-    decay 1.99-2.20x (GHZ N = 5, 6) and compare-frames 1.31x (N = 10).
+    decay 2.05-2.60x (GHZ N = 5, 6) and 1.39x (measure-reduce and
+    three-level GHZ, N = 4, cutoff 8), and compare-frames 1.31x (N = 10).
     """
     d, n = ATOM_LEVELS[config.protocol], config.n
     atoms, m = d**n, config.fock_cutoff + 1
@@ -319,7 +323,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
         k = m if config.nbar > 0 else 1
         size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))
     elif kind == "lindblad":
-        size += 16 * (8 + d) * dim**2 + 1152 * widest + 2**25
+        size += 16 * (6 + d) * dim**2 + 1152 * widest + 2**25
         if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
             widest_two = sorted((g.stop - g.start for g in spin_groups(n, d)), reverse=True) + [0]
             size += 36 * m**2 * max(8 * widest_two[0]**2, 16 * widest_two[0] * widest_two[1])

@@ -784,9 +784,12 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     weighted mixture of the flat result.  drift is the largest relative
     trace change (NormDriftError beyond 1e-6); nothing is renormalized
     or clipped.  Only the pairs on and above the diagonal are read, and
-    the result in the coupled basis is exactly Hermitian.  sigma is
-    dropped once every pair is read and the t1 frame phase is applied in
-    place, so rotating back makes no more arrays than rotating in.
+    the result in the coupled basis is exactly Hermitian.  The frame
+    phases act on the mode axes alone, so they commute with the rotations
+    and are applied in place on the rotated stacks.  sigma (and the last
+    pair's view of it) is dropped once every pair is read, and the way
+    back rotates one side at a time, so besides ``rhos`` a stage holds at
+    most three stacks at once.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -797,7 +800,8 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     h0 = -delta * np.arange(m)
     spread = np.subtract.outer(h0, h0)[:, None, :]  # e^{-i H0 t} . e^{i H0 t} on (n, n')
     traces = np.trace(rhos, axis1=1, axis2=2).real
-    sigma = basis.both_sides(np.exp(-1j * spread * t0) * rhos.reshape(k, atoms, m, atoms, m))
+    sigma = basis.both_sides(rhos.reshape(k, atoms, m, atoms, m))
+    sigma *= np.exp(-1j * spread * t0)  # on the mode axes, so it commutes with the rotation
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
     _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
@@ -831,8 +835,10 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
                     x.conj().transpose(0, 3, 4, 1, 2))
             out[:, left.start:left.stop, :, right.start:right.stop] = x
             block_dim = max(block_dim, p * q)
-    del sigma  # every pair is read
-    out = basis.both_sides(out, back=True)
+    del sigma, x  # every pair is read; x may be a view of sigma
+    # one side at a time, so each rotation frees the stack it read
+    out = basis.rotate(out.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
+    out = basis.rotate(out, back=True).reshape(k, atoms, m, atoms, m)
     out *= np.exp(1j * spread * t1)
     out = out.reshape(rhos.shape)
 

@@ -21,13 +21,20 @@ Engines:
 * ``Lindblad`` propagates density matrices under the cavity Hamiltonian
   with cavity decay.
 
-``run_plan`` is one stage loop for every engine.  A branch holds its
-ensemble as a (dim, k) block of columns, each scaled by the square root
-of its weight (pure engines), or as a density matrix whose trace is its
-weight (Lindblad: C C^dag of the same block).  Only the drive, atoms-only
-maps (from the left on columns, on both sides of a density matrix) and
-the branch read-out differ between the two.  Transfers and measurement
-projectors are single-atom matrices applied on each atom's own axis
+``run_plan`` is one stage loop for every engine, and one object holds
+every measurement branch of a run; the engine picks its class.
+``_Columns`` (pure engines) holds x (dim, B, k): branch b's ensemble is
+the block x[:, b] of k columns, each scaled by the square root of its
+weight, so x.reshape(dim, -1) is every branch's columns in branch
+order.  ``_Density`` (Lindblad) holds the (B, dim, dim) stack of the
+branches' density matrices, each with its weight as trace (C C^dag of
+the same block).  ``_drive`` hands x to the stage's propagator as is
+(reshaped to columns for the pure engines), and run_plan asks the
+object only for ``left`` (atoms-only maps: from the left on columns, on
+both sides of a density matrix) and ``read_out``.  A transfer is one
+map and a measurement one projector per outcome, so branch b under map
+j becomes branch b len(maps) + j.  Transfers and measurement projectors
+are single-atom matrices applied on each atom's own axis
 (dynamics.apply_local); no d^N x d^N transfer matrix is formed.
 
 Both full engines propagate each drive stage exactly with
@@ -582,135 +589,186 @@ class Lindblad:
         return lambda_cavity(self.params.g, self.params.delta)
 
 
-def _check_lam(engine_lam: float, stage_lam: float):
-    if abs(engine_lam - stage_lam) > 1e-9 * max(1.0, abs(stage_lam)):
-        raise ValueError(
-            f"engine effective coupling {engine_lam!r} does not match the "
-            f"plan's {stage_lam!r}; replan with the engine's parameters"
-        )
-
-
 def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
     """Execute every stage of a plan and collect measurement branches.
 
-    One loop serves every engine; branches hold columns (pure engines)
-    or a density matrix (Lindblad), as the module docstring describes.
-    initial is None (all atoms in |g>), an atoms-only StateVector, a
-    full-space StateVector or, for Lindblad, a full-space DensityMatrix;
-    mode-attached engines put an atoms-only start next to their
-    initial_mode (Fock level or ThermalSpec).  Returns a ProtocolResult
-    whose fidelities compare each branch against plan.target on the
-    atomic factor.
+    One loop serves every engine: the engine's state object (columns for
+    the pure engines, a density stack for Lindblad, as the module
+    docstring describes) holds every branch, and run_plan keeps only
+    their labels.  initial is None (all atoms in |g>), an atoms-only
+    StateVector, a full-space StateVector or, for Lindblad, a full-space
+    DensityMatrix; mode-attached engines put an atoms-only start next to
+    their initial_mode (Fock level or ThermalSpec).  Returns a
+    ProtocolResult whose fidelities compare each branch against
+    plan.target on the atomic factor.
     """
     engine = engine if engine is not None else Effective()
-    mixed = isinstance(engine, Lindblad)
-    space_run, start = _initial_state(plan, initial, engine)
-    branches = [("", start)]
+    space_run, state = _initial_state(plan, initial, engine)
+    labels = [""]
     t_abs = 0.0
     records = []
 
     for stage in plan.stages:
         if isinstance(stage, CollectiveDrive):
-            states, record = _drive(plan, space_run, stage, engine,
-                                    [x for _, x in branches], t_abs)
-            branches = [(label, x) for (label, _), x in zip(branches, states)]
+            state, record = _drive(plan, space_run, stage, engine, state, t_abs)
             records.append(record)
             t_abs += stage.duration
         elif isinstance(stage, LocalTransfer):
-            transfer = partial(apply_local, space_run, stage.matrix, stage.atoms)
-            branches = [(label, _apply_left(transfer, x, mixed)) for label, x in branches]
+            state = state.left([partial(apply_local, space_run, stage.matrix, stage.atoms)])
         elif isinstance(stage, Measurement):
             d = space_run.atom_dim
             outcomes = range(d) if stage.mode == "enumerate" else [stage.outcome]
             if stage.mode == "postselect" and not 0 <= stage.outcome < d:
                 raise ValueError(f"measured level {stage.outcome} outside 0..{d - 1}")
-            projectors = [(LEVEL_LABELS[level],
-                           partial(apply_local, space_run, local_proj(d, level), stage.atom_index))
-                          for level in outcomes]
-            branches = [(label + tag, _apply_left(project, x, mixed))
-                        for label, x in branches for tag, project in projectors]
+            state = state.left([partial(apply_local, space_run, local_proj(d, level), stage.atom_index)
+                                for level in outcomes])
+            labels = [label + LEVEL_LABELS[level] for label in labels for level in outcomes]
         else:
             raise TypeError(f"unknown stage {stage!r}")
 
-    out_branches = []
-    out_fids = []
-    for label, x in branches:
-        prob, state, fid = _read_out(space_run, x, plan.target, mixed)
-        out_branches.append(Branch(label or "all", prob, state))
-        out_fids.append(fid)
+    outs = [state.read_out(space_run, plan.target, b) for b in range(len(labels))]
+    branches = tuple(Branch(label or "all", *out[:2]) for label, out in zip(labels, outs))
     diagnostics = {"engine": type(engine).__name__, "absolute_duration": t_abs,
                    "stages": tuple(records)}
-    return ProtocolResult(tuple(out_branches), tuple(out_fids), plan.timings, diagnostics)
+    return ProtocolResult(branches, tuple(out[2] for out in outs), plan.timings, diagnostics)
+
+
+class _Branches:
+    """Every branch of a run in one array x, the branches along axis
+    ``axis``; run_plan asks it only for ``left`` and ``read_out``."""
+
+    axis = 0
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def left(self, ops: list):
+        """The branches under left-acting atoms-only maps: branch b under
+        ops[j] becomes branch b len(ops) + j.  One map (a transfer) gives
+        its result itself; several (a measurement's projectors) write
+        their images into one preallocated array."""
+        if len(ops) == 1:
+            return type(self)(self._map(ops[0]))
+        head, tail = self.x.shape[:self.axis + 1], self.x.shape[self.axis + 1:]
+        out = np.empty(head + (len(ops),) + tail, dtype=complex)
+        for slot, op in zip(np.moveaxis(out, self.axis + 1, 0), ops):
+            slot[...] = self._map(op)
+        return type(self)(out.reshape(head[:-1] + (-1,) + tail))
+
+
+class _Columns(_Branches):
+    """Branches of a pure engine: x (dim, B, k), branch b the k columns
+    x[:, b], each scaled by the square root of its weight."""
+
+    axis = 1
+
+    def _map(self, op):
+        return op(self.x)
+
+    def read_out(self, space_run: SpaceDescriptor, target: StateVector, b: int):
+        """Probability, normalized state and atomic-target fidelity of
+        branch b, whose columns carry its weight."""
+        x = self.x[:, b]
+        prob = float(np.sum(np.abs(x) ** 2))
+        if prob <= 1e-30:
+            return max(prob, 0.0), None, 0.0
+        proj = target.amplitudes.conj() @ x.T.reshape(-1, space_run.atoms_dim, space_run.mode_dim)
+        fid = min(1.0, float(np.sum(np.abs(proj) ** 2)) / prob)
+        if x.shape[1] == 1:
+            return prob, StateVector(space_run, x[:, 0] / math.sqrt(prob)), fid
+        return prob, DensityMatrix(space_run, (x @ x.conj().T) / prob), fid
+
+
+class _Density(_Branches):
+    """Branches of the Lindblad engine: the (B, dim, dim) stack of their
+    density matrices, each with its branch's weight as trace."""
+
+    def _map(self, op):
+        """op(op(rho)^dag)^dag for every rho of the stack; op acts on the
+        rows of a (dim, ...) array, so the stack axis goes behind them.
+        The last adjoint is written C-ordered, so the next stage's
+        rotation reads it without a contiguous copy."""
+        half = np.moveaxis(op(np.moveaxis(self.x, 0, 1)), 1, 0).conj().swapaxes(1, 2)
+        full = np.moveaxis(op(np.moveaxis(half, 0, 1)), 1, 0)
+        return np.conjugate(full.swapaxes(1, 2), out=np.empty(full.shape, dtype=complex))
+
+    def read_out(self, space_run: SpaceDescriptor, target: StateVector, b: int):
+        """Probability, normalized state and atomic-target fidelity of
+        branch b, whose density matrix carries its weight."""
+        x = self.x[b]
+        prob = float(np.trace(x).real)
+        if prob <= 1e-30:
+            return max(prob, 0.0), None, 0.0
+        t = target.amplitudes
+        mat = x / prob
+        # <t| rho_atoms |t> without forming the reduced matrix
+        r4 = mat.reshape(space_run.atoms_dim, space_run.mode_dim,
+                         space_run.atoms_dim, space_run.mode_dim)
+        fid = float(min(1.0, max(0.0, (t.conj() @ np.einsum("ambm->ab", r4) @ t).real)))
+        return prob, DensityMatrix(space_run, mat), fid
 
 
 def _initial_state(plan: ProtocolPlan, initial, engine):
-    """Resolve (space_run, start) for every engine.
+    """Resolve (space_run, state) for every engine; the engine picks the
+    state's class.
 
     The start is the (dim, k) block of the initial ensemble's members,
     each scaled by the square root of its weight (one unit column for a
-    pure start); Lindblad takes the density matrix C C^dag of that block,
-    or the full-space DensityMatrix it was given.
+    pure start), as the one branch of a _Columns; Lindblad takes a
+    _Density of the density matrix C C^dag of that block, or of the
+    full-space DensityMatrix it was given.
     """
+    mixed = isinstance(engine, Lindblad)
     if initial is None:
         initial = basis_state(plan.space, "g" * plan.space.atom_count)
-    if isinstance(initial, StateVector) and initial.space.atoms_only() != plan.space:
-        raise ValueError("initial state's atoms do not match the plan's")
-    if isinstance(engine, Effective):
-        if isinstance(initial, StateVector):
-            return initial.space, initial.amplitudes[:, None].copy()
-        raise TypeError("Effective engine takes a StateVector initial (or None)")
-
-    space_run = plan.space.with_mode(engine.fock_cutoff)
-    mixed = isinstance(engine, Lindblad)
-    if mixed and isinstance(initial, DensityMatrix):
-        if initial.space != space_run:
-            raise ValueError("initial density matrix does not match the engine's space")
-        return space_run, initial.matrix
-    if isinstance(initial, StateVector) and not initial.space.no_mode:
-        if initial.space != space_run:
-            raise ValueError("initial state does not match the engine's space")
-        cols = initial.amplitudes[:, None].copy()
-    elif isinstance(initial, StateVector):
-        atoms = initial.amplitudes
-        mode_prep = engine.initial_mode
-        nm = space_run.mode_dim
-        if isinstance(mode_prep, ThermalSpec):
-            if mode_prep.cutoff > engine.fock_cutoff:
-                raise ValueError("thermal cutoff exceeds the engine's fock_cutoff")
-            weights = mode_prep.probabilities()
-            ns = np.arange(mode_prep.cutoff + 1)
-        else:
-            n = int(mode_prep)
-            if not 0 <= n < nm:
-                raise ValueError(f"initial Fock level {n} outside mode dimension {nm}")
-            weights = np.ones(1)
-            ns = np.array([n])
-        # column j is sqrt(p_j) |atoms, n_j>
-        mode = np.zeros((nm, len(ns)), dtype=complex)
-        mode[ns, np.arange(len(ns))] = np.sqrt(weights)
-        cols = np.kron(atoms[:, None], mode)
-    else:
+    if not isinstance(initial, (StateVector, DensityMatrix) if mixed else StateVector):
         accepted = ", a full-space DensityMatrix," if mixed else ""
         raise TypeError(f"{type(engine).__name__} engine takes an atoms-only or "
                         f"full-space StateVector{accepted} or None as initial")
-    return space_run, (cols @ cols.conj().T if mixed else cols)
+    if initial.space.atoms_only() != plan.space:
+        raise ValueError("initial state's atoms do not match the plan's")
+    space_run = (initial.space if isinstance(engine, Effective)
+                 else plan.space.with_mode(engine.fock_cutoff))
+    if isinstance(initial, DensityMatrix) and initial.space == space_run:
+        return space_run, _Density(initial.matrix[None])
+    if initial.space == space_run:
+        cols = initial.amplitudes[:, None].copy()
+    elif isinstance(initial, StateVector) and initial.space.no_mode:
+        mode_prep = engine.initial_mode
+        if isinstance(mode_prep, ThermalSpec):
+            weights, ns = mode_prep.probabilities(), np.arange(mode_prep.cutoff + 1)
+        else:
+            weights, ns = np.ones(1), np.array([int(mode_prep)])
+        if ns[0] < 0 or ns[-1] > engine.fock_cutoff:
+            raise ValueError(f"initial mode levels {ns[0]}..{ns[-1]} are not all within "
+                             f"the engine's Fock levels 0..{engine.fock_cutoff}")
+        # column j is sqrt(p_j) |atoms, n_j>
+        mode = np.zeros((space_run.mode_dim, len(ns)), dtype=complex)
+        mode[ns, np.arange(len(ns))] = np.sqrt(weights)
+        cols = np.kron(initial.amplitudes[:, None], mode)
+    else:
+        raise ValueError("initial state does not match the engine's space")
+    return space_run, (_Density((cols @ cols.conj().T)[None]) if mixed else _Columns(cols[:, None]))
 
 
 def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDrive,
-           engine, states: list, t_abs: float):
-    """Propagate the states of every branch through one drive stage that
-    starts at absolute time t_abs; returns the new states and the
-    stage's record.  A mode-attached engine hands its propagator the
+           engine, state: _Branches, t_abs: float):
+    """Propagate every branch of ``state`` through one drive stage that
+    starts at absolute time t_abs; returns the new state and the stage's
+    record.  The propagator takes state.x as it is (its columns, for the
+    pure engines).  A mode-attached engine hands its propagator the
     stage's generator builder with the space and parameters bound, which
     the propagator calls once per occupied multiplet block."""
     name = type(engine).__name__
     if isinstance(engine, Effective):
-        block = np.hstack(states)
-        out = evolve_factored(space_run, stage.lam, stage.omega, stage.duration, block)
-        drift = norm_drift(np.linalg.norm(block, axis=0), np.linalg.norm(out, axis=0))
-        return _split_columns(out, states), StageRecord(
+        columns = state.x.reshape(space_run.dim, -1)
+        out = evolve_factored(space_run, stage.lam, stage.omega, stage.duration, columns)
+        drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(out, axis=0))
+        return _Columns(out.reshape(state.x.shape)), StageRecord(
             name, "effective", plan.space.atoms_dim, "factored", None, drift)
-    _check_lam(engine.lam(), stage.lam)
+    if abs(engine.lam() - stage.lam) > 1e-9 * max(1.0, abs(stage.lam)):
+        raise ValueError(f"engine effective coupling {engine.lam()!r} does not match the "
+                         f"plan's {stage.lam!r}; replan with the engine's parameters")
     if isinstance(engine, FullIon):
         builder = partial(ion_terms, space_run, engine.params, engine.frame)
     else:
@@ -720,45 +778,13 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
     t_end = t_abs + stage.duration
     if isinstance(engine, Lindblad):
         prop = evolve_lindblad(builder, engine.params.delta, engine.decay, space_run,
-                               np.stack(states), t_abs, t_end)
-        return list(prop.states), StageRecord(name, FrameTag.INTERACTION_PICTURE.value,
-                                              prop.block_dim, "chebyshev", prop.leak, prop.drift)
-    prop = evolve_exact(builder, engine.params.delta, space_run, np.hstack(states), t_abs, t_end)
-    return _split_columns(prop.states, states), StageRecord(
+                               state.x, t_abs, t_end)
+        return _Density(prop.states), StageRecord(name, FrameTag.INTERACTION_PICTURE.value,
+                                                  prop.block_dim, "chebyshev", prop.leak, prop.drift)
+    prop = evolve_exact(builder, engine.params.delta, space_run, state.x.reshape(space_run.dim, -1),
+                        t_abs, t_end)
+    return _Columns(prop.states.reshape(state.x.shape)), StageRecord(
         name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift)
-
-
-def _split_columns(block: np.ndarray, states: list) -> list:
-    """Split a propagated column block back into the branches' blocks."""
-    return np.split(block, np.cumsum([x.shape[1] for x in states])[:-1], axis=1)
-
-
-def _apply_left(op, x, mixed: bool):
-    """Apply a left-acting map (an atoms-only operator or a projector) to
-    a branch: to its columns, or to both sides of its density matrix as
-    op(op(rho)^dag)^dag."""
-    return op(op(x).conj().T).conj().T if mixed else op(x)
-
-
-def _read_out(space_run: SpaceDescriptor, x, target: StateVector, mixed: bool):
-    """Probability, normalized state and atomic-target fidelity of one
-    branch, whose columns or density matrix carry its weight."""
-    prob = float(np.trace(x).real) if mixed else float(np.sum(np.abs(x) ** 2))
-    if prob <= 1e-30:
-        return max(prob, 0.0), None, 0.0
-    t = target.amplitudes
-    if mixed:
-        mat = x / prob
-        # <t| rho_atoms |t> without forming the reduced matrix
-        r4 = mat.reshape(space_run.atoms_dim, space_run.mode_dim,
-                         space_run.atoms_dim, space_run.mode_dim)
-        fid = float(min(1.0, max(0.0, (t.conj() @ np.einsum("ambm->ab", r4) @ t).real)))
-        return prob, DensityMatrix(space_run, mat), fid
-    proj = t.conj() @ x.T.reshape(-1, space_run.atoms_dim, space_run.mode_dim)
-    fid = min(1.0, float(np.sum(np.abs(proj) ** 2)) / prob)
-    if x.shape[1] == 1:
-        return prob, StateVector(space_run, x[:, 0] / math.sqrt(prob)), fid
-    return prob, DensityMatrix(space_run, (x @ x.conj().T) / prob), fid
 
 
 def sample_outcome(result: ProtocolResult, seed: int) -> str:

@@ -304,6 +304,12 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     # charged to every full run, made it 4.5 GiB
     (("ghz-three-level", "--n", "8", "--engine", "full", "--g", "1", "--delta", "10",
       "--fock-cutoff", "8"), True),
+    # a decay stage holds at most three stacks besides its input, so nine
+    # D x D arrays (73 MiB each here) cover the measurement's read-out:
+    # 969 MiB, against 1115 MiB when eleven were charged; the run rose
+    # 652 MiB in peak RSS
+    (("measure-reduce", "--n", "4", "--engine", "lindblad", "--delta", "10",
+      "--fock-cutoff", "26"), True),
 ])
 def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
     config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))

@@ -114,7 +114,7 @@ def test_evolve_td_vacuum_exchange_period():
     assert abs(full[idx_e0] - (-1.0)) <= 1e-9
 
 
-def test_evolve_td_matches_evolve_ti_time_independent():
+def test_evolve_td_matches_expm_for_a_static_generator():
     space = make_space(2, 2, 2)
     params = DriveParams(g=0.9, delta=0.0, omega=0.0)
     h = interaction_terms(space, params)
@@ -135,7 +135,7 @@ def test_evolve_td_rejects_reversed_interval():
 # ------------------------------------------------------ effective generator
 
 
-def test_evolve_ti_effective_two_atom_oracle():
+def test_expm_of_h_effective_matches_the_two_atom_oracle():
     # exp(-i 2 lam Sx^2 t)|gg> = e^{-i lam t}(cos(lam t)|gg> - i sin(lam t)|ee>)
     space = make_space(2, 2, 0, no_mode=True)
     lam = 0.025
@@ -184,7 +184,7 @@ def test_propagator_u_zero_drive_quarter_turn():
     assert np.max(np.abs(psi - expected)) <= 1e-12
 
 
-def test_propagator_u_matches_evolve_ti():
+def test_propagator_u_matches_expm_of_the_summed_generator():
     # H0 = 2 omega Sx and He = 2 lam Sx^2 commute; the factored product
     # must match direct exponentiation of the sum
     space = make_space(2, 2, 0, no_mode=True)

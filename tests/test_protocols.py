@@ -608,6 +608,49 @@ def test_full_cavity_thermal_mixture_that_leaks_raises():
         run_plan(plan, engine=engine)
 
 
+def _engines_of_every_representation():
+    cavity = lambda_cavity(1.0, 10.0)
+    ion = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0, lamb_dicke_order=2)
+    return [
+        pytest.param(Effective(), LAM, None, id="effective"),
+        pytest.param(FullCavity(params=_cavity_params(), fock_cutoff=8), cavity, 10.0,
+                     id="full-fock0"),
+        pytest.param(FullCavity(params=_cavity_params(), fock_cutoff=8,
+                                initial_mode=ThermalSpec.for_nbar(0.05)), cavity, 10.0,
+                     id="full-thermal"),
+        pytest.param(FullIon(params=ion, fock_cutoff=6), lambda_ion(1.0, 0.05, 2.0), 2.0,
+                     id="ion"),
+        pytest.param(Lindblad(params=_cavity_params(), decay=DecaySpec(kappa=0.1),
+                              fock_cutoff=4), cavity, 10.0, id="lindblad"),
+    ]
+
+
+@pytest.mark.parametrize("engine, lam, delta", _engines_of_every_representation())
+def test_drives_after_an_enumerated_measurement_match_the_postselected_runs(engine, lam, delta):
+    # every planner measures last, so only here does a drive (and a
+    # transfer) carry several branches at once: each enumerated branch
+    # must be the run postselected on its outcome
+    base = plan_ghz_three_level(2, lam, delta=delta)
+    drive, swap_ef, second_drive = base.stages
+
+    def run(measurement):
+        stages = (drive, measurement, swap_ef, second_drive)
+        return run_plan(replace(base, stages=stages), engine=engine)
+
+    enumerated = run(Measurement(0))
+    assert [b.label for b in enumerated.branches] == ["g", "e", "f"]
+    assert len(enumerated.diagnostics["stages"]) == 2
+    for level, (branch, fid) in enumerate(zip(enumerated.branches, enumerated.fidelities)):
+        post = run(Measurement(0, "postselect", outcome=level))
+        (expected,) = post.branches
+        assert abs(branch.probability - expected.probability) <= 1e-12
+        assert abs(fid - post.fidelities[0]) <= 1e-12
+        if expected.state is None:
+            assert branch.state is None
+        else:
+            assert trace_distance(branch.state, expected.state) <= 1e-12
+
+
 # ------------------------------------------------------ population series
 
 
