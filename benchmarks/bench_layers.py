@@ -31,7 +31,8 @@ Basis build:
 * ``coupled_basis_build[qubits-11]``, ``coupled_basis_build[qutrits-6]``:
   ``algebra.coupled_basis`` from scratch (every cache cleared before each
   round) for N = 11 qubits (q is 2048 x 2048) and N = 6 qutrits
-  (729 x 729).
+  (729 x 729).  Each also records the tracemalloc peak of one more
+  uncached build (``tracemalloc_peak_mib``) and q's size (``q_mib``).
 
 Series coefficients:
 
@@ -84,7 +85,8 @@ untimed:
   density-matrix checks) and the fidelity with the target, as
   ``compare-frames`` reads a result.
 * ``render_json_report``: re-rendering that run's ``protocol`` JSON
-  report from its parsed payload; it must equal the CLI's bytes.
+  report from its parsed payload and the config it echoes; it must
+  equal the CLI's bytes.
 
 Whole plans (initial state, every stage, branch read-out):
 
@@ -118,12 +120,14 @@ End to end:
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -275,6 +279,14 @@ def test_coupled_basis_build(record, atom_count, atom_dim):
     record.extra_info["atoms_dim"] = atom_dim**atom_count
     record.pedantic(coupled_basis, (atom_count, atom_dim), setup=_clear_basis_caches,
                     rounds=7, iterations=1)
+    _clear_basis_caches()
+    tracemalloc.start()
+    try:
+        q = coupled_basis(atom_count, atom_dim).q
+        record.extra_info["tracemalloc_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    record.extra_info["q_mib"] = q.nbytes / 2**20
 
 
 def test_chebyshev_coefficients(record):
@@ -391,13 +403,23 @@ def test_reduce_and_fidelity(record):
     assert record(read_out) > 0.9
 
 
+def _render_json_args(report: dict) -> tuple:
+    """``cli._render_json``'s arguments for a parsed report: the report
+    without its config echo and the RunConfig it echoes, or the whole
+    report on source trees whose renderer takes the payload alone."""
+    if len(inspect.signature(cli._render_json).parameters) == 1:
+        return (report,)
+    payload = dict(report)
+    return payload, cli.RunConfig(**payload.pop("config_echo"))
+
+
 def test_render_json_report(record):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["protocol", "ghz", "--n", "4", "--engine", "full", "--g", "1",
                          "--delta", "4.9", "--fock-cutoff", "8"]) == 0
-    payload = json.loads(out.getvalue())
-    assert record(cli._render_json, payload) == out.getvalue()
+    args = _render_json_args(json.loads(out.getvalue()))
+    assert record(cli._render_json, *args) == out.getvalue()
 
 
 def test_run_plan_effective(record):

@@ -328,18 +328,20 @@ def spin_raising(two_j: int) -> np.ndarray:
     return np.diag(0.5 * np.sqrt((two_j - two_m) * (two_j + two_m + 2.0)), -1)
 
 
+def _multiplets(k: int, low: int) -> int:
+    """The number of spin-J multiplets among k spin-1/2, J = k/2 - low."""
+    return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+
+
 def spin_groups(atom_count: int, atom_dim: int) -> tuple:
     """The groups of coupled_basis(atom_count, atom_dim), counted in
     closed form without building it: spin J has one copy per pattern of
     k active atoms (C(N, k) (d - 2)^(N - k) patterns) and per spin-J
     multiplet of k spin-1/2 (C(k, l) - C(k, l - 1) of them, l = k/2 - J)."""
     n, d = atom_count, atom_dim
-
-    def multiplets(k, low):  # of spin J = k/2 - low among k spin-1/2
-        return math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
     groups, start = [], 0
     for two_j in range(n, -1, -1):
-        copies = sum(math.comb(n, k) * (d - 2) ** (n - k) * multiplets(k, (k - two_j) // 2)
+        copies = sum(math.comb(n, k) * (d - 2) ** (n - k) * _multiplets(k, (k - two_j) // 2)
                      for k in range(two_j, n + 1, 2))
         if copies:
             groups.append(SpinGroup(two_j, start, copies))
@@ -352,8 +354,11 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
     """The CoupledBasis of atom_count atoms with atom_dim levels, built
     once per shape (see the class docstring).
 
-    The multiplets of k = 1 .. N spin-1/2 (|g> is M = -1/2, the first
-    spin the most significant digit) come from those of k - 1 with the
+    Each spectator pattern (itertools order) owns the next free columns
+    of its groups, one copy per multiplet of its k active atoms; these
+    first columns are counted before anything is built.  The multiplets
+    of k = 1 .. N spin-1/2 (|g> is M = -1/2, the first spin the most
+    significant digit) then come from those of k - 1 with the
     Condon-Shortley Clebsch-Gordan coefficients of j x 1/2:
 
         |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
@@ -361,45 +366,59 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
 
     a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)),
     the |e> part going into the odd rows of the 2^k-row vectors and the
-    |g> part into the even ones.  These levels (8 (4^(N+1) - 1) / 3
-    bytes in all) live only during the build: each spectator pattern
-    (itertools order) writes its multiplets into q's rows of its active
-    atoms, at the next free columns of their groups.
+    |g> part into the even ones.  Level k (8 4^k bytes) is written into
+    q's rows of the active atoms of every k-active pattern as soon as it
+    exists, and level k - 1 is dropped once level k is built, so the
+    build holds q and at most two adjacent levels (10 4^N bytes).
     """
     d, n = atom_dim, atom_count
-    levels = [[(0, np.ones((1, 1)))]]  # (2J, (2^k, 2J + 1) vectors) of k = 0 .. n spins
-    for _ in range(n):
-        grown = []
-        for two_j, vecs in levels[-1]:
-            for two_big in (two_j + 1, two_j - 1):
-                if two_big < 0:
-                    continue
-                two_m = np.arange(-two_big, two_big + 1, 2)
-                a = np.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
-                b = np.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
-                new = np.zeros((2 * len(vecs), two_big + 1))
-                if two_big > two_j:  # M = -J' has no |e> part, M = J' no |g> part
-                    new[1::2, 1:], new[0::2, :-1] = a[1:] * vecs, b[:-1] * vecs
-                else:
-                    new[1::2], new[0::2] = -b * vecs[:, :-1], a * vecs[:, 1:]
-                grown.append((two_big, new))
-        levels.append(grown)
     groups = spin_groups(n, d)
     free = {group.two_j: group.start for group in groups}
-    q = np.zeros((d**n, d**n))
     digits = d ** np.arange(n - 1, -1, -1)  # atom 1 the most significant
+    # the columns a pattern of k active atoms takes in each group
+    widths = [{two_j: (two_j + 1) * _multiplets(k, (k - two_j) // 2)
+               for two_j in range(k % 2, k + 1, 2)} for k in range(n + 1)]
+    patterns = [[] for _ in range(n + 1)]  # (parked rows, active atoms, first columns) by k
     for pattern in itertools.product((None,) + tuple(range(2, d)), repeat=n):
         active = [j for j, level in enumerate(pattern) if level is None]
         parked = sum(int(digits[j]) * level for j, level in enumerate(pattern)
                      if level is not None)
         k = len(active)
-        bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        rows = parked + bits @ digits[active]
-        for two_j, vecs in levels[k]:
-            q[rows, free[two_j]:free[two_j] + two_j + 1] = vecs
-            free[two_j] += two_j + 1
+        patterns[k].append((parked, active, dict(free)))
+        for two_j, width in widths[k].items():
+            free[two_j] += width
+    q = np.zeros((d**n, d**n))
+    level = [(0, np.ones((1, 1)))]  # (2J, (2^k, 2J + 1) vectors) of k spins
+    for k in range(n + 1):
+        if k:
+            level = _grow(level)
+        for parked, active, first in patterns[k]:
+            bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+            rows = parked + bits @ digits[active]
+            for two_j, vecs in level:
+                q[rows, first[two_j]:first[two_j] + two_j + 1] = vecs
+                first[two_j] += two_j + 1
     q.flags.writeable = False
     return CoupledBasis(q, groups)
+
+
+def _grow(level: list) -> list:
+    """The multiplets of k spin-1/2 from those of k - 1 (coupled_basis)."""
+    grown = []
+    for two_j, vecs in level:
+        for two_big in (two_j + 1, two_j - 1):
+            if two_big < 0:
+                continue
+            two_m = np.arange(-two_big, two_big + 1, 2)
+            a = np.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
+            b = np.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
+            new = np.zeros((2 * len(vecs), two_big + 1))
+            if two_big > two_j:  # M = -J' has no |e> part, M = J' no |g> part
+                new[1::2, 1:], new[0::2, :-1] = a[1:] * vecs, b[:-1] * vecs
+            else:
+                new[1::2], new[0::2] = -b * vecs[:, :-1], a * vecs[:, 1:]
+            grown.append((two_big, new))
+    return grown
 
 
 def mode_lowering(space: SpaceDescriptor) -> np.ndarray:

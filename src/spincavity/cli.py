@@ -18,6 +18,7 @@ and JSON keys are sorted, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -198,6 +199,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown system {config.system!r}")
     if config.engine not in ENGINES:
         raise ConfigError(f"unknown engine {config.engine!r}")
+    alias = {"full-cavity": "cavity", "full-ion": "ion"}.get(config.engine)
+    if alias and values.get("system", alias) != alias:
+        raise ConfigError(f"--system {config.system} contradicts --engine {config.engine}")
     if config.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.format!r}")
     _check_numbers(config)
@@ -277,11 +281,11 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
       apply_local's products);
     * full and decay: coupled_basis's q (8 A^2 bytes; it is filled in
       place, and a rotation multiplies it by the real view of the
-      states, so no stacked or complex copy of q is made), the
-      Clebsch-Gordan levels it is built from (8 (4^(N+1) - 1) / 3
-      bytes, freed after the build), and 8 KiB per row of q for BLAS
-      work buffers (a rotation with two OpenBLAS threads packs about
-      3.4 KiB per row, with one thread 0.3);
+      states, so no stacked or complex copy of q is made), the two
+      Clebsch-Gordan levels of N - 1 and N spins it is built from at
+      most (10 4^N bytes, freed after the build), and 8 KiB per row of
+      q for BLAS work buffers (a rotation with two OpenBLAS threads
+      packs about 3.4 KiB per row, with one thread 0.3);
     * full: eight (D, k) column blocks (k = m thermal columns, else 1),
       the eigh of the widest ((N + 1) m)^2 block, and for a thermal
       start d + 3 D x D matrices (the d branches and read-out
@@ -318,7 +322,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     if kind == "effective":
         size = 16 * 12 * atoms
     else:
-        size = 8 * atoms**2 + 8 * (4 ** (n + 1) - 1) // 3 + 8192 * atoms
+        size = 8 * atoms**2 + 10 * 4**n + 8192 * atoms
     if kind == "full":
         k = m if config.nbar > 0 else 1
         size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))
@@ -400,16 +404,19 @@ def _round12(value):
     return value
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _render_json(payload: dict, config: RunConfig) -> str:
+    """The payload and the run's config echo, floats rounded to 12
+    significant digits, keys sorted."""
+    report = {**payload, "config_echo": asdict(config)}
+    return json.dumps(_round12(report), sort_keys=True, indent=2) + "\n"
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return _round12(asdict(config))
-
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(_round12(payload), sort_keys=True, indent=2) + "\n"
+def _render_csv(header: str, rows) -> str:
+    """The header line and one line per row; numbers to 12 significant
+    digits, strings as they are."""
+    lines = [header] + [",".join(v if isinstance(v, str) else f"{float(v):.12g}" for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, config: RunConfig):
@@ -439,44 +446,22 @@ def _target_legs(plan: ProtocolPlan) -> list[str]:
 def cmd_protocol(config: RunConfig) -> str:
     config = replace(config, delta=_resolve_delta(config, False))
     plan = _build_plan(config)
-    engine = _build_engine(config)
-    result = run_plan(plan, engine=engine)
+    result = run_plan(plan, engine=_build_engine(config))
+    rows = list(zip(result.branches, result.fidelities))
+    if config.format == "csv":
+        return _render_csv("branch,probability,fidelity",
+                           [(b.label, b.probability, f) for b, f in rows])
     legs = _target_legs(plan)
     branches = []
-    for b, f in zip(result.branches, result.fidelities):
-        if b.state is None:
-            pops = [0.0] * len(legs)
-        else:
-            pops = [float(p) for p in leg_populations(b.state, legs)]
-        branches.append({
-            "label": b.label,
-            "probability": b.probability,
-            "fidelity": f,
-            "leg_populations": dict(zip(legs, pops)),
-        })
-    payload = {
-        "protocol": plan.name,
-        "engine": config.engine,
-        "timings": {
-            "t1": result.timings.t1,
-            "t2": result.timings.t2,
-            "omega": result.timings.omega,
-            "omega_prime": result.timings.omega_prime,
-            "k": result.timings.k,
-            "k_prime": result.timings.k_prime,
-        },
-        "branches": branches,
-        "config_echo": _config_echo(config),
-    }
+    for b, f in rows:
+        pops = [0.0] * len(legs) if b.state is None else leg_populations(b.state, legs)
+        branches.append({"label": b.label, "probability": b.probability, "fidelity": f,
+                         "leg_populations": {leg: float(p) for leg, p in zip(legs, pops)}})
+    payload = {"protocol": plan.name, "engine": config.engine,
+               "timings": asdict(result.timings), "branches": branches}
     if config.seed is not None and any(isinstance(s, Measurement) for s in plan.stages):
         payload["sampled_outcome"] = sample_outcome(result, config.seed)
-    if config.format == "csv":
-        lines = ["branch,probability,fidelity"]
-        for row in branches:
-            lines.append(f"{row['label']},{_fmt(row['probability'])},"
-                         f"{_fmt(row['fidelity'])}")
-        return "\n".join(lines) + "\n"
-    return _render_json(payload)
+    return _render_json(payload, config)
 
 
 def cmd_sweep(config: RunConfig) -> str:
@@ -494,20 +479,10 @@ def cmd_sweep(config: RunConfig) -> str:
         point = replace(config, **{config.sweep_param: value})
         _check_numbers(point)
         rows += _sweep_rows(point, config.sweep_param, value)
-    if config.format == "json":
-        payload = {
-            "rows": [
-                {"sweep_param": p, "value": v, "branch": lbl,
-                 "probability": prob, "fidelity": fid}
-                for p, v, lbl, prob, fid in rows
-            ],
-            "config_echo": _config_echo(config),
-        }
-        return _render_json(payload)
-    lines = ["sweep_param,value,branch,probability,fidelity"]
-    for p, v, lbl, prob, fid in rows:
-        lines.append(f"{p},{_fmt(v)},{lbl},{_fmt(prob)},{_fmt(fid)}")
-    return "\n".join(lines) + "\n"
+    header = "sweep_param,value,branch,probability,fidelity"
+    if config.format == "csv":
+        return _render_csv(header, rows)
+    return _render_json({"rows": [dict(zip(header.split(","), row)) for row in rows]}, config)
 
 
 def _sweep_rows(point: RunConfig, param: str, value: float) -> list:
@@ -523,6 +498,11 @@ def _strip_measurements(plan: ProtocolPlan) -> ProtocolPlan:
     return replace(plan, stages=stages)
 
 
+#: the two full-engine frames compare-frames runs next to the Effective engine
+FRAMES = {"cavity": (("interaction", FrameTag.INTERACTION_PICTURE), ("slow", FrameTag.SLOW_FRAME)),
+          "ion": (("series", FrameTag.ION_INTERACTION), ("first-order", FrameTag.ION_LAMB_DICKE))}
+
+
 def cmd_compare_frames(config: RunConfig) -> str:
     config = replace(config, delta=_resolve_delta(config, True))
     system, kind = _resolve_system_engine(config)
@@ -531,50 +511,23 @@ def cmd_compare_frames(config: RunConfig) -> str:
     full = replace(config, engine="full", system=system)
     _check_memory(full, frames=True)
     plan = _strip_measurements(_build_plan(config))
-    if system == "ion":
-        variants = [
-            ("effective", Effective()),
-            ("series", _build_engine(full, FrameTag.ION_INTERACTION)),
-            ("first-order", _build_engine(full, FrameTag.ION_LAMB_DICKE)),
-        ]
-    else:
-        variants = [
-            ("effective", Effective()),
-            ("interaction", _build_engine(full, FrameTag.INTERACTION_PICTURE)),
-            ("slow", _build_engine(full, FrameTag.SLOW_FRAME)),
-        ]
+    variants = [("effective", Effective())] + [(label, _build_engine(full, frame))
+                                               for label, frame in FRAMES[system]]
     reduced = {}
-    frame_rows = []
     for label, engine in variants:
-        result = run_plan(plan, engine=engine)
-        state = result.branches[0].state
-        if state.space.no_mode:
-            reduced[label] = state
-        else:
-            reduced[label] = reduce_to_atoms(state, state.space)
-        frame_rows.append({"frame": label,
-                           "fidelity": fidelity(reduced[label], plan.target)})
-    names = [label for label, _ in variants]
-    pairs = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            dist = trace_distance(reduced[names[i]], reduced[names[j]])
-            pairs.append({"frames": f"{names[i]}|{names[j]}",
-                          "trace_distance": dist})
-    payload = {
-        "protocol": plan.name,
-        "frames": frame_rows,
-        "pairs": pairs,
-        "config_echo": _config_echo(config),
-    }
+        state = run_plan(plan, engine=engine).branches[0].state
+        reduced[label] = state if state.space.no_mode else reduce_to_atoms(state, state.space)
+    fids = [(label, fidelity(state, plan.target)) for label, state in reduced.items()]
+    pairs = [(f"{a}|{b}", trace_distance(reduced[a], reduced[b]))
+             for a, b in itertools.combinations(reduced, 2)]
     if config.format == "csv":
-        lines = ["kind,name,value"]
-        for row in frame_rows:
-            lines.append(f"fidelity,{row['frame']},{_fmt(row['fidelity'])}")
-        for row in pairs:
-            lines.append(f"trace_distance,{row['frames']},{_fmt(row['trace_distance'])}")
-        return "\n".join(lines) + "\n"
-    return _render_json(payload)
+        return _render_csv("kind,name,value", [("fidelity",) + row for row in fids]
+                           + [("trace_distance",) + row for row in pairs])
+    return _render_json({
+        "protocol": plan.name,
+        "frames": [{"frame": label, "fidelity": fid} for label, fid in fids],
+        "pairs": [{"frames": name, "trace_distance": dist} for name, dist in pairs],
+    }, config)
 
 
 def cmd_list_protocols() -> str:

@@ -3,6 +3,10 @@
 Each planner returns a ProtocolPlan: an ordered list of pulse stages
 (collective drives, instantaneous local transfers, a final measurement)
 together with the closed-form target state the schedule prepares.
+The planners differ only in their schedule and target legs: ``_target``
+builds every target from its legs' amplitudes, ``_ghz_drive`` every GHZ
+drive (checking lam), ``_timings`` the Timings of the first two drives,
+and ``_permutation`` the level swaps behind the transfers.
 
 Engines:
 
@@ -235,23 +239,26 @@ class ProtocolResult:
 # local transfer matrices
 
 
+def _permutation(atom_dim: int, *swaps: tuple) -> np.ndarray:
+    """The atom_dim-level identity with each (i, j) pair of levels swapped."""
+    mat = np.eye(atom_dim, dtype=complex)
+    for i, j in swaps:
+        mat[[i, j]] = mat[[j, i]]
+    return mat
+
+
 def swap_ef_matrix(atom_dim: int) -> np.ndarray:
     """Permutation exchanging |e> and |f> (moves e-population to f)."""
     if atom_dim < 3:
         raise ValueError("swap e<->f needs at least 3 levels")
-    mat = np.eye(atom_dim, dtype=complex)
-    mat[[1, 2]] = mat[[2, 1]]
-    return mat
+    return _permutation(atom_dim, (1, 2))
 
 
 def swap_gf_eh_matrix(atom_dim: int) -> np.ndarray:
     """Permutation exchanging g<->f and e<->h."""
     if atom_dim != 4:
         raise ValueError("swap g<->f, e<->h needs 4 levels")
-    mat = np.eye(4, dtype=complex)
-    mat[[0, 2]] = mat[[2, 0]]
-    mat[[1, 3]] = mat[[3, 1]]
-    return mat
+    return _permutation(4, (0, 2), (1, 3))
 
 
 def reduce_rotation_matrix() -> np.ndarray:
@@ -310,6 +317,24 @@ def _pick_k_any(t: float, delta: float | None, base: int = 1) -> int:
     return max(base, math.ceil(_drive_index(t, delta)))
 
 
+def _target(space: SpaceDescriptor, legs: dict) -> StateVector:
+    """The target state of a plan: amplitude legs[leg] on each atomic
+    product state leg (a level string such as "gf"), zero elsewhere."""
+    amps = np.zeros(space.dim, dtype=complex)
+    for leg, amp in legs.items():
+        amps[basis_index(space, leg)] = amp
+    return StateVector(space, amps)
+
+
+def _timings(drives: list) -> Timings:
+    """The Timings of a plan's first two (drive, index) pairs; a
+    one-drive plan leaves the second stage's fields None."""
+    (first, k), (second, k_prime) = (drives + [(None, None)])[:2]
+    if second is None:
+        return Timings(first.duration, None, first.omega, None, k, None)
+    return Timings(first.duration, second.duration, first.omega, second.omega, k, k_prime)
+
+
 def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None = None,
                          delta: float | None = None) -> ProtocolPlan:
     """Two qutrits to the three-leg maximally entangled state.
@@ -336,24 +361,16 @@ def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None =
         k_prime = _pick_k_any(t2 / 2.0, delta)  # omega' = 2 k' pi / t2 = k' pi / (t2/2)
     if k_prime <= 0:
         raise ValueError("k_prime must be a positive integer")
-    omega = k * math.pi / t1
-    omega_prime = 2.0 * k_prime * math.pi / t2
-    space = make_space(2, 3, 0, no_mode=True)
-
-    amps = np.zeros(space.dim, dtype=complex)
     phase = np.exp(-1j * lam * t1) / math.sqrt(3.0)
-    amps[basis_index(space, "gg")] = phase * np.exp(-1j * lam * t2)
-    amps[basis_index(space, "ee")] = phase * (-1j) * np.exp(-1j * lam * t2)
-    amps[basis_index(space, "ff")] = phase * (-1j)
-    target = StateVector(space, amps)
-
-    stages = (
-        CollectiveDrive(omega, t1, lam),
-        LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"),
-        CollectiveDrive(omega_prime, t2, lam),
-    )
-    timings = Timings(t1, t2, omega, omega_prime, k, k_prime)
-    return ProtocolPlan("two-atom-qutrit", stages, space, target, timings)
+    target = _target(make_space(2, 3, 0, no_mode=True), {
+        "gg": phase * np.exp(-1j * lam * t2),
+        "ee": phase * (-1j) * np.exp(-1j * lam * t2),
+        "ff": phase * (-1j)})
+    drive1 = CollectiveDrive(k * math.pi / t1, t1, lam)
+    drive2 = CollectiveDrive(2.0 * k_prime * math.pi / t2, t2, lam)
+    stages = (drive1, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive2)
+    return ProtocolPlan("two-atom-qutrit", stages, target.space, target,
+                        _timings([(drive1, k), (drive2, k_prime)]))
 
 
 def _ghz_sign(n_atoms: int) -> float:
@@ -364,8 +381,11 @@ def _ghz_sign(n_atoms: int) -> float:
 
 def _ghz_drive(n_atoms: int, lam: float, n_choice: int | None,
                delta: float | None) -> tuple[CollectiveDrive, int]:
-    """The single GHZ drive: lam t = pi/4 with the parity-dependent
-    omega condition (omega t = n pi for even N, (2n + 3/4) pi for odd N)."""
+    """The GHZ drive and its index n: lam t = pi/4 with the
+    parity-dependent omega condition (omega t = n pi for even N,
+    (2n + 3/4) pi for odd N); lam must be positive and finite."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     t = _stage_time(math.pi / (4.0 * lam))
     if n_atoms % 2 == 0:
         n = n_choice if n_choice is not None else _pick_k_any(t, delta)
@@ -399,20 +419,12 @@ def plan_ghz_two_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2:
         raise ValueError("need at least 2 atoms")
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
     drive, n = _ghz_drive(n_atoms, lam, n_choice, delta)
-    space = make_space(n_atoms, 2, 0, no_mode=True)
-
-    amps = np.zeros(space.dim, dtype=complex)
-    sign = _ghz_sign(n_atoms)
     overall = 1.0 if n_atoms % 2 == 0 else np.exp(-1j * 7.0 * math.pi / 8.0)
-    amps[basis_index(space, "g" * n_atoms)] = overall * np.exp(-1j * math.pi / 4.0) / math.sqrt(2.0)
-    amps[basis_index(space, "e" * n_atoms)] = overall * np.exp(1j * math.pi / 4.0) * sign / math.sqrt(2.0)
-    target = StateVector(space, amps)
-
-    timings = Timings(drive.duration, None, drive.omega, None, n, None)
-    return ProtocolPlan("ghz", (drive,), space, target, timings)
+    target = _target(make_space(n_atoms, 2, 0, no_mode=True), {
+        "g" * n_atoms: overall * np.exp(-1j * math.pi / 4.0) / math.sqrt(2.0),
+        "e" * n_atoms: overall * np.exp(1j * math.pi / 4.0) * _ghz_sign(n_atoms) / math.sqrt(2.0)})
+    return ProtocolPlan("ghz", (drive,), target.space, target, _timings([(drive, n)]))
 
 
 def plan_ghz_three_level(n_atoms: int, lam: float, n_choice: int | None = None,
@@ -425,22 +437,14 @@ def plan_ghz_three_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2 or n_atoms % 2 != 0:
         raise ValueError("n_atoms must be even and at least 2")
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
-    drive1, n1 = _ghz_drive(n_atoms, lam, n_choice, delta)
-    drive2, n2 = _ghz_drive(n_atoms, lam, n_choice, delta)
-    space = make_space(n_atoms, 3, 0, no_mode=True)
-
+    drive, n = _ghz_drive(n_atoms, lam, n_choice, delta)
     sign = _ghz_sign(n_atoms)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[basis_index(space, "g" * n_atoms)] = 0.5 * np.exp(-1j * math.pi / 2.0)
-    amps[basis_index(space, "e" * n_atoms)] = 0.5 * sign
-    amps[basis_index(space, "f" * n_atoms)] = np.exp(1j * math.pi / 4.0) * sign / math.sqrt(2.0)
-    target = StateVector(space, amps)
-
-    stages = (drive1, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive2)
-    timings = Timings(drive1.duration, drive2.duration, drive1.omega, drive2.omega, n1, n2)
-    return ProtocolPlan("ghz-three-level", stages, space, target, timings)
+    target = _target(make_space(n_atoms, 3, 0, no_mode=True), {
+        "g" * n_atoms: 0.5 * np.exp(-1j * math.pi / 2.0),
+        "e" * n_atoms: 0.5 * sign,
+        "f" * n_atoms: np.exp(1j * math.pi / 4.0) * sign / math.sqrt(2.0)})
+    stages = (drive, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive)
+    return ProtocolPlan("ghz-three-level", stages, target.space, target, _timings([(drive, n)] * 2))
 
 
 def plan_measure_reduce(n_atoms: int, lam: float, n_choice: int | None = None,
@@ -456,22 +460,16 @@ def plan_measure_reduce(n_atoms: int, lam: float, n_choice: int | None = None,
     if n_atoms < 4 or n_atoms % 2 != 0:
         raise ValueError("n_atoms must be even and at least 4")
     base = plan_ghz_three_level(n_atoms, lam, n_choice, delta)
-    space = base.space
-    last = n_atoms - 1
-
-    sign = _ghz_sign(n_atoms)
-    amps = np.zeros(space.dim, dtype=complex)
-    norm = 1.0 / math.sqrt(3.0)
-    amps[basis_index(space, "g" * (n_atoms - 1) + "f")] = -norm * np.exp(-1j * math.pi / 2.0)
-    amps[basis_index(space, "e" * (n_atoms - 1) + "f")] = -norm * sign
-    amps[basis_index(space, "f" * n_atoms)] = norm * np.exp(1j * math.pi / 4.0) * sign
-    target = StateVector(space, amps)
-
+    last, sign, norm = n_atoms - 1, _ghz_sign(n_atoms), 1.0 / math.sqrt(3.0)
+    target = _target(base.space, {
+        "g" * last + "f": -norm * np.exp(-1j * math.pi / 2.0),
+        "e" * last + "f": -norm * sign,
+        "f" * n_atoms: norm * np.exp(1j * math.pi / 4.0) * sign})
     stages = base.stages + (
         LocalTransfer(reduce_rotation_matrix(), last, "reduce_rotation"),
         Measurement(last, "enumerate"),
     )
-    return ProtocolPlan("measure-reduce", stages, space, target, base.timings)
+    return ProtocolPlan("measure-reduce", stages, base.space, target, base.timings)
 
 
 def plan_ghz_four_level(n_atoms: int, lam: float, n_choice: int | None = None,
@@ -484,30 +482,21 @@ def plan_ghz_four_level(n_atoms: int, lam: float, n_choice: int | None = None,
     """
     if n_atoms < 2 or n_atoms % 2 != 0:
         raise ValueError("n_atoms must be even and at least 2")
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
-    drives = [_ghz_drive(n_atoms, lam, n_choice, delta) for _ in range(3)]
-    space = make_space(n_atoms, 4, 0, no_mode=True)
-
+    drive, n = _ghz_drive(n_atoms, lam, n_choice, delta)
     sign = _ghz_sign(n_atoms)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[basis_index(space, "g" * n_atoms)] = 0.5 * sign
-    amps[basis_index(space, "e" * n_atoms)] = 0.5 * np.exp(1j * math.pi / 2.0)
-    amps[basis_index(space, "f" * n_atoms)] = 0.5 * np.exp(-1j * math.pi / 2.0)
-    amps[basis_index(space, "h" * n_atoms)] = 0.5 * sign
-    target = StateVector(space, amps)
-
+    target = _target(make_space(n_atoms, 4, 0, no_mode=True), {
+        "g" * n_atoms: 0.5 * sign,
+        "e" * n_atoms: 0.5 * np.exp(1j * math.pi / 2.0),
+        "f" * n_atoms: 0.5 * np.exp(-1j * math.pi / 2.0),
+        "h" * n_atoms: 0.5 * sign})
     stages = (
-        drives[0][0],
+        drive,
         LocalTransfer(swap_ef_matrix(4), "all", "swap_ef"),
-        drives[1][0],
+        drive,
         LocalTransfer(swap_gf_eh_matrix(4), "all", "swap_gf_eh"),
-        drives[2][0],
+        drive,
     )
-    timings = Timings(drives[0][0].duration, drives[1][0].duration,
-                      drives[0][0].omega, drives[1][0].omega,
-                      drives[0][1], drives[1][1])
-    return ProtocolPlan("ghz-four-level", stages, space, target, timings)
+    return ProtocolPlan("ghz-four-level", stages, target.space, target, _timings([(drive, n)] * 2))
 
 
 PLANNERS = {

@@ -408,10 +408,10 @@ def test_spin_groups_count_the_coupled_basis_groups(atom_count, atom_dim):
 
 
 def test_coupled_basis_is_built_in_place():
-    # the build holds q and the Clebsch-Gordan levels of k = 0 .. N spins
-    # (8 (4^(N+1) - 1) / 3 bytes) at its peak, and afterwards only q: no
+    # the build holds q and at most the Clebsch-Gordan levels of N - 1
+    # and N spins (10 4^N bytes) at its peak, and afterwards only q: no
     # stacked copy of q and no cached multiplets
-    q_bytes, levels = 8 * 4**10, 8 * (4**11 - 1) // 3
+    q_bytes, levels = 8 * 4**10, 10 * 4**10
     tracemalloc.start()
     try:
         basis = coupled_basis.__wrapped__(10, 2)  # uncached
@@ -419,7 +419,7 @@ def test_coupled_basis_is_built_in_place():
     finally:
         tracemalloc.stop()
     assert basis.q.nbytes == q_bytes
-    assert peak <= q_bytes + levels + 2**20
+    assert peak <= q_bytes + levels + 2**18
     assert held <= 1.01 * q_bytes
 
 

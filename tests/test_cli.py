@@ -201,6 +201,53 @@ def test_compare_frames_csv_shape(capsys):
     assert kinds == ["fidelity"] * 3 + ["trace_distance"] * 3
 
 
+# the CSV rows of each command, and the same rows read off its JSON report
+REPORTS = {
+    "protocol": (("protocol", "measure-reduce", "--n", "4", "--engine", "full", "--g", "1",
+                  "--delta", "10", "--fock-cutoff", "6"),
+                 lambda p: [(b["label"], b["probability"], b["fidelity"]) for b in p["branches"]]),
+    "sweep": (("sweep", "ghz", "--n", "2", "--engine", "lindblad", "--g", "1", "--delta", "4.1",
+               "--fock-cutoff", "6", "--sweep-param", "kappa", "--sweep-from", "0.05",
+               "--sweep-to", "0.2", "--sweep-steps", "2"),
+              lambda p: [(r["sweep_param"], r["value"], r["branch"], r["probability"],
+                          r["fidelity"]) for r in p["rows"]]),
+    "compare-frames": (("compare-frames", "ghz", "--n", "2", "--system", "ion", "--delta", "2",
+                        "--fock-cutoff", "8"),
+                       lambda p: [("fidelity", r["frame"], r["fidelity"]) for r in p["frames"]]
+                       + [("trace_distance", r["frames"], r["trace_distance"])
+                          for r in p["pairs"]]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_csv_rows_carry_the_json_reports_numbers(capsys, command):
+    argv, rows_of = REPORTS[command]
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    csv_rows = [tuple(line.split(",")) for line in out.splitlines()[1:]]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    json_rows = rows_of(json.loads(out))
+    assert len(csv_rows) == len(json_rows) > 1
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert [v if isinstance(v, str) else float(v) for v in json_row] == [
+            v if isinstance(j, str) else float(v) for v, j in zip(csv_row, json_row)]
+
+
+def test_csv_report_builds_only_its_rows(capsys, monkeypatch):
+    # leg populations and the sampled outcome appear only in the JSON
+    # report, so a CSV report must not compute them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV report computed a value it does not print")
+
+    monkeypatch.setattr(cli, "leg_populations", refuse)
+    monkeypatch.setattr(cli, "sample_outcome", refuse)
+    code, out, err = _run(capsys, "protocol", "measure-reduce", "--n", "4", "--seed", "7",
+                          "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["branch", "g", "e", "f"]
+
+
 # ------------------------------------------------------------ config errors
 
 
@@ -547,19 +594,40 @@ BAD_INPUT = [
     (DECAY_GHZ + ("--kappa", "1e300"),
      "config error: the decay stage needs at least 3.142e+301 Chebyshev series terms "
      "(substeps x series length), more than 1e+07"),
+    # an engine alias that names the other system ran that engine while
+    # the report echoed the system flag
+    (("protocol", "ghz", "--system", "cavity", "--engine", "full-ion", "--delta", "2"),
+     "config error: --system cavity contradicts --engine full-ion"),
+    (("protocol", "ghz", "--system", "ion", "--engine", "full-cavity", "--delta", "5"),
+     "config error: --system ion contradicts --engine full-cavity"),
 ]
 
 
 @pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
     "out-no-directory", "out-is-directory", "delta-1e300", "g-1e200", "ion-delta-1e-310",
     "nbar-1e300", "g-negative", "g-negative-full", "eta-1.5", "eta-1.5-full-ion",
-    "eta-sweep", "kappa-5e307", "kappa-1e300"])
+    "eta-sweep", "kappa-5e307", "kappa-1e300", "cavity-full-ion", "ion-full-cavity"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
     missing = tmp_path / "absent" / "x.json"
     paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out, err) == (1, "", line.format(**paths) + "\n")
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("system, engine, code", [
+    ("cavity", "full-ion", 1), ("ion", "full-cavity", 1), ("ion", "full-ion", 0),
+    ("cavity", "full-cavity", 0)])
+def test_system_key_must_agree_with_an_engine_alias(tmp_path, capsys, system, engine, code):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"protocol": "ghz", "system": system, "engine": engine,
+                               "delta": 2.0, "fock_cutoff": 8}))
+    got, out, err = _run(capsys, "protocol", "--config", str(cfg))
+    assert got == code
+    if code:
+        assert err == f"config error: --system {system} contradicts --engine {engine}\n"
+    else:
+        assert json.loads(out)["config_echo"]["system"] == system
 
 
 def test_strong_decay_within_the_work_budget_still_runs(capsys):
