@@ -120,7 +120,6 @@ End to end:
 """
 
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -142,7 +141,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import scipy  # noqa: E402
 
-from spincavity import algebra, cli, dynamics  # noqa: E402
+from spincavity import cli, dynamics  # noqa: E402
 from spincavity.algebra import basis_state, coupled_basis, make_space  # noqa: E402
 from spincavity.analysis import fidelity, reduce_to_atoms  # noqa: E402
 from spincavity.dynamics import (  # noqa: E402
@@ -206,14 +205,6 @@ def _stage(plan, index, space, delta):
     return build, t0, t0 + stage.duration
 
 
-def _drive_start(plan, engine):
-    """The run's space and its start from |g..g, 0> as ``_drive`` takes
-    it: the engine's state object, or a one-branch list on source trees
-    whose ``_drive`` takes a list of branch states."""
-    space, start = _initial_state(plan, None, engine)
-    return space, start if hasattr(start, "x") else [start]
-
-
 def _vacuum_rho(space):
     psi = basis_state(space, "g" * space.atom_count, 0).amplitudes
     return np.outer(psi, psi.conj())[None]
@@ -264,22 +255,13 @@ def test_build_ion_terms_series(record):
     record(ion_terms, space, params, FrameTag.ION_INTERACTION)
 
 
-def _clear_basis_caches():
-    """Drop every cached basis, and the multiplet cache of source trees
-    that keep one, so the next build starts from scratch."""
-    coupled_basis.cache_clear()
-    multiplets = getattr(algebra, "_spin_half_multiplets", None)
-    if multiplets is not None:
-        multiplets.cache_clear()
-
-
 @pytest.mark.parametrize("atom_count, atom_dim", [(11, 2), (6, 3)],
                          ids=["qubits-11", "qutrits-6"])
 def test_coupled_basis_build(record, atom_count, atom_dim):
     record.extra_info["atoms_dim"] = atom_dim**atom_count
-    record.pedantic(coupled_basis, (atom_count, atom_dim), setup=_clear_basis_caches,
+    record.pedantic(coupled_basis, (atom_count, atom_dim), setup=coupled_basis.cache_clear,
                     rounds=7, iterations=1)
-    _clear_basis_caches()
+    coupled_basis.cache_clear()
     tracemalloc.start()
     try:
         q = coupled_basis(atom_count, atom_dim).q
@@ -369,7 +351,7 @@ def test_drive_stage(record, name):
     n_atoms, cutoff, delta, engine = DRIVE_STAGES[name]
     plan = plan_ghz_two_level(n_atoms, lambda_cavity(1.0, delta), delta=delta)
     engine = engine(DriveParams(g=1.0, delta=delta))
-    space, start = _drive_start(plan, engine)
+    space, start = _initial_state(plan, None, engine)  # from |g..g, 0>
     assert space.fock_cutoff == cutoff
     t0, stage = _drives(plan)[0]
     step = (plan, space, stage, engine, start, t0)
@@ -384,7 +366,7 @@ def test_drive_stage(record, name):
 def test_effective_drive(record, planner, n_atoms):
     plan = planner(n_atoms, lambda_cavity(1.0, 20.0), delta=20.0)
     t0, stage = _drives(plan)[0]
-    space, start = _drive_start(plan, Effective())
+    space, start = _initial_state(plan, None, Effective())
     step = (plan, space, stage, Effective(), start, t0)
     _drive(*step)
     record.extra_info["atoms_dim"] = plan.space.atoms_dim
@@ -403,23 +385,14 @@ def test_reduce_and_fidelity(record):
     assert record(read_out) > 0.9
 
 
-def _render_json_args(report: dict) -> tuple:
-    """``cli._render_json``'s arguments for a parsed report: the report
-    without its config echo and the RunConfig it echoes, or the whole
-    report on source trees whose renderer takes the payload alone."""
-    if len(inspect.signature(cli._render_json).parameters) == 1:
-        return (report,)
-    payload = dict(report)
-    return payload, cli.RunConfig(**payload.pop("config_echo"))
-
-
 def test_render_json_report(record):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["protocol", "ghz", "--n", "4", "--engine", "full", "--g", "1",
                          "--delta", "4.9", "--fock-cutoff", "8"]) == 0
-    args = _render_json_args(json.loads(out.getvalue()))
-    assert record(cli._render_json, *args) == out.getvalue()
+    payload = json.loads(out.getvalue())
+    config = cli.RunConfig(**payload.pop("config_echo"))
+    assert record(cli._render_json, payload, config) == out.getvalue()
 
 
 def test_run_plan_effective(record):
@@ -490,6 +463,6 @@ def _cli_ghz11_full():
 def test_cli_protocol_ghz11_full(record):
     record.extra_info["hilbert_dim"] = 2**11 * 15
     codes = []
-    record.pedantic(lambda: codes.append(_cli_ghz11_full()), setup=_clear_basis_caches,
+    record.pedantic(lambda: codes.append(_cli_ghz11_full()), setup=coupled_basis.cache_clear,
                     rounds=5, iterations=1)
     assert codes == [0] * len(codes)

@@ -369,7 +369,10 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
     |g> part into the even ones.  Level k (8 4^k bytes) is written into
     q's rows of the active atoms of every k-active pattern as soon as it
     exists, and level k - 1 is dropped once level k is built, so the
-    build holds q and at most two adjacent levels (10 4^N bytes).
+    build holds q and at most two adjacent levels (10 4^N bytes).  For
+    two-level atoms level N, as large as q, has one pattern, whose rows
+    are q's rows in order, so it grows straight into its columns of q
+    and the build peaks at q + levels N - 2 and N - 1 (1.31 q).
     """
     d, n = atom_dim, atom_count
     groups = spin_groups(n, d)
@@ -389,7 +392,8 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
             free[two_j] += width
     q = np.zeros((d**n, d**n))
     level = [(0, np.ones((1, 1)))]  # (2J, (2^k, 2J + 1) vectors) of k spins
-    for k in range(n + 1):
+    in_place = d == 2 and n > 0  # level N of qubits grows into q
+    for k in range(n + 1 - in_place):
         if k:
             level = _grow(level)
         for parked, active, first in patterns[k]:
@@ -398,12 +402,17 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
             for two_j, vecs in level:
                 q[rows, first[two_j]:first[two_j] + two_j + 1] = vecs
                 first[two_j] += two_j + 1
+    if in_place:
+        _grow(level, (q, patterns[n][0][2]))
     q.flags.writeable = False
     return CoupledBasis(q, groups)
 
 
-def _grow(level: list) -> list:
-    """The multiplets of k spin-1/2 from those of k - 1 (coupled_basis)."""
+def _grow(level: list, into: tuple | None = None) -> list:
+    """The multiplets of k spin-1/2 from those of k - 1 (coupled_basis),
+    each in a new array, or with into = (matrix, first free column by
+    2J) in the next columns of a zero matrix whose rows are the 2^k
+    product states in order."""
     grown = []
     for two_j, vecs in level:
         for two_big in (two_j + 1, two_j - 1):
@@ -412,7 +421,12 @@ def _grow(level: list) -> list:
             two_m = np.arange(-two_big, two_big + 1, 2)
             a = np.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
             b = np.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
-            new = np.zeros((2 * len(vecs), two_big + 1))
+            if into is None:
+                new = np.zeros((2 * len(vecs), two_big + 1))
+            else:
+                matrix, first = into
+                new = matrix[:, first[two_big]:first[two_big] + two_big + 1]
+                first[two_big] += two_big + 1
             if two_big > two_j:  # M = -J' has no |e> part, M = J' no |g> part
                 new[1::2, 1:], new[0::2, :-1] = a[1:] * vecs, b[:-1] * vecs
             else:

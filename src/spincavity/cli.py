@@ -7,9 +7,12 @@ sweep           rerun a protocol while scanning one numeric parameter
 compare-frames  run the drive stages in different frames and compare
 list-protocols  print the available protocol names
 
-Configuration is a flat JSON object mirroring RunConfig; command line
-flags override file values.  Exit codes: 0 success, 1 configuration
-error, 2 physics failure (truncation or norm drift).
+RunConfig is the one declaration of the options: each of its fields is
+a config-file key and a flag of the same name and type, with its help
+text from HELP and its allowed values from CHOICES, which a config file
+must keep to as well.  A configuration is a flat JSON object of those
+keys; command line flags override file values.  Exit codes: 0 success,
+1 configuration error, 2 physics failure (truncation or norm drift).
 
 Reports are byte stable: floats are rounded to 12 significant digits
 and JSON keys are sorted, so identical inputs give identical bytes.
@@ -47,6 +50,8 @@ from .protocols import (
 
 ENGINES = ("effective", "full", "full-cavity", "full-ion", "lindblad")
 SYSTEMS = ("cavity", "ion")
+#: the system each engine alias runs
+ALIASES = {"full-cavity": "cavity", "full-ion": "ion"}
 ION_OMEGA = 1.0  # laser Rabi frequency of the ion system's drive
 DEFAULT_DELTA = 20.0  # effective-engine fallback; full engines require --delta
 #: refuse a run whose arrays would together take more bytes than this
@@ -62,7 +67,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run description; JSON config files carry these same keys."""
+    """Flat run description: the one declaration of the run options.
+    JSON config files carry these keys, and every field but protocol (a
+    positional argument) is the flag of its name, with its type; the
+    sweep_* fields are flags of ``sweep`` only."""
 
     protocol: str = ""
     system: str = "cavity"
@@ -86,6 +94,32 @@ class RunConfig:
     sweep_steps: int = 5
 
 
+#: help text of each option; a field without an entry has none
+HELP = {
+    "protocol": "protocol name (see list-protocols)",
+    "system": "physical system carrying the protocol",
+    "n": "number of atoms",
+    "g": "atom-mode coupling",
+    "delta": "detuning",
+    "omega_k": "integer index fixing the drive strength",
+    "eta": "Lamb-Dicke parameter",
+    "nu": "trap frequency; only echoed in the report, since the ion generators live in "
+          "the frame that absorbs it",
+    "nbar": "thermal occupation of the initial mode (full and lindblad engines) and of "
+            "the bath (lindblad)",
+    "kappa": "mode decay rate (lindblad engine only)",
+    "fock_cutoff": "highest Fock level kept",
+    "out": "write the report to this path",
+    "force": "overwrite an existing --out file",
+    "seed": "sample one measurement outcome with this seed",
+}
+#: the values a field takes, from a flag or a config file alike
+CHOICES = {"system": SYSTEMS, "engine": ENGINES, "format": ("json", "csv"),
+           "sweep_param": ("g", "delta", "eta", "nu", "nbar", "kappa")}
+#: the types each field's annotation admits (NoneType included)
+KINDS = {name: get_args(hint) or (hint,) for name, hint in get_type_hints(RunConfig).items()}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); that code means physics here
         raise ConfigError(message)
@@ -93,56 +127,25 @@ class _Parser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves no
-    state on it, and its error() only raises."""
+    """The argument parser, built once per process from RunConfig's
+    fields: parsing leaves no state on it, and its error() only raises."""
     parser = _Parser(prog="spincavity",
                      description="collective-drive entanglement protocols")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("protocol", nargs="?", default=None,
-                       help="protocol name (see list-protocols)")
+    for command, summary in (("protocol", "run one protocol"), ("sweep", "scan one parameter"),
+                             ("compare-frames", "same schedule in different frames")):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("protocol", nargs="?", help=HELP["protocol"])
         p.add_argument("--config", help="JSON file with RunConfig keys")
-        p.add_argument("--system", choices=SYSTEMS,
-                       help="physical system carrying the protocol")
-        p.add_argument("--engine", choices=ENGINES)
-        p.add_argument("--n", type=int, help="number of atoms")
-        p.add_argument("--g", type=float, help="atom-mode coupling")
-        p.add_argument("--delta", type=float, help="detuning")
-        p.add_argument("--omega-k", dest="omega_k", type=int,
-                       help="integer index fixing the drive strength")
-        p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
-        p.add_argument("--nu", type=float,
-                       help="trap frequency; only echoed in the report, since the ion "
-                            "generators live in the frame that absorbs it")
-        p.add_argument("--nbar", type=float,
-                       help="thermal occupation of the initial mode (full and lindblad "
-                            "engines) and of the bath (lindblad)")
-        p.add_argument("--kappa", type=float, help="mode decay rate (lindblad engine only)")
-        p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
-                       help="highest Fock level kept")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--force", action="store_true", default=None,
-                       help="overwrite an existing --out file")
-        p.add_argument("--seed", type=int,
-                       help="sample one measurement outcome with this seed")
-
-    p_run = sub.add_parser("protocol", help="run one protocol")
-    add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="scan one parameter")
-    add_common(p_sweep)
-    p_sweep.add_argument("--sweep-param", dest="sweep_param",
-                         choices=("g", "delta", "eta", "nu", "nbar", "kappa"))
-    p_sweep.add_argument("--sweep-from", dest="sweep_from", type=float)
-    p_sweep.add_argument("--sweep-to", dest="sweep_to", type=float)
-    p_sweep.add_argument("--sweep-steps", dest="sweep_steps", type=int)
-
-    p_cmp = sub.add_parser("compare-frames",
-                           help="same schedule in different frames")
-    add_common(p_cmp)
-
+        for f in fields(RunConfig)[1:]:
+            if f.name.startswith("sweep_") and command != "sweep":
+                continue
+            kind = KINDS[f.name][0]
+            flag, text = "--" + f.name.replace("_", "-"), HELP.get(f.name)
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=kind, choices=CHOICES.get(f.name), help=text)
     sub.add_parser("list-protocols", help="print protocol names")
     return parser
 
@@ -161,12 +164,10 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    hints = get_type_hints(RunConfig)
     for key, value in data.items():
-        kinds = get_args(hints[key]) or (hints[key],)
-        if not any(_is_a(value, kind) for kind in kinds):
+        if not any(_is_a(value, kind) for kind in KINDS[key]):
             names = " or ".join("null" if kind is type(None) else kind.__name__
-                                for kind in kinds)
+                                for kind in KINDS[key])
             raise ConfigError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
     return data
 
@@ -182,31 +183,36 @@ def _is_a(value, kind) -> bool:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
+    """The run the flags and the config file describe, flags winning;
+    every choice and number checked, an engine alias's system set, and
+    the Effective engine's default delta filled in (compare-frames runs
+    full engines too, so it needs --delta)."""
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                  if getattr(args, f.name, None) is not None)
     config = RunConfig(**values)
     if not config.protocol:
         raise ConfigError("no protocol given (positional argument or config key)")
     if config.protocol not in PLANNERS:
         raise ConfigError(f"unknown protocol {config.protocol!r}; "
                           f"choices: {', '.join(sorted(PLANNERS))}")
-    if config.system not in SYSTEMS:
-        raise ConfigError(f"unknown system {config.system!r}")
-    if config.engine not in ENGINES:
-        raise ConfigError(f"unknown engine {config.engine!r}")
-    alias = {"full-cavity": "cavity", "full-ion": "ion"}.get(config.engine)
-    if alias and values.get("system", alias) != alias:
+    for name, allowed in CHOICES.items():
+        value = getattr(config, name)
+        if value is not None and value not in allowed:
+            raise ConfigError(f"unknown {name} {value!r}")
+    system = ALIASES.get(config.engine, config.system)
+    if values.get("system", system) != system:
         raise ConfigError(f"--system {config.system} contradicts --engine {config.engine}")
-    if config.format not in ("json", "csv"):
-        raise ConfigError(f"unknown format {config.format!r}")
     _check_numbers(config)
     _check_out(config)
-    return config
+    if config.engine == "lindblad" and system == "ion":
+        raise ConfigError("the decay engine models the cavity system only")
+    delta = config.delta
+    if delta is None:
+        if config.engine != "effective" or args.command == "compare-frames":
+            raise ConfigError("missing --delta (required for full and decay engines)")
+        delta = DEFAULT_DELTA
+    return replace(config, system=system, delta=delta)
 
 
 def _check_numbers(config: RunConfig):
@@ -238,37 +244,8 @@ def _check_out(config: RunConfig):
         raise ConfigError(f"{config.out} exists; pass --force to overwrite")
 
 
-def _resolve_system_engine(config: RunConfig) -> tuple[str, str]:
-    """Canonical (system, engine-kind) pair from the config's aliases."""
-    if config.engine == "full-cavity":
-        return "cavity", "full"
-    if config.engine == "full-ion":
-        return "ion", "full"
-    if config.engine == "lindblad":
-        if config.system == "ion":
-            raise ConfigError("the decay engine models the cavity system only")
-        return "cavity", "lindblad"
-    return config.system, config.engine
-
-
-def _resolve_delta(config: RunConfig, full_capable: bool) -> float:
-    if config.delta is not None:
-        return config.delta
-    _, kind = _resolve_system_engine(config)
-    if kind != "effective" or full_capable:
-        raise ConfigError("missing --delta (required for full and decay engines)")
-    return DEFAULT_DELTA
-
-
 # ---------------------------------------------------------------------------
 # plan and engine construction
-
-
-def _system_lambda(config: RunConfig) -> float:
-    system, _ = _resolve_system_engine(config)
-    if system == "ion":
-        return lambda_ion(ION_OMEGA, config.eta, config.delta)
-    return lambda_cavity(config.g, config.delta)
 
 
 def _check_memory(config: RunConfig, frames: bool = False) -> int:
@@ -283,7 +260,8 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
       place, and a rotation multiplies it by the real view of the
       states, so no stacked or complex copy of q is made), the two
       Clebsch-Gordan levels of N - 1 and N spins it is built from at
-      most (10 4^N bytes, freed after the build), and 8 KiB per row of
+      most (10 4^N bytes, freed after the build; an upper bound for
+      two-level atoms, whose level N grows inside q), and 8 KiB per row of
       q for BLAS work buffers (a rotation with two OpenBLAS threads
       packs about 3.4 KiB per row, with one thread 0.3);
     * full: eight (D, k) column blocks (k = m thermal columns, else 1),
@@ -318,7 +296,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     d, n = ATOM_LEVELS[config.protocol], config.n
     atoms, m = d**n, config.fock_cutoff + 1
     dim, widest = atoms * m, ((n + 1) * m) ** 2
-    _, kind = _resolve_system_engine(config)
+    kind = "full" if config.engine in ALIASES else config.engine
     if kind == "effective":
         size = 16 * 12 * atoms
     else:
@@ -341,15 +319,20 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     return size
 
 
-def _build_plan(config: RunConfig) -> ProtocolPlan:
-    lam = _system_lambda(config)
+def _build_plan(config: RunConfig, frames: bool = False) -> ProtocolPlan:
+    """The merged config's plan, once its coupling, atom count and
+    memory (with compare-frames' arrays if frames) are checked."""
+    if config.system == "ion":
+        lam = lambda_ion(ION_OMEGA, config.eta, config.delta)
+    else:
+        lam = lambda_cavity(config.g, config.delta)
     if lam <= 0:
         raise ConfigError("effective coupling must be positive; "
                           "check g, eta and delta")
     name = config.protocol
     if name == "two-atom-qutrit" and config.n != 2:
         raise ConfigError("two-atom-qutrit runs on exactly 2 atoms")
-    _check_memory(config)
+    _check_memory(config, frames)
     try:
         if name == "two-atom-qutrit":
             return PLANNERS[name](lam, k=config.omega_k, delta=config.delta)
@@ -371,14 +354,13 @@ def _initial_mode(config: RunConfig):
 
 
 def _build_engine(config: RunConfig, frame: FrameTag | None = None):
-    system, kind = _resolve_system_engine(config)
-    if kind == "effective":
+    if config.engine == "effective":
         return Effective()
-    if kind == "lindblad":
+    if config.engine == "lindblad":
         params = DriveParams(g=config.g, delta=config.delta)
         decay = DecaySpec(config.kappa, config.nbar)
         return Lindblad(params, decay, config.fock_cutoff, _initial_mode(config))
-    if system == "ion":
+    if config.system == "ion":
         params = DriveParams(omega=ION_OMEGA, delta=config.delta, eta=config.eta,
                              phi=math.pi / 2.0, lamb_dicke_order=2)
         return FullIon(params, config.fock_cutoff, _initial_mode(config),
@@ -444,7 +426,6 @@ def _target_legs(plan: ProtocolPlan) -> list[str]:
 
 
 def cmd_protocol(config: RunConfig) -> str:
-    config = replace(config, delta=_resolve_delta(config, False))
     plan = _build_plan(config)
     result = run_plan(plan, engine=_build_engine(config))
     rows = list(zip(result.branches, result.fidelities))
@@ -471,7 +452,6 @@ def cmd_sweep(config: RunConfig) -> str:
         raise ConfigError("sweep needs --sweep-from and --sweep-to")
     if config.sweep_steps < 2:
         raise ConfigError("sweep needs at least two steps")
-    config = replace(config, delta=_resolve_delta(config, False))
     rows = []
     for i in range(config.sweep_steps):
         frac = i / (config.sweep_steps - 1)
@@ -504,15 +484,12 @@ FRAMES = {"cavity": (("interaction", FrameTag.INTERACTION_PICTURE), ("slow", Fra
 
 
 def cmd_compare_frames(config: RunConfig) -> str:
-    config = replace(config, delta=_resolve_delta(config, True))
-    system, kind = _resolve_system_engine(config)
-    if kind == "lindblad":
+    if config.engine == "lindblad":
         raise ConfigError("compare-frames runs on unitary engines only")
-    full = replace(config, engine="full", system=system)
-    _check_memory(full, frames=True)
-    plan = _strip_measurements(_build_plan(config))
+    full = replace(config, engine="full")
+    plan = _strip_measurements(_build_plan(full, frames=True))
     variants = [("effective", Effective())] + [(label, _build_engine(full, frame))
-                                               for label, frame in FRAMES[system]]
+                                               for label, frame in FRAMES[config.system]]
     reduced = {}
     for label, engine in variants:
         state = run_plan(plan, engine=engine).branches[0].state

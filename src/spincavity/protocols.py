@@ -310,11 +310,11 @@ def _pick_k_even(t: float, delta: float | None) -> int:
     return k + (k % 2) if k > 0 else 2
 
 
-def _pick_k_any(t: float, delta: float | None, base: int = 1) -> int:
+def _pick_k_any(t: float, delta: float | None) -> int:
     """Smallest positive integer k with omega = k pi / t >= 10 |delta|."""
     if delta is None or delta == 0:
-        return base
-    return max(base, math.ceil(_drive_index(t, delta)))
+        return 1
+    return max(1, math.ceil(_drive_index(t, delta)))
 
 
 def _target(space: SpaceDescriptor, legs: dict) -> StateVector:

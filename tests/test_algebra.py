@@ -408,10 +408,11 @@ def test_spin_groups_count_the_coupled_basis_groups(atom_count, atom_dim):
 
 
 def test_coupled_basis_is_built_in_place():
-    # the build holds q and at most the Clebsch-Gordan levels of N - 1
-    # and N spins (10 4^N bytes) at its peak, and afterwards only q: no
-    # stacked copy of q and no cached multiplets
-    q_bytes, levels = 8 * 4**10, 10 * 4**10
+    # the build holds q and at most the Clebsch-Gordan levels of N - 2
+    # and N - 1 spins (10 4^(N - 1) bytes) at its peak, since level N of
+    # qubits grows inside q, and afterwards only q: no stacked copy of q
+    # and no cached multiplets
+    q_bytes, levels = 8 * 4**10, 10 * 4**9
     tracemalloc.start()
     try:
         basis = coupled_basis.__wrapped__(10, 2)  # uncached

@@ -1,13 +1,15 @@
 """Command-line contract: flags, config files, formats, exit codes,
 byte-stable reports."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -600,16 +602,32 @@ BAD_INPUT = [
      "config error: --system cavity contradicts --engine full-ion"),
     (("protocol", "ghz", "--system", "ion", "--engine", "full-cavity", "--delta", "5"),
      "config error: --system ion contradicts --engine full-cavity"),
+    # a config file's sweep_param takes the flag's choices: "protocol"
+    # used to end in a KeyError traceback, and integer fields were swept
+    # with floats
+    (("sweep", "--config", "{sweep_protocol}"), "config error: unknown sweep_param 'protocol'"),
+    (("sweep", "--config", "{sweep_fock_cutoff}"),
+     "config error: unknown sweep_param 'fock_cutoff'"),
+    (("sweep", "--config", "{sweep_seed}"), "config error: unknown sweep_param 'seed'"),
+    (("sweep", "--config", "{sweep_n}"), "config error: unknown sweep_param 'n'"),
 ]
+#: the config files BAD_INPUT names as "{sweep_<param>}"
+SWEEP_CONFIGS = {param: {"protocol": "ghz", "sweep_param": param, "sweep_from": 1,
+                         "sweep_to": 2, "sweep_steps": 2}
+                 for param in ("protocol", "fock_cutoff", "seed", "n")}
 
 
 @pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
     "out-no-directory", "out-is-directory", "delta-1e300", "g-1e200", "ion-delta-1e-310",
     "nbar-1e300", "g-negative", "g-negative-full", "eta-1.5", "eta-1.5-full-ion",
-    "eta-sweep", "kappa-5e307", "kappa-1e300", "cavity-full-ion", "ion-full-cavity"])
+    "eta-sweep", "kappa-5e307", "kappa-1e300", "cavity-full-ion", "ion-full-cavity",
+    "sweep-param-protocol", "sweep-param-fock-cutoff", "sweep-param-seed", "sweep-param-n"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
     missing = tmp_path / "absent" / "x.json"
     paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}
+    for param, values in SWEEP_CONFIGS.items():
+        paths[f"sweep_{param}"] = str(tmp_path / f"sweep-{param}.json")
+        Path(paths[f"sweep_{param}"]).write_text(json.dumps(values))
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out, err) == (1, "", line.format(**paths) + "\n")
     assert not missing.parent.exists()
@@ -628,6 +646,58 @@ def test_system_key_must_agree_with_an_engine_alias(tmp_path, capsys, system, en
         assert err == f"config error: --system {system} contradicts --engine {engine}\n"
     else:
         assert json.loads(out)["config_echo"]["system"] == system
+
+
+@pytest.mark.parametrize("engine, system, flags", [
+    ("full-cavity", "cavity", ("--g", "1", "--delta", "5", "--fock-cutoff", "8")),
+    ("full-ion", "ion", ("--delta", "1", "--fock-cutoff", "6"))], ids=["full-cavity", "full-ion"])
+def test_engine_alias_echoes_its_system(capsys, engine, system, flags):
+    # full-ion ran the ion while its report echoed "system": "cavity"
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "2", "--engine", engine, *flags)
+    assert code == 0, err
+    alias = json.loads(out)
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "2", "--engine", "full",
+                          "--system", system, *flags)
+    assert code == 0, err
+    spelled = json.loads(out)
+    assert alias.pop("config_echo")["system"] == spelled.pop("config_echo")["system"] == system
+    assert (alias.pop("engine"), spelled.pop("engine")) == (engine, "full")
+    assert alias == spelled
+
+
+def _flags(command: str) -> dict:
+    """The option actions of one subcommand's parser, by destination."""
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    actions = [action for action in sub.choices[command]._actions if action.option_strings]
+    assert len({action.dest for action in actions}) == len(actions)
+    return {action.dest: action for action in actions}
+
+
+@pytest.mark.parametrize("command", ["protocol", "sweep", "compare-frames"])
+def test_every_run_config_field_has_one_flag(command):
+    # RunConfig declares the options once: each field but the positional
+    # protocol is one flag, of the field's type, taking the same values a
+    # config file may hold
+    choices = {"system": ("cavity", "ion"),
+               "engine": ("effective", "full", "full-cavity", "full-ion", "lindblad"),
+               "format": ("json", "csv"),
+               "sweep_param": ("g", "delta", "eta", "nu", "nbar", "kappa")}
+    assert cli.CHOICES == choices
+    flags = _flags(command)
+    names = [f.name for f in fields(cli.RunConfig)[1:]
+             if command == "sweep" or not f.name.startswith("sweep_")]
+    assert sorted(flags) == sorted(["help", "config", *names])
+    hints = get_type_hints(cli.RunConfig)
+    for name in names:
+        action = flags[name]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        kind, = (k for k in get_args(hints[name]) or (hints[name],) if k is not type(None))
+        if kind is bool:
+            assert isinstance(action, argparse._StoreTrueAction) and action.default is None
+        else:
+            assert action.type is kind
+        assert action.choices == choices.get(name)
 
 
 def test_strong_decay_within_the_work_budget_still_runs(capsys):
