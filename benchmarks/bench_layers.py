@@ -324,9 +324,10 @@ def test_pair_action(record, dtype):
         a = dynamics.real_liouvillian(gen, space, decay)
     else:
         a = liouvillian(gen, space, decay)
-    b = np.zeros((a.shape[0], 1), dtype=dtype)
+    indptr, _, data = a  # a CSR triple
+    b = np.zeros((len(indptr) - 1, 1), dtype=dtype)
     b[0] = 1.0  # |J = 1, M = -1> x |0>, the vacuum |gg, 0>
-    record.extra_info.update(liouville_rows=a.shape[0], nnz=a.nnz)
+    record.extra_info.update(liouville_rows=len(indptr) - 1, nnz=len(data))
     record(chebyshev_action, a, b, t1 - t0, w[-1] - w[0] + margin, margin)
 
 

@@ -275,8 +275,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
       outside the Chebyshev actions: 8.05 D x D traced for measure-reduce
       N = 4 and its d = 3 branches, 4.0-4.1 for GHZ runs of two, three
       and four levels), about 1152 bytes per row of the
-      ((N + 1) m)^2-row pair Liouvillian, 32 MiB for loading
-      scipy.sparse (about 21 MB of RSS), and 36 arrays of the Chebyshev
+      ((N + 1) m)^2-row pair Liouvillian, and 36 arrays of the Chebyshev
       ring and columns of the widest pair of spin groups: (G m)^2
       float64 entries for a diagonal pair, which runs in real
       arithmetic, or G G' m^2 complex ones for two groups, with G >= G'
@@ -290,7 +289,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     effective 1.57-1.58x (GHZ N = 19, 20), full cavity 1.08x (qutrit
     GHZ N = 8, cutoff 8) to 1.30x (GHZ N = 11, cutoff 14) and 1.56x from
     a thermal start, full ion 1.12-1.27x (GHZ N = 12, 11, cutoff 10),
-    decay 2.05-2.60x (GHZ N = 5, 6) and 1.39x (measure-reduce and
+    decay 2.33-3.36x (GHZ N = 5, 6) and 1.35x (measure-reduce and
     three-level GHZ, N = 4, cutoff 8), and compare-frames 1.31x (N = 10).
     """
     d, n = ATOM_LEVELS[config.protocol], config.n
@@ -305,7 +304,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
         k = m if config.nbar > 0 else 1
         size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))
     elif kind == "lindblad":
-        size += 16 * (6 + d) * dim**2 + 1152 * widest + 2**25
+        size += 16 * (6 + d) * dim**2 + 1152 * widest
         if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
             widest_two = sorted((g.stop - g.start for g in spin_groups(n, d)), reverse=True) + [0]
             size += 36 * m**2 * max(8 * widest_two[0]**2, 16 * widest_two[0] * widest_two[1])

@@ -55,17 +55,19 @@ Numerical policy:
   under the real matrix Re L + (Im L) P, P the transpose
   (``real_liouvillian``), one float64 action with the radius, margin
   and products of the complex one.  Each pair's operator is written
-  straight into CSR arrays from the nonzeros of its generator.
+  straight into CSR arrays (indptr, indices, data) from the nonzeros of
+  its generator, with numpy alone.
 * Neither exact propagator renormalizes or clips: norm or trace drift
   beyond 1e-6 raises NormDriftError, and the engines validate final
   density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
   DOP853 and is kept as the independent reference the exact propagator
   is tested against; no engine calls it.
-* The pure-state engines need nothing beyond numpy: scipy.sparse (for
-  the decay engine's Liouvillians and their product kernel) and
-  scipy.integrate (for the reference integrator) are imported on first
-  use.
+* The pure-state engines need nothing beyond numpy, and the decay
+  engine nothing beyond numpy and the extension module of scipy's CSR
+  kernels, loaded on its own on first use (``_sparsetools``), so no
+  engine imports the scipy.sparse package; scipy.integrate (for the
+  reference integrator) is imported on first use.
 * Propagation on spaces with a mode checks Fock-truncation leakage via
   algebra.check_leakage (check_leakage_dm for density matrices).  The
   states of one ensemble carry their weights (columns the square roots,
@@ -75,8 +77,13 @@ Numerical policy:
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 from numpy.linalg import eigh, eigvalsh
@@ -439,8 +446,8 @@ def apply_local(space: SpaceDescriptor, local: np.ndarray, atoms, x: np.ndarray)
 
 
 def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
-                right: np.ndarray | None = None) -> "scipy.sparse.csr_matrix":
-    """The Liouvillian of a static generator as a sparse matrix on
+                right: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Liouvillian of a static generator as a CSR triple (``_csr``) on
     row-major vec(X), where vec(A X B) = (A kron B^T) vec(X):
 
         L X = -i (H X - X H') + sum_c (c X c'^dag - (c^dag c X + X c'^dag c') / 2)
@@ -463,22 +470,22 @@ def liouvillian(generator: np.ndarray, space: SpaceDescriptor, decay: DecaySpec,
 
 
 def real_liouvillian(generator: np.ndarray, space: SpaceDescriptor,
-                     decay: DecaySpec) -> "scipy.sparse.csr_matrix":
+                     decay: DecaySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Liouvillian L of ``liouvillian(generator, space, decay)`` on
     Hermitian p x p blocks X, in the real coordinates Y = Re X + Im X:
     the real matrix
 
         R = Re L + (Im L) P,   P vec(Y) = vec(Y^T),
 
-    on row-major vec(Y).  Re X is symmetric and Im X antisymmetric, so
-    Y -> X is an isometry with Re X = (Y + Y^T)/2, Im X = (Y - Y^T)/2,
-    P Y = Re X - Im X, and Re(L X) + Im(L X) = Re L (Re X + Im X) +
-    Im L (Re X - Im X) = R Y.  L maps Hermitian blocks to Hermitian
-    blocks (it commutes with X -> X^dag for any Hermitian generator and
-    any collapse operators), so R Y holds the coordinates of L X, and
-    e^{t R} those of e^{t L} X.  R has the spectrum of L, hence its
-    trace, so ``chebyshev_action`` takes it with the same radius and
-    margin."""
+    on row-major vec(Y), as a float64 CSR triple (``_csr``).  Re X is
+    symmetric and Im X antisymmetric, so Y -> X is an isometry with
+    Re X = (Y + Y^T)/2, Im X = (Y - Y^T)/2, P Y = Re X - Im X, and
+    Re(L X) + Im(L X) = Re L (Re X + Im X) + Im L (Re X - Im X) = R Y.
+    L maps Hermitian blocks to Hermitian blocks (it commutes with
+    X -> X^dag for any Hermitian generator and any collapse operators),
+    so R Y holds the coordinates of L X, and e^{t R} those of e^{t L} X.
+    R has the spectrum of L, hence its trace, so ``chebyshev_action``
+    takes it with the same radius and margin."""
     rows, cols, vals = _liouvillian_entries(generator, space, decay, generator)
     p = len(generator)
     swapped = cols % p * p + cols // p
@@ -520,13 +527,13 @@ def _kron_entries(a: np.ndarray, b: np.ndarray):
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-         n: int) -> "scipy.sparse.csr_matrix":
-    """The n x n CSR matrix with the sum of the given entries at each
-    position, in row-major order, exact zeros dropped.  Entries at one
-    position are added in the order given, so identical calls give
-    identical bits."""
-    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
-
+         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n matrix with the sum of the given entries at each
+    position as a CSR triple (indptr, indices, data): row-major, sorted
+    column indices, no repeated position, exact zeros dropped, and int32
+    indices where n and the entry count fit.  Entries at one position
+    are added in the order given, so identical calls give identical
+    bits."""
     live = vals != 0
     key, vals = rows[live] * n + cols[live], vals[live]
     order = np.argsort(key, kind="stable")
@@ -535,8 +542,42 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     key, vals = key[first], np.add.reduceat(vals[order], first)
     live = vals != 0
     key, vals = key[live], vals[live]
-    indptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
-    return sp.csr_matrix((vals, key % n, indptr), shape=(n, n))
+    index = np.int32 if max(n, len(key)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(key, np.arange(0, n * n + 1, n)).astype(index)
+    return indptr, (key % n).astype(index), vals
+
+
+def _diagonal_entries(a: tuple):
+    """The row of each entry of the CSR triple a and the mask of its
+    diagonal entries."""
+    indptr, indices, _ = a
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return rows, indices == rows
+
+
+def _trace(a: tuple):
+    """trace(a) for the CSR triple a, summed as csr_matrix.diagonal().sum()
+    does: numpy's pairwise sum over the whole diagonal, zeros included."""
+    data = a[2]
+    rows, diagonal = _diagonal_entries(a)
+    out = np.zeros(len(a[0]) - 1, dtype=data.dtype)
+    out[rows[diagonal]] = data[diagonal]
+    return out.sum()
+
+
+def _centred(a: tuple, mu, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """scale (a - mu I) for the CSR triple a, as a CSR triple: mu is
+    subtracted on the diagonal (0 - mu where a has no diagonal entry),
+    exact zeros are dropped, then every value is scaled, which is
+    csr_matrix arithmetic operation for operation."""
+    indptr, indices, data = a
+    n = len(indptr) - 1
+    rows, diagonal = _diagonal_entries(a)
+    bare = np.setdiff1d(np.arange(n), rows[diagonal], assume_unique=True)
+    indptr, indices, data = _csr(np.concatenate([rows, bare]), np.concatenate([indices, bare]),
+                                 np.concatenate([np.where(diagonal, data - mu, data),
+                                                 np.zeros(len(bare), data.dtype) - mu]), n)
+    return indptr, indices, data * scale
 
 
 def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
@@ -547,10 +588,11 @@ def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
     return decay.kappa * (1.0 + 2.0 * decay.nbar_bath) * space.fock_cutoff
 
 
-def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radius: float,
-                     margin: float) -> np.ndarray:
-    """e^{t a} b for a static Liouvillian a = -i[H, .] + D and an (n, k)
-    block b, by the Bessel-coefficient Chebyshev series (Tal-Ezer &
+def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray, t: float,
+                     radius: float, margin: float) -> np.ndarray:
+    """e^{t a} b for a static Liouvillian a = -i[H, .] + D, given as a CSR
+    triple (``liouvillian``, ``real_liouvillian``), and an (n, k) block b,
+    by the Bessel-coefficient Chebyshev series (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 3967 (1984); for Liouvillians Huisinga,
     Pesce, Kosloff & Saalfrank, J. Chem. Phys. 110, 5538 (1999)).
 
@@ -574,14 +616,18 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     complex one; complex128 otherwise.  The number of products depends
     on radius, margin and t alone.
 
+    The CSR triple of x = (2/radius) a' is built with numpy once per
+    action (``_centred``: mu subtracted on the diagonal, then the
+    scaling), operation for operation as csr_matrix arithmetic does, so
+    the products and the result are bitwise those of x as a csr_matrix.
+
     Cost per term: phi_{k+1} is written into a ring of CHEB_RING
     preallocated rows by copying phi_{k-1} into its row and adding
-    (2/radius) a' phi_k there with one call of the compiled kernel
-    behind ``csr_matrix @ ndarray`` (scipy.sparse._sparsetools, which
-    computes y += x v: the three-term update itself), through
-    ``_csr_product``, with no scipy.sparse dispatch and no allocation.
-    The weighted sum takes one coefficients @ rows product per
-    CHEB_RING terms.
+    x phi_k there with one call of scipy's compiled CSR kernel (the one
+    behind ``csr_matrix @ ndarray``, which computes y += x v: the
+    three-term update itself), through ``_csr_product``, with no
+    dispatch and no allocation.  The weighted sum takes one
+    coefficients @ rows product per CHEB_RING terms.
 
     ``radius`` is W + margin, with W = max - min eigenvalue of H (so
     -i[H, .] has its spectrum on i[-W, W]; for a block -i (H X - X H')
@@ -626,12 +672,10 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     past order radius tau, so max(radius, margin) t is a lower bound on
     it, checked before the coefficients are computed.
     """
-    import scipy.sparse as sp  # loaded on first use: only the decay engine needs it
-
-    n = a.shape[0]
+    n = len(a[0]) - 1
     if b.ndim != 2 or b.shape[0] != n:  # the kernel reads n rows of b unchecked
         raise ValueError(f"b must be an ({n}, k) block, not {b.shape}")
-    mu = a.diagonal().sum() / n
+    mu = _trace(a) / n
     if radius == 0:
         return np.exp(mu * t) * b
     _check_work(max(radius, margin) * t)
@@ -639,9 +683,9 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     tau = t / steps
     coeffs = _chebyshev_coefficients(radius * tau)
     _check_work(steps * len(coeffs))
-    dtype = np.result_type(a.dtype, b.dtype)
-    x = ((2.0 / radius) * (a - mu * sp.identity(n, dtype=a.dtype, format="csr"))).tocsr()
-    kernel, args = _csr_kernel(x.astype(dtype, copy=False), b.shape[1])
+    dtype = np.result_type(a[2].dtype, b.dtype)
+    indptr, indices, data = _centred(a, mu, 2.0 / radius)
+    kernel, args = _csr_kernel((indptr, indices, data.astype(dtype, copy=False)), b.shape[1])
     depth = min(CHEB_RING, len(coeffs))
     ring = np.zeros((depth, b.size), dtype=dtype)
     rows, flat = list(ring), ring.view(float)  # real coefficients act on re and im alike
@@ -664,29 +708,54 @@ def chebyshev_action(a: "scipy.sparse.csr_matrix", b: np.ndarray, t: float, radi
     return b
 
 
-def _csr_kernel(x: "scipy.sparse.csr_matrix", k: int):
-    """scipy's compiled CSR product for x times an (n, k) block of x's
-    dtype, and the leading arguments it takes from x, for
-    ``_csr_product``.
+def _csr_kernel(x: tuple[np.ndarray, np.ndarray, np.ndarray], k: int):
+    """scipy's compiled CSR product for the square CSR triple x times an
+    (n, k) block of x's dtype, and the leading arguments it takes from
+    x, for ``_csr_product``.
 
-    The kernel is the one behind ``x @ v`` (scipy.sparse._sparsetools),
-    called without the dispatch that checks its arguments, so x's arrays
-    are checked and converted here, once: int32 or int64 indices and
-    float64 or complex128 data, C-contiguous.
+    The kernel is csr_matvec (k = 1) or csr_matvecs of
+    ``_sparsetools()``, called without the dispatch that checks its
+    arguments, so x's arrays are checked and converted here, once: int32
+    or int64 indices and float64 or complex128 data, C-contiguous.
     """
-    from scipy.sparse import _sparsetools  # loaded with scipy.sparse
-
-    index = np.result_type(x.indptr, x.indices)
+    indptr, indices, data = x
+    index = np.result_type(indptr, indices)
     if index not in (np.int32, np.int64):
         raise TypeError(f"CSR indices must be int32 or int64, not {index}")
-    if x.dtype not in (np.float64, np.complex128):
-        raise TypeError(f"CSR data must be float64 or complex128, not {x.dtype}")
-    arrays = (np.ascontiguousarray(x.indptr, dtype=index),
-              np.ascontiguousarray(x.indices, dtype=index),
-              np.ascontiguousarray(x.data))
+    if data.dtype not in (np.float64, np.complex128):
+        raise TypeError(f"CSR data must be float64 or complex128, not {data.dtype}")
+    n = len(indptr) - 1
+    arrays = (np.ascontiguousarray(indptr, dtype=index),
+              np.ascontiguousarray(indices, dtype=index), np.ascontiguousarray(data))
+    kernels = _sparsetools()
     if k == 1:
-        return _sparsetools.csr_matvec, (*x.shape, *arrays)
-    return _sparsetools.csr_matvecs, (*x.shape, k, *arrays)
+        return kernels.csr_matvec, (n, n, *arrays)
+    return kernels.csr_matvecs, (n, n, k, *arrays)
+
+
+@lru_cache(maxsize=1)
+def _sparsetools():
+    """scipy.sparse._sparsetools, the extension module of scipy's compiled
+    CSR kernels, loaded from its file on its own: importing scipy.sparse
+    for it would load the whole package (about 320 modules, 22 MB of RSS
+    and 0.12 s), while the module alone adds 0.16 MB and 0.4 ms.  Where scipy.sparse is loaded
+    already, its copy of the module is taken; the interpreter files a
+    module loaded here in sys.modules under the same name, where a later
+    import of scipy.sparse finds it."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+    folder = os.path.join(root, "sparse")
+    paths = [os.path.join(folder, "_sparsetools" + suffix) for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no _sparsetools extension module in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path,
+                                                  loader=ExtensionFileLoader(name, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _csr_product(kernel, args, v: np.ndarray, out: np.ndarray) -> None:

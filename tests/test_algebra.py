@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,26 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(space, np.array([[0.5, 1j], [0.5j, 0.5]], dtype=complex))
     DensityMatrix(space, np.diag([0.5, 0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("matrix, refusal", [
+    # smallest eigenvalue: -1e-9 is the floor
+    (np.diag([1.0 + 2e-9, -2e-9]), "negative eigenvalue -2.000e-09"),
+    (np.diag([1.0 + 5e-10, -5e-10]), None),
+    # Hermiticity: 1e-10 is the largest |rho - rho^dag| entry allowed
+    (np.array([[0.5, 2e-10], [0.0, 0.5]]), "not Hermitian: max deviation 2.000e-10"),
+    (np.array([[0.5, 5e-11], [0.0, 0.5]]), None),
+    # trace: 1 within 1e-9
+    (np.diag([0.5 + 2e-9, 0.5]), "expected 1 within 1e-9"),
+    (np.diag([0.5 + 5e-10, 0.5]), None),
+])
+def test_density_matrix_tolerances_at_their_boundaries(matrix, refusal):
+    space = make_space(1, 2, 0, no_mode=True)
+    if refusal is None:
+        DensityMatrix(space, matrix.astype(complex))
+    else:
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            DensityMatrix(space, matrix.astype(complex))
 
 
 def test_leakage_monitor_trips_on_top_levels():

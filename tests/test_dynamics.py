@@ -1,12 +1,16 @@
 """Propagator and master-equation checks against closed-form oracles."""
 
 import math
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -43,7 +47,14 @@ from spincavity.dynamics import (
     real_liouvillian,
     thermal_state,
 )
-from spincavity.dynamics import _chebyshev_coefficients, _csr_kernel, _csr_product
+from spincavity.dynamics import (
+    _centred,
+    _chebyshev_coefficients,
+    _csr,
+    _csr_kernel,
+    _csr_product,
+    _trace,
+)
 from spincavity.hamiltonians import (
     DriveParams,
     FrameTag,
@@ -701,6 +712,22 @@ def test_norm_drift_is_relative_and_raises_beyond_1e_6():
 # ------------------------------------------- exact Liouvillian propagation
 
 
+def _dense(a):
+    """The CSR triple a (indptr, indices, data) as a dense matrix."""
+    indptr, indices, data = a
+    n = len(indptr) - 1
+    out = np.zeros((n, n), dtype=data.dtype)
+    out[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+    return out
+
+
+def _csr_matrix(a):
+    """The CSR triple a as a scipy.sparse.csr_matrix, the reference its
+    arithmetic and products are checked against."""
+    indptr, indices, data = a
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
 def _stage_liouvillian(space, params, delta, decay):
     """The static Liouvillian of one interaction-picture stage with the
     radius and margin evolve_lindblad gives its Chebyshev action."""
@@ -736,7 +763,7 @@ def test_chebyshev_action_matches_dense_expm(atoms, cutoff, params, delta, decay
     space = make_space(atoms, 2, cutoff)
     a, radius, margin = _stage_liouvillian(space, params, delta, decay)
     b = _random_rho_block(space, 7)
-    exact = expm(t * a.toarray()) @ b
+    exact = expm(t * _dense(a)) @ b
     out = chebyshev_action(a, b, t, radius, margin)
     assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -767,8 +794,8 @@ def test_liouvillian_from_the_effective_generators_matches_the_term_by_term_form
     for right in (gen, gen[: space.mode_dim, : space.mode_dim]):
         new = liouvillian(gen, space, decay, right)
         old = _liouvillian_term_by_term(gen, right, space, decay)
-        assert new.nnz == np.count_nonzero(old)
-        assert np.abs(new.toarray() - old).max() <= 1e-15 * np.abs(old).max()
+        assert len(new[2]) == np.count_nonzero(old)
+        assert np.abs(_dense(new) - old).max() <= 1e-15 * np.abs(old).max()
 
 
 @pytest.mark.parametrize("frame", ["interaction", "ion-series"])
@@ -783,13 +810,13 @@ def test_real_liouvillian_is_re_l_plus_im_l_times_the_transpose(frame):
     assert (np.abs(gen.imag).max() > 0) == (frame == "ion-series")
     decay = DecaySpec(0.4, 0.3)
     n = space.dim
-    full = liouvillian(gen, space, decay).toarray()
+    full = _dense(liouvillian(gen, space, decay))
     transpose = np.arange(n * n).reshape(n, n).T.ravel()
     expected = full.real + full.imag[:, transpose]
-    r = real_liouvillian(gen, space, decay)
+    r = _dense(real_liouvillian(gen, space, decay))
     assert r.dtype == np.float64
-    assert r.nnz == np.count_nonzero(expected)
-    assert np.abs(r.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert np.count_nonzero(r) == np.count_nonzero(expected)
+    assert np.abs(r - expected).max() <= 1e-15 * np.abs(expected).max()
     x = _random_columns(np.random.default_rng(3), n, n)
     x = x @ x.conj().T + 1j * (x - x.conj().T)
     lx = (full @ x.ravel()).reshape(n, n)
@@ -894,16 +921,55 @@ def _check_csr_product(k, real):
     # from zero it is x @ v bit for bit (the same compiled kernel);
     # otherwise it adds x v to what out holds
     _, (a, _, _), _ = _decay_sweep_stage()
+    n = len(a[0]) - 1
     rng = np.random.default_rng(k)
-    v = rng.normal(size=(a.shape[0], k)) + 1j * rng.normal(size=(a.shape[0], k))
+    v = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     if real:
-        a, v = a.real.tocsr(), v.real.copy()
+        a, v = (a[0], a[1], a[2].real.copy()), v.real.copy()
     kernel, args = _csr_kernel(a, k)
     out = np.zeros_like(v)
     _csr_product(kernel, args, v, out)
-    assert out.tobytes() == (a @ v).tobytes()
+    assert out.tobytes() == (_csr_matrix(a) @ v).tobytes()
     _csr_product(kernel, args, v, out)
-    assert np.max(np.abs(out - 2 * (a @ v))) <= 1e-15 * np.max(np.abs(out))
+    assert np.max(np.abs(out - 2 * (_csr_matrix(a) @ v))) <= 1e-15 * np.max(np.abs(out))
+
+
+def _centring_cases():
+    """CSR triples to centre: each Chebyshev case's Liouvillian and its
+    real form, and random complex matrices with most or all of their
+    diagonal missing, positive diagonal entries with -0.0 imaginary
+    parts and signed zeros off the diagonal."""
+    for atoms, cutoff, params, delta, decay, _ in CHEBYSHEV_CASES:
+        space = make_space(atoms, 2, cutoff)
+        gen = interaction_terms(space, params) + np.diag(
+            -delta * np.tile(np.arange(space.mode_dim), space.atoms_dim))
+        yield liouvillian(gen, space, decay)
+        yield real_liouvillian(gen, space, decay)
+    rng = np.random.default_rng(4)
+    rows, cols = rng.integers(0, 40, size=(2, 300))
+    for diagonal in (False, True):
+        if diagonal:
+            rows, cols = np.append(rows, np.arange(40)), np.append(cols, np.arange(40))
+        vals = rng.normal(size=len(rows)) + 1j * rng.choice([-0.0, 0.0, 1.5], size=len(rows))
+        on = rows == cols
+        vals[on] = rng.uniform(1.0, 2.0, size=np.sum(on))
+        vals.imag[on] = -0.0
+        yield _csr(rows, cols, vals, 40)
+
+
+def test_centred_operator_is_csr_matrix_arithmetic_bit_for_bit():
+    # trace(a) / n and 2/radius (a - mu I), built with numpy on the
+    # triple, give the indices and bits of csr_matrix's diagonal().sum()
+    # and its scalar and sparse arithmetic
+    for a in _centring_cases():
+        m = _csr_matrix(a)
+        n = m.shape[0]
+        mu = m.diagonal().sum() / n
+        assert (_trace(a) / n).tobytes() == mu.tobytes()
+        ref = ((2.0 / 3.7) * (m - mu * sp.identity(n, dtype=m.dtype, format="csr"))).tocsr()
+        got = _centred(a, mu, 2.0 / 3.7)
+        assert [x.tobytes() for x in got] == [ref.indptr.tobytes(), ref.indices.tobytes(),
+                                              ref.data.tobytes()]
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -914,6 +980,52 @@ def test_csr_product_is_the_sparse_product(k):
 @pytest.mark.parametrize("k", [1, 3])
 def test_csr_product_on_float64_rows_is_the_sparse_product(k):
     _check_csr_product(k, real=True)
+
+
+# the child imports scipy.sparse before or after the decay engine's first
+# action (argv[1]) and prints the digests of that action, of one after
+# the import, and of csr_matrix's own product
+KERNEL_ORDER = """
+import hashlib, sys
+import numpy as np
+from spincavity.algebra import make_space
+from spincavity.dynamics import DecaySpec, chebyshev_action, dissipative_margin, liouvillian
+from spincavity.hamiltonians import DriveParams, interaction_terms
+
+space = make_space(2, 2, 6)
+gen = interaction_terms(space, DriveParams(g=1.0, delta=4.1, omega=2.0)) + np.diag(
+    -4.1 * np.tile(np.arange(space.mode_dim), space.atoms_dim))
+w = np.linalg.eigvalsh(gen)
+decay = DecaySpec(0.2)
+margin = dissipative_margin(space, decay)
+a = liouvillian(gen, space, decay)
+b = np.random.default_rng(2).normal(size=(space.dim ** 2, 2)).astype(complex)
+digest = lambda x: hashlib.sha1(x.tobytes()).hexdigest()
+if sys.argv[1] == "sparse-first":
+    import scipy.sparse as sp
+first = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
+assert ("scipy.sparse" in sys.modules) == (sys.argv[1] == "sparse-first")
+import scipy.sparse as sp
+second = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
+product = sp.csr_matrix((a[2], a[1], a[0]), shape=(space.dim ** 2,) * 2) @ b
+print(digest(first), digest(second), digest(product))
+"""
+
+
+def test_decay_action_is_the_same_whether_scipy_sparse_is_imported_first_or_after():
+    # the kernel module is loaded on its own, or taken from scipy.sparse
+    # when that is loaded already; either way, and before or after
+    # scipy.sparse is imported, the action's bytes are the same, and
+    # scipy.sparse still works once the kernel module was loaded alone
+    src = Path(dynamics.__file__).resolve().parents[1]
+    lines = []
+    for order in ("kernel-first", "sparse-first"):
+        done = subprocess.run([sys.executable, "-c", KERNEL_ORDER, order], capture_output=True,
+                              text=True, env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines.append(done.stdout.split())
+    assert lines[0] == lines[1]
+    assert lines[0][0] == lines[0][1]
 
 
 @pytest.mark.parametrize("z", [1e-3, 2.404825557695773, 215.3, 1352.7, 8000.0])
@@ -1214,7 +1326,7 @@ def test_lindblad_full_rank_stage_with_copies_takes_one_action_per_mirrored_pair
     action = dynamics.chebyshev_action
 
     def counted(a, b, *args):
-        actions.append((str(a.dtype), b.shape[1]))
+        actions.append((str(a[2].dtype), b.shape[1]))
         return action(a, b, *args)
 
     monkeypatch.setattr(dynamics, "chebyshev_action", counted)
