@@ -39,15 +39,16 @@ Numerical policy:
   each occupied pair of blocks once per stage and applies e^{L (t1 - t0)}
   to every copy pair of every density matrix of the stage at once with
   ``chebyshev_action``, a Bessel-coefficient Chebyshev series of the
-  centred L.  Its radius is the spread of the pair's Hamiltonian part
+  centred L (``_centred`` takes the trace and shifts and scales L in
+  one pass).  Its radius is the spread of the pair's Hamiltonian part
   plus ``dissipative_margin``, a proven bound on the dissipator's
   numerical range; its substeps, series length and coefficients follow
   from those numbers alone, so identical calls give bitwise-identical
   results, and an action whose work exceeds CHEB_MAX_TERMS is refused
   before its first product.  Each series term is one call of scipy's
-  compiled CSR product kernel on preallocated rows, and the Bessel
-  coefficients come from Miller's backward recurrence, not from
-  scipy.special.
+  compiled CSR product kernel on preallocated rows, with the operator's
+  arrays bound once by ``_csr_kernel``, and the Bessel coefficients
+  come from Miller's backward recurrence, not from scipy.special.
 * Density matrices are Hermitian and L commutes with X -> X^dag, so of
   the mirrored pairs (J, J') and (J', J) only one is propagated and the
   other is its adjoint, and each diagonal pair (J, J) runs in real
@@ -56,7 +57,8 @@ Numerical policy:
   (``real_liouvillian``), one float64 action with the radius, margin
   and products of the complex one.  Each pair's operator is written
   straight into CSR arrays (indptr, indices, data) from the nonzeros of
-  its generator, with numpy alone.
+  its generator and of the mode factors (I kron c by ``algebra._kron``),
+  with numpy alone.
 * Neither exact propagator renormalizes or clips: norm or trace drift
   beyond 1e-6 raises NormDriftError, and the engines validate final
   density matrices (Hermiticity, trace, eigenvalues).
@@ -82,7 +84,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
@@ -95,6 +97,7 @@ from .algebra import (
     SpaceDescriptor,
     SpinGroup,
     StateVector,
+    _kron,
     check_leakage,
     check_leakage_dm,
     coupled_basis,
@@ -501,19 +504,12 @@ def _liouvillian_entries(generator: np.ndarray, space: SpaceDescriptor, decay: D
     p, q, m = len(generator), len(right), space.mode_dim
     ops = _collapse_ops(space, decay)
     damping = sum((c.conj().T @ c for c in ops), np.zeros((m, m)))
-    g_left = -1j * generator - 0.5 * _eye_kron(p // m, damping)
-    g_right = 1j * right - 0.5 * _eye_kron(q // m, damping)
+    g_left = -1j * generator - 0.5 * _kron(np.eye(p // m), damping)
+    g_right = 1j * right - 0.5 * _kron(np.eye(q // m), damping)
     terms = [_kron_entries(g_left, np.eye(q)), _kron_entries(np.eye(p), g_right.T)]
-    terms += [_kron_entries(_eye_kron(p // m, c), _eye_kron(q // m, c.conj())) for c in ops]
+    terms += [_kron_entries(_kron(np.eye(p // m), c), _kron(np.eye(q // m), c.conj()))
+              for c in ops]
     return tuple(np.concatenate(part) for part in zip(*terms))
-
-
-def _eye_kron(k: int, c: np.ndarray) -> np.ndarray:
-    """I_k kron c, written into its diagonal blocks: for these small
-    factors several times faster than numpy's generic kron."""
-    out = np.zeros((k, len(c), k, len(c)), dtype=c.dtype)
-    out[range(k), :, range(k)] = c
-    return out.reshape(k * len(c), -1)
 
 
 def _kron_entries(a: np.ndarray, b: np.ndarray):
@@ -547,37 +543,25 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return indptr, (key % n).astype(index), vals
 
 
-def _diagonal_entries(a: tuple):
-    """The row of each entry of the CSR triple a and the mask of its
-    diagonal entries."""
-    indptr, indices, _ = a
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    return rows, indices == rows
-
-
-def _trace(a: tuple):
-    """trace(a) for the CSR triple a, summed as csr_matrix.diagonal().sum()
-    does: numpy's pairwise sum over the whole diagonal, zeros included."""
-    data = a[2]
-    rows, diagonal = _diagonal_entries(a)
-    out = np.zeros(len(a[0]) - 1, dtype=data.dtype)
-    out[rows[diagonal]] = data[diagonal]
-    return out.sum()
-
-
-def _centred(a: tuple, mu, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """scale (a - mu I) for the CSR triple a, as a CSR triple: mu is
-    subtracted on the diagonal (0 - mu where a has no diagonal entry),
-    exact zeros are dropped, then every value is scaled, which is
-    csr_matrix arithmetic operation for operation."""
+def _centred(a: tuple, scale: float):
+    """mu = trace(a)/n and scale (a - mu I) for the CSR triple a, as
+    (mu, CSR triple), with csr_matrix's arithmetic operation for
+    operation: the trace is numpy's pairwise sum over the whole diagonal,
+    zeros included (csr_matrix.diagonal().sum()); mu is subtracted on the
+    diagonal (0 - mu where a has no diagonal entry), exact zeros are
+    dropped, then every value is scaled."""
     indptr, indices, data = a
     n = len(indptr) - 1
-    rows, diagonal = _diagonal_entries(a)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = indices == rows
+    diag = np.zeros(n, dtype=data.dtype)
+    diag[rows[diagonal]] = data[diagonal]
+    mu = diag.sum() / n
     bare = np.setdiff1d(np.arange(n), rows[diagonal], assume_unique=True)
     indptr, indices, data = _csr(np.concatenate([rows, bare]), np.concatenate([indices, bare]),
                                  np.concatenate([np.where(diagonal, data - mu, data),
                                                  np.zeros(len(bare), data.dtype) - mu]), n)
-    return indptr, indices, data * scale
+    return mu, (indptr, indices, data * scale)
 
 
 def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
@@ -616,16 +600,17 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
     complex one; complex128 otherwise.  The number of products depends
     on radius, margin and t alone.
 
-    The CSR triple of x = (2/radius) a' is built with numpy once per
-    action (``_centred``: mu subtracted on the diagonal, then the
-    scaling), operation for operation as csr_matrix arithmetic does, so
-    the products and the result are bitwise those of x as a csr_matrix.
+    mu and the CSR triple of x = (2/radius) a' are built with numpy once
+    per action (``_centred``: the trace summed over the whole diagonal,
+    mu subtracted on it, then the scaling), operation for operation as
+    csr_matrix arithmetic does, so the products and the result are
+    bitwise those of x as a csr_matrix.
 
     Cost per term: phi_{k+1} is written into a ring of CHEB_RING
     preallocated rows by copying phi_{k-1} into its row and adding
     x phi_k there with one call of scipy's compiled CSR kernel (the one
     behind ``csr_matrix @ ndarray``, which computes y += x v: the
-    three-term update itself), through ``_csr_product``, with no
+    three-term update itself), as ``_csr_kernel`` returns it, with no
     dispatch and no allocation.  The weighted sum takes one
     coefficients @ rows product per CHEB_RING terms.
 
@@ -675,8 +660,8 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
     n = len(a[0]) - 1
     if b.ndim != 2 or b.shape[0] != n:  # the kernel reads n rows of b unchecked
         raise ValueError(f"b must be an ({n}, k) block, not {b.shape}")
-    mu = _trace(a) / n
-    if radius == 0:
+    mu, (indptr, indices, data) = _centred(a, 2.0 / radius if radius else 0.0)
+    if radius == 0:  # a' = 0
         return np.exp(mu * t) * b
     _check_work(max(radius, margin) * t)
     steps = max(1, math.ceil(margin * t))
@@ -684,8 +669,7 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
     coeffs = _chebyshev_coefficients(radius * tau)
     _check_work(steps * len(coeffs))
     dtype = np.result_type(a[2].dtype, b.dtype)
-    indptr, indices, data = _centred(a, mu, 2.0 / radius)
-    kernel, args = _csr_kernel((indptr, indices, data.astype(dtype, copy=False)), b.shape[1])
+    product = _csr_kernel((indptr, indices, data.astype(dtype, copy=False)), b.shape[1])
     depth = min(CHEB_RING, len(coeffs))
     ring = np.zeros((depth, b.size), dtype=dtype)
     rows, flat = list(ring), ring.view(float)  # real coefficients act on re and im alike
@@ -693,7 +677,7 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
     for _ in range(steps):
         rows[0][:] = b.ravel()
         rows[1][:] = 0.0
-        _csr_product(kernel, args, rows[0], rows[1])
+        product(rows[0], rows[1])
         rows[1] *= 0.5
         f = np.zeros(flat.shape[1])
         for start in range(0, len(coeffs), depth):
@@ -701,7 +685,7 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
             for k in range(max(start, 2), stop):
                 row = rows[k % depth]
                 row[:] = rows[(k - 2) % depth]
-                _csr_product(kernel, args, rows[(k - 1) % depth], row)
+                product(rows[(k - 1) % depth], row)
             f += coeffs[start:stop] @ flat[: stop - start]
         b = f.view(dtype).reshape(b.shape)
         b *= damp
@@ -709,14 +693,17 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
 
 
 def _csr_kernel(x: tuple[np.ndarray, np.ndarray, np.ndarray], k: int):
-    """scipy's compiled CSR product for the square CSR triple x times an
-    (n, k) block of x's dtype, and the leading arguments it takes from
-    x, for ``_csr_product``.
+    """scipy's compiled CSR product for the square CSR triple x, with
+    x's arrays bound: product(v, out) adds x v to out, for v and out
+    row-major (n, k) blocks as C-contiguous arrays of x's dtype.  Every
+    product of ``chebyshev_action`` is one call.
 
     The kernel is csr_matvec (k = 1) or csr_matvecs of
     ``_sparsetools()``, called without the dispatch that checks its
     arguments, so x's arrays are checked and converted here, once: int32
     or int64 indices and float64 or complex128 data, C-contiguous.
+    csr_matvec stays for k = 1, where it is two to three times faster
+    than csr_matvecs.
     """
     indptr, indices, data = x
     index = np.result_type(indptr, indices)
@@ -729,8 +716,8 @@ def _csr_kernel(x: tuple[np.ndarray, np.ndarray, np.ndarray], k: int):
               np.ascontiguousarray(indices, dtype=index), np.ascontiguousarray(data))
     kernels = _sparsetools()
     if k == 1:
-        return kernels.csr_matvec, (n, n, *arrays)
-    return kernels.csr_matvecs, (n, n, k, *arrays)
+        return partial(kernels.csr_matvec, n, n, *arrays)
+    return partial(kernels.csr_matvecs, n, n, k, *arrays)
 
 
 @lru_cache(maxsize=1)
@@ -738,10 +725,13 @@ def _sparsetools():
     """scipy.sparse._sparsetools, the extension module of scipy's compiled
     CSR kernels, loaded from its file on its own: importing scipy.sparse
     for it would load the whole package (about 320 modules, 22 MB of RSS
-    and 0.12 s), while the module alone adds 0.16 MB and 0.4 ms.  Where scipy.sparse is loaded
-    already, its copy of the module is taken; the interpreter files a
-    module loaded here in sys.modules under the same name, where a later
-    import of scipy.sparse finds it."""
+    and 0.12 s), while the module alone adds 0.16 MB and 0.4 ms.  Where
+    scipy.sparse is loaded already, its copy of the module is taken.
+    Otherwise the interpreter files the module loaded here in
+    sys.modules under the same name, and it is taken out again: a later
+    import of scipy.sparse that found it there would never set the
+    package's ``_sparsetools`` attribute, so that import loads its own
+    copy instead."""
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
@@ -755,15 +745,8 @@ def _sparsetools():
                                                   loader=ExtensionFileLoader(name, path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
-
-
-def _csr_product(kernel, args, v: np.ndarray, out: np.ndarray) -> None:
-    """out += x v for the matrix x of ``_csr_kernel(x, k)`` = (kernel,
-    args), with v and out the row-major (n, k) blocks as C-contiguous
-    arrays of x's dtype; every product of ``chebyshev_action`` is one
-    call."""
-    kernel(*args, v, out)
 
 
 def _check_work(terms: float) -> None:

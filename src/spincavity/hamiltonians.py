@@ -26,8 +26,9 @@ itself with its space and parameters bound (see below).  ``at_time``
 turns V into H(t), and ``h_*(space, params, t)`` returns H(t) as an
 Operator.  Each term of V is the collective raising operator S+ (or
 S_x = (S+ + S+^T) / 2, or their adjoints) joined to an m x m mode
-operator by one Kronecker product (``_kron``); no product of full-space
-matrices is formed.
+operator by one Kronecker product (``algebra._kron``); no product of
+full-space matrices is formed.  The dense collective sums come from
+``algebra._collective``.
 
 The ``*_terms`` builders take an optional ``raising``: the S+ of one
 spin-J multiplet of algebra.coupled_basis, the (2J + 1) x (2J + 1)
@@ -53,7 +54,9 @@ import numpy as np
 from .algebra import (
     Operator,
     SpaceDescriptor,
+    _collective,
     _displacement_partial_sums,
+    _kron,
     embed_atom_op,
     local_proj,
     local_sm,
@@ -139,21 +142,6 @@ def _finite_coupling(lam: float, formula: str) -> float:
     if not math.isfinite(lam):
         raise ValueError(f"effective coupling {formula} = {lam!r} is not finite")
     return lam
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two matrices, the same products bit for bit, as
-    one outer product reordered: for these small factors about 2.5 times
-    faster than np.kron's generic path."""
-    (p, q), (r, s) = a.shape, b.shape
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(p * r, q * s)
-
-
-def _collective(space: SpaceDescriptor, local: np.ndarray) -> np.ndarray:
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(space.atom_count):
-        mat += embed_atom_op(space, j, local).matrix
-    return mat
 
 
 def _raising(space: SpaceDescriptor, raising: np.ndarray | None) -> np.ndarray:

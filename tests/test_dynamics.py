@@ -52,8 +52,6 @@ from spincavity.dynamics import (
     _chebyshev_coefficients,
     _csr,
     _csr_kernel,
-    _csr_product,
-    _trace,
 )
 from spincavity.hamiltonians import (
     DriveParams,
@@ -850,17 +848,22 @@ def test_chebyshev_action_substeps_compose():
 
 
 def _count_products(monkeypatch):
-    """A list that grows by one at every call of the Chebyshev action's
-    product helper."""
-    calls = []
-    product = dynamics._csr_product
+    """A list that grows by the dtype of the rows written at every call of
+    a product that ``_csr_kernel`` returns to the Chebyshev action."""
+    rows = []
+    kernel = dynamics._csr_kernel
 
-    def counted(*args):
-        calls.append(None)
-        product(*args)
+    def wrapped(x, k):
+        product = kernel(x, k)
 
-    monkeypatch.setattr(dynamics, "_csr_product", counted)
-    return calls
+        def counted(v, out):
+            rows.append(out.dtype)
+            product(v, out)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_csr_kernel", wrapped)
+    return rows
 
 
 def test_chebyshev_action_product_count_on_the_decay_sweep_stage(monkeypatch):
@@ -881,14 +884,7 @@ def test_the_decay_sweep_stage_runs_on_float64_rows_with_the_complex_product_cou
                 if isinstance(s, CollectiveDrive)]
     build = partial(interaction_terms, space, DriveParams(g=1.0, delta=4.1, omega=stage.omega))
     psi = basis_state(space, "gg", 0).amplitudes
-    rows = []
-    product = dynamics._csr_product
-
-    def counted(kernel, args, v, out):
-        rows.append(out.dtype)
-        product(kernel, args, v, out)
-
-    monkeypatch.setattr(dynamics, "_csr_product", counted)
+    rows = _count_products(monkeypatch)
     evolve_lindblad(build, 4.1, DecaySpec(0.2), space, np.outer(psi, psi.conj())[None],
                     0.0, stage.duration)
     assert len(rows) == 1712
@@ -928,11 +924,11 @@ def _check_csr_product(k, real):
     v = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     if real:
         a, v = (a[0], a[1], a[2].real.copy()), v.real.copy()
-    kernel, args = _csr_kernel(a, k)
+    product = _csr_kernel(a, k)
     out = np.zeros_like(v)
-    _csr_product(kernel, args, v, out)
+    product(v, out)
     assert out.tobytes() == (_csr_matrix(a) @ v).tobytes()
-    _csr_product(kernel, args, v, out)
+    product(v, out)
     assert np.max(np.abs(out - 2 * (_csr_matrix(a) @ v))) <= 1e-15 * np.max(np.abs(out))
 
 
@@ -967,9 +963,9 @@ def test_centred_operator_is_csr_matrix_arithmetic_bit_for_bit():
         m = _csr_matrix(a)
         n = m.shape[0]
         mu = m.diagonal().sum() / n
-        assert (_trace(a) / n).tobytes() == mu.tobytes()
+        got_mu, got = _centred(a, 2.0 / 3.7)
+        assert got_mu.tobytes() == mu.tobytes()
         ref = ((2.0 / 3.7) * (m - mu * sp.identity(n, dtype=m.dtype, format="csr"))).tocsr()
-        got = _centred(a, mu, 2.0 / 3.7)
         assert [x.tobytes() for x in got] == [ref.indptr.tobytes(), ref.indices.tobytes(),
                                               ref.data.tobytes()]
 
@@ -1028,6 +1024,35 @@ def test_decay_action_is_the_same_whether_scipy_sparse_is_imported_first_or_afte
         lines.append(done.stdout.split())
     assert lines[0] == lines[1]
     assert lines[0][0] == lines[0][1]
+
+
+# the child runs one decay action, which loads the kernel module on its
+# own, then imports scipy.sparse and reads the package's attribute
+KERNEL_ATTRIBUTE = """
+import sys
+import numpy as np
+from spincavity.algebra import make_space
+from spincavity.dynamics import DecaySpec, chebyshev_action, dissipative_margin, liouvillian
+
+space = make_space(1, 2, 4)
+decay = DecaySpec(0.5)
+margin = dissipative_margin(space, decay)
+chebyshev_action(liouvillian(np.zeros((space.dim, space.dim)), space, decay),
+                 np.ones((space.dim ** 2, 1)), 1.0, margin, margin)
+assert "scipy.sparse" not in sys.modules
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert scipy.sparse._sparsetools is _sparsetools is sys.modules["scipy.sparse._sparsetools"]
+print(_sparsetools.__name__, (scipy.sparse.identity(3, format="csr") @ np.ones(3)).sum())
+"""
+
+
+def test_scipy_sparse_sets_its_kernel_module_attribute_after_the_decay_engine_loaded_it():
+    src = Path(dynamics.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", KERNEL_ATTRIBUTE], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["scipy.sparse._sparsetools", "3.0"]
 
 
 @pytest.mark.parametrize("z", [1e-3, 2.404825557695773, 215.3, 1352.7, 8000.0])
