@@ -30,9 +30,11 @@ Basis build:
 
 * ``coupled_basis_build[qubits-11]``, ``coupled_basis_build[qutrits-6]``:
   ``algebra.coupled_basis`` from scratch (every cache cleared before each
-  round) for N = 11 qubits (q is 2048 x 2048) and N = 6 qutrits
-  (729 x 729).  Each also records the tracemalloc peak of one more
-  uncached build (``tracemalloc_peak_mib``) and q's size (``q_mib``).
+  round) for N = 11 qubits (one 2048 x 2048 block) and N = 6 qutrits
+  (one 2^k x 2^k block per k = 0 .. 6, for a 729-dimensional space).
+  Each also records the tracemalloc peak of one more uncached build
+  (``tracemalloc_peak_mib``) and what the basis holds, its blocks and
+  their index arrays (``blocks_mib``).
 
 Series coefficients:
 
@@ -264,11 +266,11 @@ def test_coupled_basis_build(record, atom_count, atom_dim):
     coupled_basis.cache_clear()
     tracemalloc.start()
     try:
-        q = coupled_basis(atom_count, atom_dim).q
+        blocks = coupled_basis(atom_count, atom_dim).blocks
         record.extra_info["tracemalloc_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    record.extra_info["q_mib"] = q.nbytes / 2**20
+    record.extra_info["blocks_mib"] = sum(a.nbytes for block in blocks for a in block) / 2**20
 
 
 def test_chebyshev_coefficients(record):

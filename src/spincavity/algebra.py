@@ -120,7 +120,7 @@ class StateVector:
         if amps.shape != (self.space.dim,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also refuses nan
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-9")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -142,13 +142,13 @@ class DensityMatrix:
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
         herm = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
-        if herm > 1e-10:
+        if not herm <= 1e-10:  # also refuses nan and inf entries
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > 1e-9:
+        if not abs(tr - 1.0) <= 1e-9:
             raise ValueError(f"trace is {tr!r}, expected 1 within 1e-9")
         wmin = float(np.linalg.eigvalsh(mat)[0])
-        if wmin < -1e-9:
+        if not wmin >= -1e-9:
             raise ValueError(f"matrix has negative eigenvalue {wmin:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -281,9 +281,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinGroup:
-    """The multiplets of one total spin J in a CoupledBasis: columns
-    start .. stop of its q, one copy of 2J + 1 columns (M = -J .. J)
-    after another."""
+    """The multiplets of one total spin J in a CoupledBasis: its columns
+    start .. stop, one copy of 2J + 1 columns (M = -J .. J) after
+    another."""
 
     two_j: int
     start: int
@@ -302,28 +302,51 @@ class SpinGroup:
 class CoupledBasis:
     """The spectator x total-spin basis of N d-level atoms.
 
-    q is a real orthogonal d^N x d^N matrix (read-only).  Each column is
-    a state |J, M, alpha> of one spectator pattern: every atom is either
-    active (g or e) or parked in one level f or h, and the k active atoms
-    are coupled into total-spin multiplets.  groups holds one SpinGroup
-    per value of 2J, largest first (``spin_groups``).  A collective
-    operator never joins two copies (pattern x alpha) of a multiplet, and
-    on each copy of spin J the collective S+ is the standard ladder
-    ``spin_raising(2J)``, so q^T S+ q is block diagonal with that block
-    on every copy.  States enter and leave the basis through ``rotate``
-    and ``both_sides``; no other module of the package reads q.
+    Each of its d^N columns is a state |J, M, alpha> of one spectator
+    pattern: every atom is either active (g or e) or parked in one level
+    f or h, and the k active atoms are coupled into total-spin
+    multiplets.  groups holds one SpinGroup per value of 2J, largest
+    first (``spin_groups``).  A collective operator never joins two
+    copies (pattern x alpha) of a multiplet, and on each copy of spin J
+    the collective S+ is the standard ladder ``spin_raising(2J)``, so
+    q^T S+ q is block diagonal with that block on every copy, q the real
+    orthogonal d^N x d^N matrix of the basis' columns.
+
+    q is never formed.  Every pattern of k active atoms carries the same
+    Clebsch-Gordan matrix of k spin-1/2 (Shammah et al., Phys. Rev. A 98,
+    063815 (2018)), so blocks holds one (v, rows, cols) per k that some
+    pattern has.  v is that real orthogonal 2^k x 2^k matrix (read-only,
+    in Fortran order so that each multiplet is a contiguous run of
+    columns): its rows are the 2^k product states of the active atoms in
+    order, and its columns the multiplets grouped by 2J, largest first,
+    each group in the order ``_grow`` builds them.  rows and cols
+    (patterns x 2^k) are the flat product indices and the basis columns
+    of each k-active pattern, so q is v on every (rows[p], cols[p]) and
+    zero elsewhere.  States enter and leave the basis through ``rotate``
+    and ``both_sides``; no other module of the package reads the blocks.
     """
 
-    q: np.ndarray
+    blocks: tuple
     groups: tuple
 
     def rotate(self, x: np.ndarray, back: bool = False) -> np.ndarray:
         """q^T x, the coefficients of a complex x in the basis (q x with
-        ``back``), on x's second-to-last axis: q multiplies the real and
-        imaginary parts as the columns of x.view(float), so matmul makes
-        no complex copy of q."""
-        u = self.q if back else self.q.T
-        return (u @ np.ascontiguousarray(x).view(float)).view(complex)
+        ``back``), on x's second-to-last axis.  Each block serves all of
+        its patterns at once: one gather of their rows of x.view(float)
+        (real and imaginary parts as columns, so no complex copy of v is
+        made), one matmul by v^T, one scatter into their columns (from
+        the columns, by v, into the rows with ``back``).  The one block
+        of two-level atoms has the whole space as its rows and columns,
+        in order, so it reads x and writes the result as views."""
+        x = np.ascontiguousarray(x).view(float)
+        out = np.empty_like(x)
+        for v, rows, cols in self.blocks:
+            u, src, dst = (v, cols, rows) if back else (v.T, rows, cols)
+            if src.size == x.shape[-2]:
+                np.matmul(u, x, out=out)
+            else:
+                out[..., dst, :] = u @ x[..., src, :]
+        return out.view(complex)
 
     def both_sides(self, x: np.ndarray, back: bool = False) -> np.ndarray:
         """q^T x q (q x q^T with ``back``) on the atom axes (1 and 3) of a
@@ -370,63 +393,65 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
 
     Each spectator pattern (itertools order) owns the next free columns
     of its groups, one copy per multiplet of its k active atoms; these
-    first columns are counted before anything is built.  The multiplets
-    of k = 1 .. N spin-1/2 (|g> is M = -1/2, the first spin the most
-    significant digit) then come from those of k - 1 with the
-    Condon-Shortley Clebsch-Gordan coefficients of j x 1/2:
-
-        |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
-        |j - 1/2, M> = -b |j, M - 1/2>|e> + a |j, M + 1/2>|g>,
-
-    a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)),
-    the |e> part going into the odd rows of the 2^k-row vectors and the
-    |g> part into the even ones.  Level k (8 4^k bytes) is written into
-    q's rows of the active atoms of every k-active pattern as soon as it
-    exists, and level k - 1 is dropped once level k is built, so the
-    build holds q and at most two adjacent levels (10 4^N bytes).  For
-    two-level atoms level N, as large as q, has one pattern, whose rows
-    are q's rows in order, so it grows straight into its columns of q
-    and the build peaks at q + levels N - 2 and N - 1 (1.31 q).
+    columns and the pattern's rows are counted before anything is built.
+    The Clebsch-Gordan matrix of k = 1 .. N spin-1/2 then grows from the
+    multiplets of k - 1 (``_grow``), and level k is kept as the block of
+    the k-active patterns if there are any.  For two-level atoms that is
+    level N alone, so the build holds at most levels N - 1 and N
+    (10 4^N bytes) and afterwards level N (8 4^N); for more levels
+    every k has patterns, and the blocks hold at most 8 4^(N + 1) / 3
+    bytes.  Besides them the basis holds its index arrays (16 d^N
+    bytes).
     """
     d, n = atom_dim, atom_count
     groups = spin_groups(n, d)
     free = {group.two_j: group.start for group in groups}
     digits = d ** np.arange(n - 1, -1, -1)  # atom 1 the most significant
-    # the columns a pattern of k active atoms takes in each group
+    # the columns a pattern of k active atoms takes in each group, 2J descending
     widths = [{two_j: (two_j + 1) * _multiplets(k, (k - two_j) // 2)
-               for two_j in range(k % 2, k + 1, 2)} for k in range(n + 1)]
-    patterns = [[] for _ in range(n + 1)]  # (parked rows, active atoms, first columns) by k
+               for two_j in range(k, -1, -2)} for k in range(n + 1)]
+    rows, cols = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
     for pattern in itertools.product((None,) + tuple(range(2, d)), repeat=n):
         active = [j for j, level in enumerate(pattern) if level is None]
         parked = sum(int(digits[j]) * level for j, level in enumerate(pattern)
                      if level is not None)
         k = len(active)
-        patterns[k].append((parked, active, dict(free)))
+        bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        rows[k].append(parked + bits @ digits[active])
+        cols[k].append(np.concatenate([np.arange(free[two_j], free[two_j] + width)
+                                       for two_j, width in widths[k].items()]))
         for two_j, width in widths[k].items():
             free[two_j] += width
-    q = np.zeros((d**n, d**n))
-    level = [(0, np.ones((1, 1)))]  # (2J, (2^k, 2J + 1) vectors) of k spins
-    in_place = d == 2 and n > 0  # level N of qubits grows into q
-    for k in range(n + 1 - in_place):
+    v = np.ones((1, 1))
+    level, blocks = [(0, v)], []  # level: (2J, (2^k, 2J + 1) column run of v) of k spins
+    for k in range(n + 1):
         if k:
-            level = _grow(level)
-        for parked, active, first in patterns[k]:
-            bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-            rows = parked + bits @ digits[active]
-            for two_j, vecs in level:
-                q[rows, first[two_j]:first[two_j] + two_j + 1] = vecs
-                first[two_j] += two_j + 1
-    if in_place:
-        _grow(level, (q, patterns[n][0][2]))
-    q.flags.writeable = False
-    return CoupledBasis(q, groups)
+            v, level = _grow(level, widths[k])
+        if rows[k]:
+            v.flags.writeable = False
+            blocks.append((v, np.array(rows[k]), np.array(cols[k])))
+    return CoupledBasis(tuple(blocks), groups)
 
 
-def _grow(level: list, into: tuple | None = None) -> list:
-    """The multiplets of k spin-1/2 from those of k - 1 (coupled_basis),
-    each in a new array, or with into = (matrix, first free column by
-    2J) in the next columns of a zero matrix whose rows are the 2^k
-    product states in order."""
+def _grow(level: list, widths: dict) -> tuple:
+    """The Clebsch-Gordan matrix of k spin-1/2 from the multiplets of
+    k - 1 (coupled_basis), with the Condon-Shortley coefficients of
+    j x 1/2:
+
+        |j + 1/2, M> =  a |j, M - 1/2>|e> + b |j, M + 1/2>|g>,
+        |j - 1/2, M> = -b |j, M - 1/2>|e> + a |j, M + 1/2>|g>,
+
+    a = sqrt((j + M + 1/2) / (2j + 1)), b = sqrt((j - M + 1/2) / (2j + 1)).
+    Each multiplet is written straight into its columns of a new
+    2^k x 2^k Fortran-ordered zero matrix, whose rows are the product
+    states in order (|g> is M = -1/2 and the first spin the most
+    significant digit, so the |e> part goes into the odd rows and the |g>
+    part into the even ones) and whose columns hold the groups of widths
+    (2J: columns, largest 2J first), each in the order the multiplets are
+    grown.  Returns the matrix and its multiplets as (2J, column run)
+    pairs, the level the next call grows from."""
+    v = np.zeros((sum(widths.values()),) * 2, order="F")  # 2^k x 2^k
+    first = dict(zip(widths, itertools.accumulate(widths.values(), initial=0)))
     grown = []
     for two_j, vecs in level:
         for two_big in (two_j + 1, two_j - 1):
@@ -435,18 +460,14 @@ def _grow(level: list, into: tuple | None = None) -> list:
             two_m = np.arange(-two_big, two_big + 1, 2)
             a = np.sqrt((two_j + two_m + 1) / (2 * two_j + 2))
             b = np.sqrt((two_j - two_m + 1) / (2 * two_j + 2))
-            if into is None:
-                new = np.zeros((2 * len(vecs), two_big + 1))
-            else:
-                matrix, first = into
-                new = matrix[:, first[two_big]:first[two_big] + two_big + 1]
-                first[two_big] += two_big + 1
+            new = v[:, first[two_big]:first[two_big] + two_big + 1]
+            first[two_big] += two_big + 1
             if two_big > two_j:  # M = -J' has no |e> part, M = J' no |g> part
                 new[1::2, 1:], new[0::2, :-1] = a[1:] * vecs, b[:-1] * vecs
             else:
                 new[1::2], new[0::2] = -b * vecs[:, :-1], a * vecs[:, 1:]
             grown.append((two_big, new))
-    return grown
+    return v, grown
 
 
 def mode_lowering(space: SpaceDescriptor) -> np.ndarray:

@@ -256,14 +256,20 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
 
     * effective: twelve arrays of A entries (state, target, S_x phases,
       apply_local's products);
-    * full and decay: coupled_basis's q (8 A^2 bytes; it is filled in
-      place, and a rotation multiplies it by the real view of the
-      states, so no stacked or complex copy of q is made), the two
-      Clebsch-Gordan levels of N - 1 and N spins it is built from at
-      most (10 4^N bytes, freed after the build; an upper bound for
-      two-level atoms, whose level N grows inside q), and 8 KiB per row of
-      q for BLAS work buffers (a rotation with two OpenBLAS threads
-      packs about 3.4 KiB per row, with one thread 0.3);
+    * full and decay: coupled_basis's Clebsch-Gordan blocks, one
+      2^k x 2^k matrix per number k of active atoms (at most
+      8 4^(N + 1) / 3 bytes; 8 4^N for two-level atoms, which keep level
+      N alone), the level of N - 1 spins that level N grows from
+      (2 4^N bytes, freed after the build), the blocks' index arrays
+      (16 A bytes), 8 KiB per row of the largest block (2^N rows) for
+      BLAS work buffers, and 8 MiB for what the process itself grows by
+      in a run (modules loaded on first use, allocator and BLAS arenas:
+      about 3 MiB in a two-atom run, which only a qutrit run's small
+      arrays come close to).  A rotation multiplies each block by the
+      real view of its patterns' rows of the states, so no complex copy
+      of a block is made; the one block of two-level atoms reads and
+      writes the states in place, and the rows that more levels gather
+      and scatter are counted with the states below;
     * full: eight (D, k) column blocks (k = m thermal columns, else 1),
       the eigh of the widest ((N + 1) m)^2 block, and for a thermal
       start d + 3 D x D matrices (the d branches and read-out
@@ -284,13 +290,15 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
       of its three runs and the trace distances' temporaries.
 
     Measured peak RSS stays below this at two sizes of every engine
-    (tests/test_cli.py::test_memory_guard_bounds_the_measured_rise); the
-    figure over the rise, 2 vCPUs, OpenBLAS 0.3.31 on 2 threads:
-    effective 1.57-1.58x (GHZ N = 19, 20), full cavity 1.08x (qutrit
-    GHZ N = 8, cutoff 8) to 1.30x (GHZ N = 11, cutoff 14) and 1.56x from
-    a thermal start, full ion 1.12-1.27x (GHZ N = 12, 11, cutoff 10),
-    decay 2.33-3.36x (GHZ N = 5, 6) and 1.35x (measure-reduce and
-    three-level GHZ, N = 4, cutoff 8), and compare-frames 1.31x (N = 10).
+    (tests/test_cli.py::test_memory_guard_bounds_the_measured_rise).
+    Figure and rise in MiB, 2 vCPUs, OpenBLAS 0.3.31 on 2 threads:
+    effective GHZ N = 19, 20: 96.0 and 53.1, 192.0 and 105.2; full
+    cavity GHZ N = 11, cutoff 14: 82.4 and 46.5, from a thermal start
+    (N = 6): 82.0 and 47.1; qutrit GHZ N = 8, 10, cutoff 8: 18.9 and
+    10.7, 95.6 and 69.2; full ion GHZ N = 11, 12, cutoff 10: 79.6 and
+    44.6, 250.7 and 162.7; decay GHZ N = 5, cutoff 15: 72.9 and 28.0,
+    N = 6, cutoff 12: 164.8 and 46.6; compare-frames N = 10: 127.8 and
+    95.9.
     """
     d, n = ATOM_LEVELS[config.protocol], config.n
     atoms, m = d**n, config.fock_cutoff + 1
@@ -299,7 +307,7 @@ def _check_memory(config: RunConfig, frames: bool = False) -> int:
     if kind == "effective":
         size = 16 * 12 * atoms
     else:
-        size = 8 * atoms**2 + 10 * 4**n + 8192 * atoms
+        size = 32 * 4**n // 3 + 2 * 4**n + 16 * atoms + 8192 * 2**n + 2**23
     if kind == "full":
         k = m if config.nbar > 0 else 1
         size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))

@@ -27,9 +27,10 @@ Numerical policy:
   the stage's builder, call it once per occupied block with that
   ladder, rotate the states into the basis on the atom axis
   (CoupledBasis.rotate, or both_sides for density matrices; the basis
-  alone reads its q), propagate, and rotate back.  This is exact for
-  every state; blocks that are exactly zero are skipped, and no
-  d^N x d^N operator or generator of the whole d^N m space is formed.
+  alone reads its Clebsch-Gordan blocks), propagate, and rotate back.
+  This is exact for every state; blocks that are exactly zero are
+  skipped, and no d^N x d^N operator (not even the basis' own matrix)
+  or generator of the whole d^N m space is formed.
 * ``evolve_exact`` propagates each occupied block of a drive stage with
   one eigendecomposition, pushing every copy and every state column
   through it at once.
@@ -260,7 +261,7 @@ def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
     if not np.any(live):
         return 0.0
     drift = float(np.max(np.abs(after[..., live] - before[live]) / before[live]))
-    if drift > NORM_HARD:
+    if not drift <= NORM_HARD:  # also refuses nan
         raise NormDriftError(f"column norm drifted by {drift:.3e} (> {NORM_HARD:.0e})")
     return drift
 

@@ -126,6 +126,8 @@ class CollectiveDrive:
             raise ValueError(f"omega must be non-negative and finite, got {self.omega!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class LocalTransfer:
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise ValueError(f"transfer matrix is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -755,7 +757,7 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
         drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(out, axis=0))
         return _Columns(out.reshape(state.x.shape)), StageRecord(
             name, "effective", plan.space.atoms_dim, "factored", None, drift)
-    if abs(engine.lam() - stage.lam) > 1e-9 * max(1.0, abs(stage.lam)):
+    if not abs(engine.lam() - stage.lam) <= 1e-9 * max(1.0, abs(stage.lam)):
         raise ValueError(f"engine effective coupling {engine.lam()!r} does not match the "
                          f"plan's {stage.lam!r}; replan with the engine's parameters")
     if isinstance(engine, FullIon):

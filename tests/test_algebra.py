@@ -239,6 +239,8 @@ def test_state_vector_norm_enforced():
     space = make_space(1, 2, 0, no_mode=True)
     with pytest.raises(ValueError):
         StateVector(space, np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError, match="state norm nan"):
+        StateVector(space, np.array([math.nan, 0.0], dtype=complex))
 
 
 def test_density_matrix_validation():
@@ -260,6 +262,9 @@ def test_density_matrix_validation():
     # trace: 1 within 1e-9, worded as a plain float
     (np.diag([0.5 + 2e-9, 0.5]), "trace is 1.0000000020000002, expected 1 within 1e-9"),
     (np.diag([0.5 + 5e-10, 0.5]), None),
+    # a nan entry fails every comparison, so it is refused as not
+    # Hermitian rather than let through
+    (np.diag([math.nan, 0.5]), "matrix is not Hermitian: max deviation nan"),
 ])
 def test_density_matrix_tolerances_at_their_boundaries(matrix, refusal):
     space = make_space(1, 2, 0, no_mode=True)
@@ -292,6 +297,16 @@ def test_leakage_monitor_inactive_for_tiny_modes():
 # spectator x total-spin basis
 
 
+def _dense_q(basis):
+    """The d^N x d^N matrix q of the basis' columns: each block's v on
+    every (rows[p], cols[p]) of its patterns, zero elsewhere."""
+    dim = sum(rows.size for _, rows, _ in basis.blocks)
+    q = np.zeros((dim, dim))
+    for v, rows, cols in basis.blocks:
+        q[rows[:, :, None], cols[:, None, :]] = v
+    return q
+
+
 def _multiplets(atom_count, atom_dim, two_j):
     """Copies of spin J = two_j / 2 among N atoms: sum over the k active
     atoms of C(N, k) (d - 2)^(N - k) spectator patterns times the number
@@ -309,9 +324,15 @@ def _multiplets(atom_count, atom_dim, two_j):
 ])
 def test_coupled_basis_block_diagonalises_the_collective_raising_operator(atom_count, atom_dim):
     basis = coupled_basis(atom_count, atom_dim)
-    q = basis.q
+    # each block: a read-only orthogonal 2^k x 2^k matrix, one multiplet
+    # per contiguous column run, and the rows and columns of its patterns
+    for v, rows, cols in basis.blocks:
+        assert v.dtype == float and not v.flags.writeable and v.flags.f_contiguous
+        assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-14
+        assert rows.shape == cols.shape == (len(rows), len(v))
+    q = _dense_q(basis)
     dim = atom_dim**atom_count
-    assert q.shape == (dim, dim) and q.dtype == float and not q.flags.writeable
+    assert q.shape == (dim, dim)
     assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-14
     # the groups tile the columns, 2J descending, with the binomial counts
     assert basis.groups[0].start == 0 and basis.groups[-1].stop == dim
@@ -357,12 +378,13 @@ def test_coupled_basis_keeps_spectators_and_orders_atoms_as_basis_index():
     space = make_space(2, 3, 0, no_mode=True)
     basis = coupled_basis(2, 3)
     (half,) = [g for g in basis.groups if g.two_j == 1]
-    cols = [basis.q[:, half.start + c * 2] for c in range(half.copies)]
+    q = _dense_q(basis)
+    cols = [q[:, half.start + c * 2] for c in range(half.copies)]
     gf = np.zeros(9)
     gf[basis_index(space, "gf")] = 1.0
     assert any(np.array_equal(c, gf) for c in cols)
     zero = [g for g in basis.groups if g.two_j == 0][0]
-    singlet = basis.q[:, zero.start]
+    singlet = q[:, zero.start]
     expected = np.zeros(9)
     expected[basis_index(space, "eg")] = math.sqrt(0.5)
     expected[basis_index(space, "ge")] = -math.sqrt(0.5)
@@ -418,7 +440,7 @@ def _reference_q(atom_count, atom_dim):
 def test_coupled_basis_equals_the_column_by_column_build(atom_count, atom_dim):
     # the same arithmetic in another order: equal values (an exact zero
     # may differ in sign)
-    assert np.array_equal(coupled_basis(atom_count, atom_dim).q,
+    assert np.array_equal(_dense_q(coupled_basis(atom_count, atom_dim)),
                           _reference_q(atom_count, atom_dim))
 
 
@@ -429,30 +451,53 @@ def test_spin_groups_count_the_coupled_basis_groups(atom_count, atom_dim):
 
 
 def test_coupled_basis_is_built_in_place():
-    # the build holds q and at most the Clebsch-Gordan levels of N - 2
-    # and N - 1 spins (10 4^(N - 1) bytes) at its peak, since level N of
-    # qubits grows inside q, and afterwards only q: no stacked copy of q
-    # and no cached multiplets
-    q_bytes, levels = 8 * 4**10, 10 * 4**9
+    # qubits keep one block, level N (8 4^N bytes, as large as the old
+    # dense q): at its peak the build holds it, level N - 1 (8 4^(N - 1)
+    # bytes) and the column views of both levels' multiplets (about
+    # 0.25 MiB here), and afterwards only the block and its index arrays;
+    # no stacked copy and no cached multiplets.  The bound is the dense
+    # q's, q + 10 4^(N - 1) + 2^18.
+    block_bytes, levels = 8 * 4**10, 10 * 4**9
     tracemalloc.start()
     try:
         basis = coupled_basis.__wrapped__(10, 2)  # uncached
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert basis.q.nbytes == q_bytes
-    assert peak <= q_bytes + levels + 2**18
-    assert held <= 1.01 * q_bytes
+    ((v, rows, cols),) = basis.blocks
+    assert v.nbytes == block_bytes and rows.size == cols.size == 2**10
+    assert peak <= block_bytes + levels + 2**18
+    assert held <= 1.01 * block_bytes
+
+
+def test_coupled_basis_of_many_qutrits_holds_its_blocks_alone():
+    # N = 8 qutrits: one 2^k x 2^k block per k = 0 .. 8 (0.67 MiB) and
+    # index arrays of 2 x 8 3^8 bytes, where the dense q was 328 MiB
+    tracemalloc.start()
+    try:
+        basis = coupled_basis.__wrapped__(8, 3)  # uncached
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [len(v) for v, _, _ in basis.blocks] == [2**k for k in range(9)]
+    assert held < 2**20
 
 
 def test_coupled_basis_rotations_multiply_by_q():
-    basis = coupled_basis(3, 3)
+    # qutrits gather and scatter each block's patterns through index
+    # arrays; the one qubit block has the whole space in order as its rows
+    # and columns and is read and written as views
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(27, 4)) + 1j * rng.normal(size=(27, 4))
-    assert np.max(np.abs(basis.rotate(x) - basis.q.T @ x)) <= 1e-13
-    assert np.max(np.abs(basis.rotate(x, back=True) - basis.q @ x)) <= 1e-13
-    rho = (rng.normal(size=(2, 27 * 2, 27 * 2)) + 0j).reshape(2, 27, 2, 27, 2)
-    both = np.einsum("ai,kamcn,cj->kimjn", basis.q, rho, basis.q)
-    assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
-    back = np.einsum("ia,kamcn,jc->kimjn", basis.q, rho, basis.q)
-    assert np.max(np.abs(basis.both_sides(rho, back=True) - back)) <= 1e-13
+    for atom_count, atom_dim in [(3, 3), (4, 2)]:
+        basis = coupled_basis(atom_count, atom_dim)
+        q, dim = _dense_q(basis), atom_dim**atom_count
+        x = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        assert np.max(np.abs(basis.rotate(x) - q.T @ x)) <= 1e-13
+        assert np.max(np.abs(basis.rotate(x, back=True) - q @ x)) <= 1e-13
+        rho = (rng.normal(size=(2, dim * 2, dim * 2)) + 0j).reshape(2, dim, 2, dim, 2)
+        both = np.einsum("ai,kamcn,cj->kimjn", q, rho, q)
+        assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
+        back = np.einsum("ia,kamcn,jc->kimjn", q, rho, q)
+        assert np.max(np.abs(basis.both_sides(rho, back=True) - back)) <= 1e-13
+    ((v, rows, cols),) = basis.blocks
+    assert np.array_equal(rows[0], np.arange(16)) and np.array_equal(cols[0], np.arange(16))

@@ -330,7 +330,7 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
 
 @pytest.mark.parametrize("argv, admitted", [
     # a Fock start on the full engine holds the coupled basis (about
-    # 32 MiB here with its build and BLAS buffers), not a 15360-square
+    # 21 MiB here with its build and BLAS buffers), not a 15360-square
     # generator
     (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
       "--fock-cutoff", "14"), True),
@@ -349,8 +349,9 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     # ring: 974 MiB in all, against 1132 MiB with a complex ring; the run
     # from the vacuum rose 418 MB in peak RSS
     (("ghz", "--n", "7", "--engine", "lindblad", "--delta", "10", "--fock-cutoff", "15"), True),
-    # q is 328 MiB here; the six A x A arrays of compare-frames, once
-    # charged to every full run, made it 4.5 GiB
+    # the coupled basis' blocks are 0.67 MiB here (a dense q was
+    # 328 MiB); the six A x A arrays of compare-frames, once charged to
+    # every full run, made it 4.5 GiB
     (("ghz-three-level", "--n", "8", "--engine", "full", "--g", "1", "--delta", "10",
       "--fock-cutoff", "8"), True),
     # a decay stage holds at most three stacks besides its input, so nine
@@ -359,6 +360,10 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     # 652 MiB in peak RSS
     (("measure-reduce", "--n", "4", "--engine", "lindblad", "--delta", "10",
       "--fock-cutoff", "26"), True),
+    # admitted since the basis is held as its shared blocks (10.7 MiB
+    # here); a dense q alone was 27 GiB
+    (("ghz-three-level", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
+      "--fock-cutoff", "8"), True),
 ])
 def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
     config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))
@@ -414,8 +419,10 @@ print(code, max(figures), rss("VmHWM:") - base)
     ("protocol", "ghz", "--n", "6", "--engine", "lindblad", "--g", "1", "--delta", "6",
      "--fock-cutoff", "12", "--kappa", "0.01"),
     ("compare-frames", "ghz", "--n", "10", "--g", "1", "--delta", "10", "--fock-cutoff", "10"),
+    ("protocol", "ghz-three-level", "--n", "10", "--engine", "full", "--g", "1",
+     "--delta", "10", "--fock-cutoff", "8"),
 ], ids=["effective-19", "effective-20", "full-11", "full-qutrit-8", "full-thermal-6",
-        "ion-11", "ion-12", "lindblad-5", "lindblad-6", "compare-frames-10"])
+        "ion-11", "ion-12", "lindblad-5", "lindblad-6", "compare-frames-10", "full-qutrit-10"])
 def test_memory_guard_bounds_the_measured_rise(argv):
     # the guard is an upper bound on what a run really takes: each
     # request's peak-RSS rise (50-360 MiB here) stays at or below the

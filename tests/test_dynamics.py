@@ -705,6 +705,8 @@ def test_norm_drift_is_relative_and_raises_beyond_1e_6():
     assert norm_drift(before, np.array([1.0 + 4e-7, 0.5, 0.0])) == pytest.approx(4e-7)
     with pytest.raises(NormDriftError):
         norm_drift(before, np.array([1.0, 0.5 * (1.0 - 2e-6), 0.0]))
+    with pytest.raises(NormDriftError, match="drifted by nan"):
+        norm_drift(before, np.array([1.0, math.nan, 0.0]))
 
 
 # ------------------------------------------- exact Liouvillian propagation
@@ -1310,6 +1312,16 @@ def test_blocks_that_are_exactly_zero_are_skipped():
     assert np.max(np.abs(mixed.states - dense)) <= 1e-12
 
 
+def _dense_q(basis):
+    """The d^N x d^N matrix q of the basis' columns: each block's v on
+    every (rows[p], cols[p]) of its patterns, zero elsewhere."""
+    dim = sum(rows.size for _, rows, _ in basis.blocks)
+    q = np.zeros((dim, dim))
+    for v, rows, cols in basis.blocks:
+        q[rows[:, :, None], cols[:, None, :]] = v
+    return q
+
+
 def test_lindblad_pairs_whose_blocks_have_different_centres():
     # a builder that adds 30 (2J + 1) to each block (a Casimir-like
     # shift, exactly block diagonal) moves the centre of every
@@ -1317,8 +1329,9 @@ def test_lindblad_pairs_whose_blocks_have_different_centres():
     # oracle adds the same shift through q
     space = make_space(3, 2, 2)
     basis = coupled_basis(3, 2)
+    q = _dense_q(basis)
     widths = np.concatenate([[g.width] * (g.stop - g.start) for g in basis.groups])
-    shift = np.kron(basis.q @ np.diag(30.0 * widths) @ basis.q.T, np.eye(space.mode_dim))
+    shift = np.kron(q @ np.diag(30.0 * widths) @ q.T, np.eye(space.mode_dim))
     drive = partial(interaction_terms, space, DriveParams(g=1.0, delta=2.0, omega=5.0))
 
     def build(b):

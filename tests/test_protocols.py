@@ -163,6 +163,8 @@ def test_transfer_matrices():
 def test_stage_validation():
     with pytest.raises(ValueError):
         LocalTransfer(np.array([[1.0, 1.0], [0.0, 1.0]]), "all")
+    with pytest.raises(ValueError, match="not unitary: deviation nan"):
+        LocalTransfer(np.array([[math.nan, 0.0], [0.0, 1.0]]), "all")
     with pytest.raises(ValueError):
         Measurement(0, mode="peek")
     with pytest.raises(ValueError):
@@ -172,6 +174,11 @@ def test_stage_validation():
     for omega in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="omega"):
             CollectiveDrive(omega, 1.0, LAM)
+    # a nan or inf lam once ran on the Effective engine to probability
+    # nan, fidelity 1.0 and drift nan
+    for lam in (0.0, -LAM, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            CollectiveDrive(1.0, 1.0, lam)
     # an engine refuses a frame of the other system when it is built,
     # not when a stage runs
     cavity, ion = DriveParams(g=1.0, delta=10.0), DriveParams(omega=1.0, delta=2.0, eta=0.05)
