@@ -10,7 +10,11 @@ Run from the repository root:
 The file name does not match ``test_*``, so the unit suite does not
 collect it.  BLAS is pinned to one thread before numpy loads, and each
 benchmark records the pin, the core count and the numpy/scipy/BLAS
-versions in its ``extra_info``.
+versions in its ``extra_info``.  Every layer that runs the decay engine
+also records ``products``, the exact number of Chebyshev products (CSR
+kernel calls) one call takes, counted in one extra untimed call: a
+series length that repeats from run to run, next to the times that do
+not.
 
 Import:
 
@@ -218,6 +222,30 @@ def record(benchmark):
     return benchmark
 
 
+def _products(record, fn, *args, **kwargs):
+    """Call fn once, untimed, and record in ``extra_info["products"]`` how
+    many Chebyshev products it took: every call of a product that
+    ``dynamics._csr_kernel`` returns.  Returns fn's result."""
+    kernel, count = dynamics._csr_kernel, [0]
+
+    def counting(x, k):
+        product = kernel(x, k)
+
+        def counted(v, out):
+            count[0] += 1
+            product(v, out)
+
+        return counted
+
+    dynamics._csr_kernel = counting
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        dynamics._csr_kernel = kernel
+    record.extra_info["products"] = count[0]
+    return result
+
+
 IMPORT_PROBE = """
 import resource, sys, time
 start = time.perf_counter()
@@ -284,7 +312,9 @@ def test_lindblad_decay_sweep(record):
     build, t0, t1 = _stage(plan, 0, space, 4.1)
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
-    record(evolve_lindblad, build, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
+    args = (build, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
+    _products(record, evolve_lindblad, *args)
+    record(evolve_lindblad, *args)
 
 
 def test_lindblad_criterion_9(record):
@@ -293,8 +323,9 @@ def test_lindblad_criterion_9(record):
     build, t0, t1 = _stage(plan, 1, space, 10.0)
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
-    record.pedantic(evolve_lindblad, (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
-                    rounds=3, iterations=1)
+    args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
+    _products(record, evolve_lindblad, *args)
+    record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
 
 
 def test_lindblad_criterion_9_pairs(record):
@@ -307,8 +338,9 @@ def test_lindblad_criterion_9_pairs(record):
     vacuum[0, 0] = 1.0
     rhos = np.kron(x @ x.conj().T / np.linalg.norm(x) ** 2, vacuum)[None]
     record.extra_info["groups"] = len(coupled_basis(2, 3).groups)
-    record.pedantic(evolve_lindblad, (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1),
-                    rounds=3, iterations=1)
+    args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
+    _products(record, evolve_lindblad, *args)
+    record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "complex128"])
@@ -330,7 +362,9 @@ def test_pair_action(record, dtype):
     b = np.zeros((len(indptr) - 1, 1), dtype=dtype)
     b[0] = 1.0  # |J = 1, M = -1> x |0>, the vacuum |gg, 0>
     record.extra_info.update(liouville_rows=len(indptr) - 1, nnz=len(data))
-    record(chebyshev_action, a, b, t1 - t0, w[-1] - w[0] + margin, margin)
+    args = (a, b, t1 - t0, w[-1] - w[0] + margin, margin)
+    _products(record, chebyshev_action, *args)
+    record(chebyshev_action, *args)
 
 
 def test_exact_two_atom_qutrit(record):
@@ -415,6 +449,7 @@ def test_run_plan_lindblad(record):
     plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
     engine = Lindblad(DriveParams(g=1.0, delta=4.1), DecaySpec(0.1), fock_cutoff=6)
     record.extra_info["liouville_dim"] = plan.space.with_mode(6).dim ** 2
+    _products(record, run_plan, plan, engine=engine)
     record(run_plan, plan, engine=engine)
 
 
@@ -422,6 +457,7 @@ def test_run_plan_lindblad_measure_reduce(record):
     plan = plan_measure_reduce(4, lambda_cavity(1.0, 10.0), delta=10.0)
     engine = Lindblad(DriveParams(g=1.0, delta=10.0), DecaySpec(0.05), fock_cutoff=4)
     record.extra_info["hilbert_dim"] = plan.space.with_mode(4).dim
+    _products(record, run_plan, plan, engine=engine)
     result = record.pedantic(run_plan, (plan,), {"engine": engine}, rounds=3, iterations=1)
     assert [b.label for b in result.branches] == ["g", "e", "f"]
 
@@ -454,6 +490,7 @@ def _cli_sweep_lindblad():
 
 
 def test_cli_sweep_lindblad(record):
+    assert _products(record, _cli_sweep_lindblad) == 0
     assert record(_cli_sweep_lindblad) == 0
 
 

@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .dynamics import (
     DecaySpec,
-    IntegratorConfig,
     ThermalSpec,
     apply_atomic,
     apply_local,

@@ -322,8 +322,9 @@ class CoupledBasis:
     each group in the order ``_grow`` builds them.  rows and cols
     (patterns x 2^k) are the flat product indices and the basis columns
     of each k-active pattern, so q is v on every (rows[p], cols[p]) and
-    zero elsewhere.  States enter and leave the basis through ``rotate``
-    and ``both_sides``; no other module of the package reads the blocks.
+    zero elsewhere.  States enter the basis through ``rotate`` and
+    ``both_sides`` and leave it through ``rotate`` with ``back``; no other
+    module of the package reads the blocks.
     """
 
     blocks: tuple
@@ -348,12 +349,12 @@ class CoupledBasis:
                 out[..., dst, :] = u @ x[..., src, :]
         return out.view(complex)
 
-    def both_sides(self, x: np.ndarray, back: bool = False) -> np.ndarray:
-        """q^T x q (q x q^T with ``back``) on the atom axes (1 and 3) of a
-        complex (k, A, m, A, m) stack."""
+    def both_sides(self, x: np.ndarray) -> np.ndarray:
+        """q^T x q on the atom axes (1 and 3) of a complex (k, A, m, A, m)
+        stack."""
         k, atoms, m = x.shape[:3]
-        y = self.rotate(x.reshape(k, atoms, -1), back).reshape(k, atoms * m, atoms, m)
-        return self.rotate(y, back).reshape(x.shape)
+        y = self.rotate(x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
+        return self.rotate(y).reshape(x.shape)
 
 
 def spin_raising(two_j: int) -> np.ndarray:

@@ -216,8 +216,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_numbers(config: RunConfig):
-    """Reject non-finite floats, a negative g or nbar, an eta outside
-    [0, 1) and a decay rate off the decay engine, on every engine."""
+    """Reject non-finite floats, a negative g, nbar or seed, an eta
+    outside [0, 1) and a decay rate off the decay engine, on every
+    engine and command."""
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -228,6 +229,8 @@ def _check_numbers(config: RunConfig):
         raise ConfigError(f"--eta must lie in [0, 1), got {config.eta!r}")
     if config.nbar < 0:
         raise ConfigError(f"--nbar must be non-negative, got {config.nbar!r}")
+    if config.seed is not None and config.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {config.seed}")
     if config.kappa != 0 and config.engine != "lindblad":
         raise ConfigError(f"--kappa {config.kappa:g} needs --engine lindblad; the "
                           f"{config.engine} engine has no cavity decay")

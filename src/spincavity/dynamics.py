@@ -27,7 +27,8 @@ Numerical policy:
   the stage's builder, call it once per occupied block with that
   ladder, rotate the states into the basis on the atom axis
   (CoupledBasis.rotate, or both_sides for density matrices; the basis
-  alone reads its Clebsch-Gordan blocks), propagate, and rotate back.
+  alone reads its Clebsch-Gordan blocks), propagate, and rotate back
+  (rotate with back=True, one atom axis at a time).
   This is exact for every state; blocks that are exactly zero are
   skipped, and no d^N x d^N operator (not even the basis' own matrix)
   or generator of the whole d^N m space is formed.
@@ -64,8 +65,9 @@ Numerical policy:
   beyond 1e-6 raises NormDriftError, and the engines validate final
   density matrices (Hermiticity, trace, eigenvalues).
 * ``evolve_td_multi`` integrates a callable t -> H(t) with adaptive
-  DOP853 and is kept as the independent reference the exact propagator
-  is tested against; no engine calls it.
+  DOP853, its rtol, atol and max_step passed to scipy unchanged, and is
+  kept as the independent reference the exact propagator is tested
+  against; no engine calls it.
 * The pure-state engines need nothing beyond numpy, and the decay
   engine nothing beyond numpy and the extension module of scipy's CSR
   kernels, loaded on its own on first use (``_sparsetools``), so no
@@ -132,25 +134,6 @@ def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Settings of the reference integrator evolve_td_multi.
-
-    max_step caps the DOP853 step; None lets the solver choose its own
-    steps.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float | None = None
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -336,17 +319,19 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
     return Propagation(traj[0] if t_eval is None else traj, leak, drift, block_dim)
 
 
-def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
-                    t0: float, t1: float, config: IntegratorConfig | None = None) -> np.ndarray:
+def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray, t0: float,
+                    t1: float, rtol: float = 1e-10, atol: float = 1e-12,
+                    max_step: float = np.inf) -> np.ndarray:
     """Integrate i d|psi>/dt = H(t)|psi> for several state columns at once.
 
     h_of_t is a callable ``t -> Operator | ndarray``; columns has shape
-    (dim, k).  Returns the final (dim, k) block, raw (nothing is
-    renormalized), after checking the leakage of every column.
+    (dim, k).  rtol, atol and max_step go to DOP853 unchanged (scipy
+    refuses a negative atol or a max_step <= 0).  Returns the final
+    (dim, k) block, raw (nothing is renormalized), after checking the
+    leakage of every column.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    config = config or IntegratorConfig()
     dim, k = columns.shape
     if t1 == t0:
         return columns.copy()
@@ -356,18 +341,8 @@ def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray,
         mat = h.matrix if isinstance(h, Operator) else np.asarray(h)
         return (-1j * (mat @ y.reshape(dim, k))).ravel()
 
-    kwargs = {}
-    if config.max_step is not None:
-        kwargs["max_step"] = config.max_step
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        columns.astype(complex).ravel(),
-        method="DOP853",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        **kwargs,
-    )
+    sol = solve_ivp(rhs, (t0, t1), columns.astype(complex).ravel(), method="DOP853",
+                    rtol=rtol, atol=atol, max_step=max_step)
     if not sol.success:
         raise NormDriftError(f"integrator failed: {sol.message}")
     final = sol.y[:, -1].reshape(dim, k)

@@ -31,7 +31,6 @@ from spincavity.algebra import (
 )
 from spincavity.dynamics import (
     DecaySpec,
-    IntegratorConfig,
     ThermalSpec,
     apply_atomic,
     apply_local,
@@ -139,6 +138,37 @@ def test_evolve_td_rejects_reversed_interval():
     psi = basis_state(space, "g", 0)
     with pytest.raises(ValueError):
         _evolve_td(lambda t: np.eye(space.dim), psi, 1.0, 0.0)
+
+
+def test_reference_integrator_passes_its_keywords_to_the_solver(monkeypatch):
+    # rtol, atol and max_step reach DOP853 unchanged; the defaults are the
+    # solver's own step rule (max_step = inf) at 1e-10 / 1e-12
+    space = make_space(1, 2, 2)
+    cols = np.eye(space.dim, 1, dtype=complex)
+    calls = []
+    solve = dynamics.solve_ivp
+
+    def captured(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", captured)
+    h = np.diag(np.arange(space.dim, dtype=float))
+    evolve_td_multi(lambda t: h, space, cols, 0.0, 0.1)
+    evolve_td_multi(lambda t: h, space, cols, 0.0, 0.1, rtol=1e-12, atol=1e-14, max_step=0.01)
+    keys = [(c["method"], c["rtol"], c["atol"], c["max_step"]) for c in calls]
+    assert keys == [("DOP853", 1e-10, 1e-12, np.inf), ("DOP853", 1e-12, 1e-14, 0.01)]
+
+
+def test_reference_integrator_refuses_bad_solver_settings():
+    # scipy's own refusals; a zero rtol is clamped by scipy, not refused
+    space = make_space(1, 2, 2)
+    h = np.zeros((space.dim, space.dim))
+    cols = np.eye(space.dim, 1, dtype=complex)
+    with pytest.raises(ValueError):
+        evolve_td_multi(lambda t: h, space, cols, 0.0, 0.1, atol=-1e-12)
+    with pytest.raises(ValueError):
+        evolve_td_multi(lambda t: h, space, cols, 0.0, 0.1, max_step=0.0)
 
 
 # ------------------------------------------------------ effective generator
@@ -301,18 +331,6 @@ def test_apply_local_rejects_an_atom_outside_the_space():
     space = make_space(2, 3, 1)
     with pytest.raises(ValueError, match="atom index 2 outside 0..1"):
         apply_local(space, np.eye(3), 2, np.zeros(space.dim))
-
-
-# ------------------------------------------------------------ configuration
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=-1e-12)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=0.0)
 
 
 # ------------------------------------------------------------- ThermalSpec
@@ -654,10 +672,9 @@ def test_exact_propagator_matches_reference_integrator(frame, g, delta, omega, n
     t1 = t0 + duration
     # step cap 2 pi / (20 omega_max) for the fastest frequency of H(t)
     omega_max = max(2.0 * omega, abs(delta), g)
-    config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14,
-                              max_step=2.0 * math.pi / (20.0 * omega_max))
     reference = evolve_td_multi(_explicit_frame(frame, space, params), space, cols, t0, t1,
-                                config)
+                                rtol=1e-12, atol=1e-14,
+                                max_step=2.0 * math.pi / (20.0 * omega_max))
     exact = evolve_exact(v, delta, space, cols, t0, t1)
     assert np.max(np.abs(exact.states - reference)) <= 1e-9
     # two consecutive stages compose to the single stage, and a sampled
