@@ -12,9 +12,10 @@ collect it.  BLAS is pinned to one thread before numpy loads, and each
 benchmark records the pin, the core count and the numpy/scipy/BLAS
 versions in its ``extra_info``.  Every layer that runs the decay engine
 also records ``products``, the exact number of Chebyshev products (CSR
-kernel calls) one call takes, counted in one extra untimed call: a
-series length that repeats from run to run, next to the times that do
-not.
+kernel calls) one call takes, as the timed call's result reports it
+(``Propagation.products``, ``chebyshev_action``'s count, or the sum of
+``StageRecord.products``): a series length that repeats from run to
+run, next to the times that do not.
 
 Import:
 
@@ -118,7 +119,8 @@ End to end:
 * ``cli_sweep_lindblad``: one in-process ``sweep ghz --n 2 --engine
   lindblad`` over three kappa points, 0.05, 0.125 and 0.2 g, at
   delta = 4.1 g and cutoff 6 (the decay-sweep workload's shape), with
-  its CSV report.
+  its CSV report.  The report holds no stage records, so its products
+  are counted untimed through ``run_plan`` on the three points.
 * ``cli_protocol_ghz11_full``: one in-process ``protocol ghz --n 11
   --engine full --g 1 --delta 10 --fock-cutoff 14``, the coupled basis
   built anew each round as in a fresh process (Hilbert dimension
@@ -222,28 +224,9 @@ def record(benchmark):
     return benchmark
 
 
-def _products(record, fn, *args, **kwargs):
-    """Call fn once, untimed, and record in ``extra_info["products"]`` how
-    many Chebyshev products it took: every call of a product that
-    ``dynamics._csr_kernel`` returns.  Returns fn's result."""
-    kernel, count = dynamics._csr_kernel, [0]
-
-    def counting(x, k):
-        product = kernel(x, k)
-
-        def counted(v, out):
-            count[0] += 1
-            product(v, out)
-
-        return counted
-
-    dynamics._csr_kernel = counting
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        dynamics._csr_kernel = kernel
-    record.extra_info["products"] = count[0]
-    return result
+def _stage_products(result) -> int:
+    """The Chebyshev products of every drive stage of a run_plan result."""
+    return sum(stage.products for stage in result.diagnostics["stages"])
 
 
 IMPORT_PROBE = """
@@ -313,8 +296,7 @@ def test_lindblad_decay_sweep(record):
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
     args = (build, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
-    _products(record, evolve_lindblad, *args)
-    record(evolve_lindblad, *args)
+    record.extra_info["products"] = record(evolve_lindblad, *args).products
 
 
 def test_lindblad_criterion_9(record):
@@ -324,8 +306,8 @@ def test_lindblad_criterion_9(record):
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
     args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
-    _products(record, evolve_lindblad, *args)
-    record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
+    prop = record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
+    record.extra_info["products"] = prop.products
 
 
 def test_lindblad_criterion_9_pairs(record):
@@ -339,8 +321,8 @@ def test_lindblad_criterion_9_pairs(record):
     rhos = np.kron(x @ x.conj().T / np.linalg.norm(x) ** 2, vacuum)[None]
     record.extra_info["groups"] = len(coupled_basis(2, 3).groups)
     args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
-    _products(record, evolve_lindblad, *args)
-    record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
+    prop = record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
+    record.extra_info["products"] = prop.products
 
 
 @pytest.mark.parametrize("dtype", ["float64", "complex128"])
@@ -363,8 +345,7 @@ def test_pair_action(record, dtype):
     b[0] = 1.0  # |J = 1, M = -1> x |0>, the vacuum |gg, 0>
     record.extra_info.update(liouville_rows=len(indptr) - 1, nnz=len(data))
     args = (a, b, t1 - t0, w[-1] - w[0] + margin, margin)
-    _products(record, chebyshev_action, *args)
-    record(chebyshev_action, *args)
+    _, record.extra_info["products"] = record(chebyshev_action, *args)
 
 
 def test_exact_two_atom_qutrit(record):
@@ -449,16 +430,15 @@ def test_run_plan_lindblad(record):
     plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
     engine = Lindblad(DriveParams(g=1.0, delta=4.1), DecaySpec(0.1), fock_cutoff=6)
     record.extra_info["liouville_dim"] = plan.space.with_mode(6).dim ** 2
-    _products(record, run_plan, plan, engine=engine)
-    record(run_plan, plan, engine=engine)
+    record.extra_info["products"] = _stage_products(record(run_plan, plan, engine=engine))
 
 
 def test_run_plan_lindblad_measure_reduce(record):
     plan = plan_measure_reduce(4, lambda_cavity(1.0, 10.0), delta=10.0)
     engine = Lindblad(DriveParams(g=1.0, delta=10.0), DecaySpec(0.05), fock_cutoff=4)
     record.extra_info["hilbert_dim"] = plan.space.with_mode(4).dim
-    _products(record, run_plan, plan, engine=engine)
     result = record.pedantic(run_plan, (plan,), {"engine": engine}, rounds=3, iterations=1)
+    record.extra_info["products"] = _stage_products(result)
     assert [b.label for b in result.branches] == ["g", "e", "f"]
 
 
@@ -490,7 +470,11 @@ def _cli_sweep_lindblad():
 
 
 def test_cli_sweep_lindblad(record):
-    assert _products(record, _cli_sweep_lindblad) == 0
+    plan = plan_ghz_two_level(2, lambda_cavity(1.0, 4.1), delta=4.1)
+    record.extra_info["products"] = sum(  # the sweep's kappa points, as cmd_sweep spaces them
+        _stage_products(run_plan(plan, engine=Lindblad(
+            DriveParams(g=1.0, delta=4.1), DecaySpec(0.05 + i / 2 * (0.2 - 0.05)), fock_cutoff=6)))
+        for i in range(3))
     assert record(_cli_sweep_lindblad) == 0
 
 

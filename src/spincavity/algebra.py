@@ -397,12 +397,9 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
     columns and the pattern's rows are counted before anything is built.
     The Clebsch-Gordan matrix of k = 1 .. N spin-1/2 then grows from the
     multiplets of k - 1 (``_grow``), and level k is kept as the block of
-    the k-active patterns if there are any.  For two-level atoms that is
-    level N alone, so the build holds at most levels N - 1 and N
-    (10 4^N bytes) and afterwards level N (8 4^N); for more levels
-    every k has patterns, and the blocks hold at most 8 4^(N + 1) / 3
-    bytes.  Besides them the basis holds its index arrays (16 d^N
-    bytes).
+    the k-active patterns if there are any: for two-level atoms level N
+    alone, for more levels every k.  ``coupled_basis_bytes`` counts what
+    the build and the basis hold.
     """
     d, n = atom_dim, atom_count
     groups = spin_groups(n, d)
@@ -432,6 +429,25 @@ def coupled_basis(atom_count: int, atom_dim: int) -> CoupledBasis:
             v.flags.writeable = False
             blocks.append((v, np.array(rows[k]), np.array(cols[k])))
     return CoupledBasis(tuple(blocks), groups)
+
+
+def coupled_basis_bytes(atom_count: int, atom_dim: int) -> int:
+    """The bytes coupled_basis(atom_count, atom_dim) and its rotations
+    take at most, counted without building it (cli's memory guard):
+
+    * the blocks, one 2^k x 2^k float64 matrix per k: at most
+      8 4^(N + 1) / 3 bytes (8 4^N for two-level atoms, level N alone);
+    * the level N - 1 that level N grows from, 2 4^N bytes, freed after
+      the build;
+    * the blocks' index arrays, 16 d^N bytes;
+    * 8 KiB per row of the largest block (2^N rows) for BLAS work
+      buffers.  A rotation multiplies each block by the real view of its
+      patterns' rows of the states, so no complex copy of a block is
+      made; the rows it gathers and scatters are the states' own, counted
+      with them (``dynamics.stage_bytes``).
+    """
+    return (32 * 4**atom_count // 3 + 2 * 4**atom_count + 16 * atom_dim**atom_count
+            + 8192 * 2**atom_count)
 
 
 def _grow(level: list, widths: dict) -> tuple:

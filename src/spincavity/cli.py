@@ -32,9 +32,9 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .algebra import LEVEL_LABELS, PhysicsError, decode_index, spin_groups
+from .algebra import LEVEL_LABELS, PhysicsError, coupled_basis_bytes, decode_index, make_space
 from .analysis import fidelity, leg_populations, reduce_to_atoms, trace_distance
-from .dynamics import DecaySpec, ThermalSpec
+from .dynamics import DecaySpec, ThermalSpec, stage_bytes
 from .hamiltonians import DriveParams, FrameTag, lambda_cavity, lambda_ion
 from .protocols import (
     Effective,
@@ -44,6 +44,7 @@ from .protocols import (
     PLANNERS,
     ProtocolPlan,
     Measurement,
+    read_out_bytes,
     run_plan,
     sample_outcome,
 )
@@ -216,13 +217,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_numbers(config: RunConfig):
-    """Reject non-finite floats, a negative g, nbar or seed, an eta
-    outside [0, 1) and a decay rate off the decay engine, on every
-    engine and command."""
+    """Reject non-finite floats, fewer than one atom, a negative g, nbar
+    or seed, an eta outside [0, 1) and a decay rate off the decay engine,
+    on every engine and command."""
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value!r}")
+    if config.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {config.n}")
     if config.g < 0:
         raise ConfigError(f"--g must be non-negative, got {config.g!r}")
     if not 0 <= config.eta < 1:
@@ -254,72 +257,36 @@ def _check_out(config: RunConfig):
 def _check_memory(config: RunConfig, frames: bool = False) -> int:
     """Refuse a run whose arrays, sized from the space dimensions before
     anything is allocated, would together exceed MEMORY_BUDGET bytes;
-    returns that size.  With A = d^N, m = cutoff + 1, D = A m and 16
-    bytes per complex entry:
+    returns that size.  Each term is stated next to the code that makes
+    the arrays: ``protocols.read_out_bytes``, ``algebra.coupled_basis_bytes``
+    for the engines that build the coupled basis, and
+    ``dynamics.stage_bytes``.  cli adds its own two:
 
-    * effective: twelve arrays of A entries (state, target, S_x phases,
-      apply_local's products);
-    * full and decay: coupled_basis's Clebsch-Gordan blocks, one
-      2^k x 2^k matrix per number k of active atoms (at most
-      8 4^(N + 1) / 3 bytes; 8 4^N for two-level atoms, which keep level
-      N alone), the level of N - 1 spins that level N grows from
-      (2 4^N bytes, freed after the build), the blocks' index arrays
-      (16 A bytes), 8 KiB per row of the largest block (2^N rows) for
-      BLAS work buffers, and 8 MiB for what the process itself grows by
+    * 8 MiB, with the coupled basis, for what the process itself grows by
       in a run (modules loaded on first use, allocator and BLAS arenas:
       about 3 MiB in a two-atom run, which only a qutrit run's small
-      arrays come close to).  A rotation multiplies each block by the
-      real view of its patterns' rows of the states, so no complex copy
-      of a block is made; the one block of two-level atoms reads and
-      writes the states in place, and the rows that more levels gather
-      and scatter are counted with the states below;
-    * full: eight (D, k) column blocks (k = m thermal columns, else 1),
-      the eigh of the widest ((N + 1) m)^2 block, and for a thermal
-      start d + 3 D x D matrices (the d branches and read-out
-      temporaries);
-    * decay: 6 + d D x D arrays (a stage holds the stack it starts from
-      and at most three more in its rotations and pair loop; the
-      read-out holds the branches, their normalized copies and the
-      density-matrix checks' temporaries, which is the run's peak
-      outside the Chebyshev actions: 8.05 D x D traced for measure-reduce
-      N = 4 and its d = 3 branches, 4.0-4.1 for GHZ runs of two, three
-      and four levels), about 1152 bytes per row of the
-      ((N + 1) m)^2-row pair Liouvillian, and 36 arrays of the Chebyshev
-      ring and columns of the widest pair of spin groups: (G m)^2
-      float64 entries for a diagonal pair, which runs in real
-      arithmetic, or G G' m^2 complex ones for two groups, with G >= G'
-      the two largest column counts of ``algebra.spin_groups``;
-    * ``frames`` (compare-frames): six A x A arrays, the reduced states
-      of its three runs and the trace distances' temporaries.
+      arrays come close to);
+    * with ``frames`` (compare-frames), six A x A arrays (A = d^N): the
+      reduced states of its three runs and the trace distances'
+      temporaries.
 
-    Measured peak RSS stays below this at two sizes of every engine
-    (tests/test_cli.py::test_memory_guard_bounds_the_measured_rise).
-    Figure and rise in MiB, 2 vCPUs, OpenBLAS 0.3.31 on 2 threads:
-    effective GHZ N = 19, 20: 96.0 and 53.1, 192.0 and 105.2; full
-    cavity GHZ N = 11, cutoff 14: 82.4 and 46.5, from a thermal start
-    (N = 6): 82.0 and 47.1; qutrit GHZ N = 8, 10, cutoff 8: 18.9 and
-    10.7, 95.6 and 69.2; full ion GHZ N = 11, 12, cutoff 10: 79.6 and
-    44.6, 250.7 and 162.7; decay GHZ N = 5, cutoff 15: 72.9 and 28.0,
-    N = 6, cutoff 12: 164.8 and 46.6; compare-frames N = 10: 127.8 and
-    95.9.
+    Every engine's figure holds at least 16 d^N bytes, so from
+    N log2(d) = 1000 on it is "over 1e290" GiB and refused before d^N is
+    formed.  Measured peak RSS stays below the figure at two sizes of
+    every engine (tests/test_cli.py::test_memory_guard_bounds_the_measured_rise).
     """
     d, n = ATOM_LEVELS[config.protocol], config.n
-    atoms, m = d**n, config.fock_cutoff + 1
-    dim, widest = atoms * m, ((n + 1) * m) ** 2
     kind = "full" if config.engine in ALIASES else config.engine
-    if kind == "effective":
-        size = 16 * 12 * atoms
+    if n * math.log2(d) >= 1000:
+        size = 2**1000  # the least such figure
     else:
-        size = 32 * 4**n // 3 + 2 * 4**n + 16 * atoms + 8192 * 2**n + 2**23
-    if kind == "full":
-        k = m if config.nbar > 0 else 1
-        size += 16 * (8 * dim * k + 8 * widest + (d + 3) * dim**2 * (k > 1))
-    elif kind == "lindblad":
-        size += 16 * (6 + d) * dim**2 + 1152 * widest
-        if size <= MEMORY_BUDGET:  # counting the groups is quick for such N only
-            widest_two = sorted((g.stop - g.start for g in spin_groups(n, d)), reverse=True) + [0]
-            size += 36 * m**2 * max(8 * widest_two[0]**2, 16 * widest_two[0] * widest_two[1])
-    size += 16 * 6 * atoms**2 * frames
+        space = make_space(n, d, 0 if kind == "effective" else config.fock_cutoff)
+        method = {"effective": "factored", "full": "eigh", "lindblad": "chebyshev"}[kind]
+        columns = space.mode_dim if config.nbar > 0 else 1
+        size = (read_out_bytes(method, space, columns)
+                + (2**23 + coupled_basis_bytes(n, d)) * (method != "factored"))
+        size += (stage_bytes(method, space, columns, MEMORY_BUDGET - size)
+                 + 16 * 6 * space.atoms_dim**2 * frames)
     if size > MEMORY_BUDGET:
         gib = f"{size / 2**30:.3g}" if size < 2**1000 else "over 1e290"
         raise ConfigError(

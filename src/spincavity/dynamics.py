@@ -105,6 +105,7 @@ from .algebra import (
     check_leakage_dm,
     coupled_basis,
     mode_lowering,
+    spin_groups,
     spin_raising,
 )
 # unused here; perfbench/spans.py wraps these names to count operator builds
@@ -226,13 +227,15 @@ class Propagation:
     block_dim is the dimension of the largest block propagated: a
     Hilbert-space block (2J + 1) m for evolve_exact, a Liouville-space
     block (2J + 1) m (2J' + 1) m for evolve_lindblad, 0 when every block
-    was zero.
+    was zero.  products is the number of Chebyshev products (CSR kernel
+    calls) evolve_lindblad took, None for evolve_exact.
     """
 
     states: np.ndarray
     leak: float
     drift: float
     block_dim: int
+    products: int | None = None
 
 
 def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
@@ -549,7 +552,7 @@ def dissipative_margin(space: SpaceDescriptor, decay: DecaySpec) -> float:
 
 
 def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray, t: float,
-                     radius: float, margin: float) -> np.ndarray:
+                     radius: float, margin: float) -> tuple[np.ndarray, int]:
     """e^{t a} b for a static Liouvillian a = -i[H, .] + D, given as a CSR
     triple (``liouvillian``, ``real_liouvillian``), and an (n, k) block b,
     by the Bessel-coefficient Chebyshev series (Tal-Ezer &
@@ -632,13 +635,17 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
     Each of the s >= margin t substeps takes at least two terms and runs
     past order radius tau, so max(radius, margin) t is a lower bound on
     it, checked before the coefficients are computed.
+
+    Returns e^{t a} b and the number of products taken: s times the
+    series length less one (the zeroth term is b itself), 0 at zero
+    radius.
     """
     n = len(a[0]) - 1
     if b.ndim != 2 or b.shape[0] != n:  # the kernel reads n rows of b unchecked
         raise ValueError(f"b must be an ({n}, k) block, not {b.shape}")
     mu, (indptr, indices, data) = _centred(a, 2.0 / radius if radius else 0.0)
     if radius == 0:  # a' = 0
-        return np.exp(mu * t) * b
+        return np.exp(mu * t) * b, 0
     _check_work(max(radius, margin) * t)
     steps = max(1, math.ceil(margin * t))
     tau = t / steps
@@ -665,7 +672,7 @@ def chebyshev_action(a: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray
             f += coeffs[start:stop] @ flat[: stop - start]
         b = f.view(dtype).reshape(b.shape)
         b *= damp
-    return b
+    return b, steps * (len(coeffs) - 1)
 
 
 def _csr_kernel(x: tuple[np.ndarray, np.ndarray, np.ndarray], k: int):
@@ -816,13 +823,14 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     phases act on the mode axes alone, so they commute with the rotations
     and are applied in place on the rotated stacks.  sigma (and the last
     pair's view of it) is dropped once every pair is read, and the way
-    back rotates one side at a time, so besides ``rhos`` a stage holds at
-    most three stacks at once.
+    back rotates one side at a time: the stacks ``stage_bytes`` counts.
+    products is the number of Chebyshev products the stage took, the sum
+    of its actions' counts.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0, 0)
+        return Propagation(rhos, check_leakage_dm(space, rhos.sum(axis=0)), 0.0, 0, 0)
     basis = coupled_basis(space.atom_count, space.atom_dim)
     atoms, m, k = space.atoms_dim, space.mode_dim, len(rhos)
     h0 = -delta * np.arange(m)
@@ -834,7 +842,7 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     margin = dissipative_margin(space, decay)
     _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
     blocks = {}
-    block_dim = 0
+    block_dim = products = 0
     for i, left in enumerate(basis.groups):
         for right in basis.groups[i:]:
             x = sigma[:, left.start:left.stop, :, right.start:right.stop]
@@ -849,20 +857,21 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
             centre = np.trace(h_left).real / p - np.trace(h_right).real / q
             width = max(w_left[-1] - w_right[0] - centre, centre - w_left[0] + w_right[-1])
             if right is left:
-                y = chebyshev_action(real_liouvillian(h_left, space, decay),
-                                     _real_columns(x, left, m), t1 - t0, width + margin, margin)
+                y, count = chebyshev_action(real_liouvillian(h_left, space, decay),
+                                            _real_columns(x, left, m), t1 - t0, width + margin,
+                                            margin)
                 x = _from_real_columns(y, left, m, k)
             else:
                 cols = (x.reshape(k, left.copies, left.width, m, right.copies, right.width, m)
                         .transpose(2, 3, 5, 6, 0, 1, 4).reshape(p * q, -1))
-                cols = chebyshev_action(liouvillian(h_left, space, decay, h_right), cols,
-                                        t1 - t0, width + margin, margin)
+                cols, count = chebyshev_action(liouvillian(h_left, space, decay, h_right), cols,
+                                               t1 - t0, width + margin, margin)
                 x = (cols.reshape(left.width, m, right.width, m, k, left.copies, right.copies)
                      .transpose(4, 5, 0, 1, 6, 2, 3).reshape(x.shape))
                 out[:, right.start:right.stop, :, left.start:left.stop] = (
                     x.conj().transpose(0, 3, 4, 1, 2))
             out[:, left.start:left.stop, :, right.start:right.stop] = x
-            block_dim = max(block_dim, p * q)
+            block_dim, products = max(block_dim, p * q), products + count
     del sigma, x  # every pair is read; x may be a view of sigma
     # one side at a time, so each rotation frees the stack it read
     out = basis.rotate(out.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
@@ -872,7 +881,7 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
 
     drift = norm_drift(traces, np.trace(out, axis1=1, axis2=2).real)
     leak = check_leakage_dm(space, out.sum(axis=0))
-    return Propagation(out, leak, drift, block_dim)
+    return Propagation(out, leak, drift, block_dim, products)
 
 
 def _real_columns(x: np.ndarray, group: SpinGroup, m: int) -> np.ndarray:
@@ -905,6 +914,43 @@ def _from_real_columns(y: np.ndarray, group: SpinGroup, m: int, k: int) -> np.nd
     x[:, upper, lower] = (herm[:, c:c + pairs] - 1j * herm[:, c + pairs:]) / 2
     x[:, lower, upper] = x[:, upper, lower].conj().swapaxes(2, 3)
     return x.transpose(0, 1, 3, 2, 4).reshape(k, c * group.width, m, c * group.width, m)
+
+
+def stage_bytes(method: str, space: SpaceDescriptor, columns: int = 1,
+                budget: float = math.inf) -> int:
+    """The bytes a drive stage propagated by ``method`` (the StageRecord
+    method of its engine) holds at its peak, counted from the shapes
+    alone (cli's memory guard).  With A = d^N, D = A m, W = ((N + 1) m)^2
+    and 16 bytes per complex entry:
+
+    * "factored" (``evolve_factored``): twelve arrays of A entries (the
+      state, the target, the S_x phases, apply_local's products);
+    * "eigh" (``evolve_exact``): eight (D, columns) blocks, and the eigh
+      of the widest ((N + 1) m)-square block, 8 W entries;
+    * "chebyshev" (``evolve_lindblad``): four D x D stacks, the one the
+      stage starts from and at most three more in its rotations and pair
+      loop;
+    * "chebyshev": about 1152 bytes per row of the W-row pair Liouvillian;
+    * "chebyshev", counted only when the two terms above are within
+      ``budget`` (it calls ``algebra.spin_groups``, quick for such N
+      only): the 36
+      arrays of the Chebyshev ring and columns of the widest pair of spin
+      groups, (G m)^2 float64 entries for a diagonal pair, which runs in
+      real arithmetic, or G G' m^2 complex ones for two groups, G >= G'
+      the two largest column counts.
+    """
+    dim, widest = space.dim, ((space.atom_count + 1) * space.mode_dim) ** 2
+    if method == "factored":
+        return 16 * 12 * space.atoms_dim
+    if method == "eigh":
+        return 16 * (8 * dim * columns + 8 * widest)
+    size = 16 * 4 * dim**2 + 1152 * widest
+    if size <= budget:
+        cols = sorted((group.stop - group.start
+                       for group in spin_groups(space.atom_count, space.atom_dim)),
+                      reverse=True) + [0]
+        size += 36 * space.mode_dim**2 * max(8 * cols[0]**2, 16 * cols[0] * cols[1])
+    return size
 
 
 def _collapse_ops(space: SpaceDescriptor, decay: DecaySpec) -> list[np.ndarray]:

@@ -206,7 +206,9 @@ class StageRecord:
     propagation by a Chebyshev-series action of the Liouvillian); leak
     is the top-Fock population the leakage check returned (None where
     the stage cannot leak); drift is the largest relative change of a
-    column norm (pure engines) or of a branch trace (Lindblad).
+    column norm (pure engines) or of a branch trace (Lindblad); products
+    is the number of Chebyshev products (CSR kernel calls) the stage took
+    (None for the pure engines).
     """
 
     engine: str
@@ -215,6 +217,7 @@ class StageRecord:
     method: str
     leak: float | None
     drift: float | None
+    products: int | None
 
 
 @dataclass(frozen=True)
@@ -699,6 +702,26 @@ class _Density(_Branches):
         return prob, DensityMatrix(space_run, mat), fid
 
 
+def read_out_bytes(method: str, space: SpaceDescriptor, columns: int = 1) -> int:
+    """The bytes of the D x D density matrices (16 D^2 each) a run's
+    read-out holds, for an engine whose stages run ``method`` (StageRecord)
+    from ``columns`` start columns on ``space`` (cli's memory guard):
+
+    * "chebyshev" (Lindblad): d + 2, the d branches of _Density, a
+      branch's normalized copy and the DensityMatrix checks' temporaries;
+      with the stage's four stacks (``dynamics.stage_bytes``) that is the
+      run's peak outside the Chebyshev actions, traced at 8.05 D x D for
+      measure-reduce N = 4 and its d = 3 branches and at 4.0-4.1 for GHZ
+      runs of two, three and four levels;
+    * "eigh" from a thermal start (columns > 1): d + 3, the d branches'
+      x x^dag and the read-out temporaries;
+    * otherwise none: a pure branch is read out as one column.
+    """
+    if method == "chebyshev":
+        return 16 * (space.atom_dim + 2) * space.dim**2
+    return 16 * (space.atom_dim + 3) * space.dim**2 * (method == "eigh" and columns > 1)
+
+
 def _initial_state(plan: ProtocolPlan, initial, engine):
     """Resolve (space_run, state) for every engine; the engine picks the
     state's class.
@@ -756,7 +779,7 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
         out = evolve_factored(space_run, stage.lam, stage.omega, stage.duration, columns)
         drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(out, axis=0))
         return _Columns(out.reshape(state.x.shape)), StageRecord(
-            name, "effective", plan.space.atoms_dim, "factored", None, drift)
+            name, "effective", plan.space.atoms_dim, "factored", None, drift, None)
     if not abs(engine.lam() - stage.lam) <= 1e-9 * max(1.0, abs(stage.lam)):
         raise ValueError(f"engine effective coupling {engine.lam()!r} does not match the "
                          f"plan's {stage.lam!r}; replan with the engine's parameters")
@@ -770,12 +793,13 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
     if isinstance(engine, Lindblad):
         prop = evolve_lindblad(builder, engine.params.delta, engine.decay, space_run,
                                state.x, t_abs, t_end)
-        return _Density(prop.states), StageRecord(name, FrameTag.INTERACTION_PICTURE.value,
-                                                  prop.block_dim, "chebyshev", prop.leak, prop.drift)
+        return _Density(prop.states), StageRecord(
+            name, FrameTag.INTERACTION_PICTURE.value, prop.block_dim, "chebyshev", prop.leak,
+            prop.drift, prop.products)
     prop = evolve_exact(builder, engine.params.delta, space_run, state.x.reshape(space_run.dim, -1),
                         t_abs, t_end)
     return _Columns(prop.states.reshape(state.x.shape)), StageRecord(
-        name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift)
+        name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift, None)
 
 
 def sample_outcome(result: ProtocolResult, seed: int) -> str:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -328,47 +329,70 @@ def test_run_beyond_memory_budget_exit_1(capsys, argv):
     assert "GiB at its peak, beyond the 1 GiB budget" in err
 
 
-@pytest.mark.parametrize("argv, admitted", [
+def test_memory_guard_refuses_a_huge_atom_count_without_forming_its_powers(capsys):
+    # the guard formed d**N, 4**N and D**2 exactly: refusing N = 10**8
+    # took 3.7 s and a 168 MB peak RSS; from N log2(d) = 1000 on every
+    # figure is "over 1e290" GiB, so it is refused without them
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "protocol", "ghz", "--n", "100000000", "--engine", "lindblad",
+                          "--delta", "5")
+    seconds = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err == ("config error: ghz on 100000000 atoms with the lindblad engine needs over "
+                   "1e290 GiB at its peak, beyond the 1 GiB budget; lower --n or --fock-cutoff\n")
+    assert seconds < 0.5
+
+
+#: (request, admitted, exact figure of an admitted request)
+GUARD_CASES = [
     # a Fock start on the full engine holds the coupled basis (about
     # 21 MiB here with its build and BLAS buffers), not a 15360-square
     # generator
     (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
-      "--fock-cutoff", "14"), True),
+      "--fock-cutoff", "14"), True, 35526442),
     # a thermal start forms a D x D density matrix per branch at read-out
     (("ghz", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
-      "--fock-cutoff", "14", "--nbar", "0.2"), False),
+      "--fock-cutoff", "14", "--nbar", "0.2"), False, None),
     # the decay engine's density matrix alone is 1.44 GB
     (("ghz-three-level", "--n", "6", "--engine", "lindblad", "--delta", "10",
-      "--fock-cutoff", "12"), False),
+      "--fock-cutoff", "12"), False, None),
     (("ghz-three-level", "--n", "4", "--engine", "lindblad", "--delta", "10",
-      "--fock-cutoff", "14"), True),
+      "--fock-cutoff", "14"), True, 311561418),
     # the Effective engine holds about twelve d^N-long arrays at once
-    (("ghz", "--n", "22"), True),
-    (("ghz", "--n", "24"), False),
+    (("ghz", "--n", "22"), True, 805306368),
+    (("ghz", "--n", "24"), False, None),
     # the widest diagonal pair (spin 3/2, 14 copies) runs on a float64
     # ring: 974 MiB in all, against 1132 MiB with a complex ring; the run
     # from the vacuum rose 418 MB in peak RSS
-    (("ghz", "--n", "7", "--engine", "lindblad", "--delta", "10", "--fock-cutoff", "15"), True),
+    (("ghz", "--n", "7", "--engine", "lindblad", "--delta", "10", "--fock-cutoff", "15"), True,
+     862663338),
     # the coupled basis' blocks are 0.67 MiB here (a dense q was
     # 328 MiB); the six A x A arrays of compare-frames, once charged to
     # every full run, made it 4.5 GiB
     (("ghz-three-level", "--n", "8", "--engine", "full", "--g", "1", "--delta", "10",
-      "--fock-cutoff", "8"), True),
+      "--fock-cutoff", "8"), True, 19818938),
     # a decay stage holds at most three stacks besides its input, so nine
     # D x D arrays (73 MiB each here) cover the measurement's read-out:
     # 969 MiB, against 1115 MiB when eleven were charged; the run rose
     # 652 MiB in peak RSS
     (("measure-reduce", "--n", "4", "--engine", "lindblad", "--delta", "10",
-      "--fock-cutoff", "26"), True),
+      "--fock-cutoff", "26"), True, 990364746),
     # admitted since the basis is held as its shared blocks (10.7 MiB
     # here); a dense q alone was 27 GiB
     (("ghz-three-level", "--n", "10", "--engine", "full", "--g", "1", "--delta", "10",
-      "--fock-cutoff", "8"), True),
-])
-def test_memory_guard_sizes_the_engines_arrays(argv, admitted):
+      "--fock-cutoff", "8"), True, 100282938),
+]
+
+
+# the ids are the ones the cases had before the figure column
+@pytest.mark.parametrize("argv, admitted, figure", GUARD_CASES,
+                         ids=[f"argv{i}-{case[1]}" for i, case in enumerate(GUARD_CASES)])
+def test_memory_guard_sizes_the_engines_arrays(argv, admitted, figure):
+    # figure: the admitted request's exact byte count, the same since the
+    # guard's terms moved next to the code that makes the arrays
     config = cli._merge_config(cli._build_parser().parse_args(["protocol", *argv]))
     if admitted:
-        assert 0 < cli._check_memory(config) <= cli.MEMORY_BUDGET
+        assert cli._check_memory(config) == figure <= cli.MEMORY_BUDGET
     else:
         with pytest.raises(cli.ConfigError, match="GiB at its peak"):
             cli._check_memory(config)
@@ -653,11 +677,23 @@ BAD_INPUT = [
      "config error: --seed must be non-negative, got -3"),
     (("protocol", "measure-reduce", "--n", "4", "--seed", "-1"),
      "config error: --seed must be non-negative, got -1"),
+    # on the decay engine a negative --n ended in an IndexError traceback:
+    # the memory guard ran before the planner's atom-count check, and
+    # spin_groups(-1, d) is empty
+    (DECAY_GHZ + ("--n", "-1"), "config error: --n must be at least 1, got -1"),
+    (("protocol", "measure-reduce", "--n", "-2", "--engine", "lindblad", "--delta", "5"),
+     "config error: --n must be at least 1, got -2"),
+    (("sweep",) + DECAY_GHZ[1:] + ("--n", "-1", "--sweep-param", "kappa", "--sweep-from",
+                                   "0.05", "--sweep-to", "0.1", "--sweep-steps", "2"),
+     "config error: --n must be at least 1, got -1"),
+    (("protocol", "--config", "{n_negative}"), "config error: --n must be at least 1, got -1"),
+    (("protocol", "ghz", "--n", "0"), "config error: --n must be at least 1, got 0"),
 ]
-#: the config files BAD_INPUT names as "{sweep_<param>}"
-SWEEP_CONFIGS = {param: {"protocol": "ghz", "sweep_param": param, "sweep_from": 1,
-                         "sweep_to": 2, "sweep_steps": 2}
-                 for param in ("protocol", "fock_cutoff", "seed", "n")}
+#: the config files BAD_INPUT names as "{<name>}"
+CONFIG_FILES = {f"sweep_{param}": {"protocol": "ghz", "sweep_param": param, "sweep_from": 1,
+                                   "sweep_to": 2, "sweep_steps": 2}
+                for param in ("protocol", "fock_cutoff", "seed", "n")}
+CONFIG_FILES["n_negative"] = {"protocol": "ghz", "engine": "lindblad", "delta": 5, "n": -1}
 
 
 @pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
@@ -666,13 +702,14 @@ SWEEP_CONFIGS = {param: {"protocol": "ghz", "sweep_param": param, "sweep_from": 
     "eta-sweep", "kappa-5e307", "kappa-1e300", "cavity-full-ion", "ion-full-cavity",
     "sweep-param-protocol", "sweep-param-fock-cutoff", "sweep-param-seed", "sweep-param-n",
     "seed-negative", "seed-negative-compare-frames", "seed-negative-sweep",
-    "seed-negative-measure-reduce"])
+    "seed-negative-measure-reduce", "n-negative-lindblad", "n-negative-measure-reduce",
+    "n-negative-sweep-lindblad", "n-negative-config-file", "n-zero"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
     missing = tmp_path / "absent" / "x.json"
     paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}
-    for param, values in SWEEP_CONFIGS.items():
-        paths[f"sweep_{param}"] = str(tmp_path / f"sweep-{param}.json")
-        Path(paths[f"sweep_{param}"]).write_text(json.dumps(values))
+    for name, values in CONFIG_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(values))
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out, err) == (1, "", line.format(**paths) + "\n")
     assert not missing.parent.exists()

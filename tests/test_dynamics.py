@@ -782,8 +782,9 @@ def test_chebyshev_action_matches_dense_expm(atoms, cutoff, params, delta, decay
     a, radius, margin = _stage_liouvillian(space, params, delta, decay)
     b = _random_rho_block(space, 7)
     exact = expm(t * _dense(a)) @ b
-    out = chebyshev_action(a, b, t, radius, margin)
+    out, products = chebyshev_action(a, b, t, radius, margin)
     assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert (products == 0) == (radius == 0)  # a zero radius takes no product
 
 
 def _liouvillian_term_by_term(h, h_right, space, decay):
@@ -859,10 +860,10 @@ def test_chebyshev_action_substeps_compose():
     # one; equal quarters would repeat the same 8) give the one stage
     space, (a, radius, margin), t = _decay_sweep_stage()
     b = _random_rho_block(space, 8)
-    whole = chebyshev_action(a, b, t, radius, margin)
+    whole, _ = chebyshev_action(a, b, t, radius, margin)
     pieces = b
     for share in (0.1, 0.2, 0.3, 0.4):
-        pieces = chebyshev_action(a, pieces, share * t, radius, margin)
+        pieces, _ = chebyshev_action(a, pieces, share * t, radius, margin)
     assert 0.0 < np.max(np.abs(pieces - whole)) <= 1e-12
 
 
@@ -886,11 +887,13 @@ def _count_products(monkeypatch):
 
 
 def test_chebyshev_action_product_count_on_the_decay_sweep_stage(monkeypatch):
-    # about radius * t products plus each substep's O(z^{1/3}) tail
+    # about radius * t products plus each substep's O(z^{1/3}) tail; the
+    # action reports the count the kernel saw
     space, (a, radius, margin), t = _decay_sweep_stage()
     products = _count_products(monkeypatch)
-    chebyshev_action(a, _random_rho_block(space, 9), t, radius, margin)
+    _, count = chebyshev_action(a, _random_rho_block(space, 9), t, radius, margin)
     assert radius * t <= len(products) < 2 * radius * t
+    assert count == len(products)
 
 
 def test_the_decay_sweep_stage_runs_on_float64_rows_with_the_complex_product_count(
@@ -904,9 +907,9 @@ def test_the_decay_sweep_stage_runs_on_float64_rows_with_the_complex_product_cou
     build = partial(interaction_terms, space, DriveParams(g=1.0, delta=4.1, omega=stage.omega))
     psi = basis_state(space, "gg", 0).amplitudes
     rows = _count_products(monkeypatch)
-    evolve_lindblad(build, 4.1, DecaySpec(0.2), space, np.outer(psi, psi.conj())[None],
-                    0.0, stage.duration)
-    assert len(rows) == 1712
+    prop = evolve_lindblad(build, 4.1, DecaySpec(0.2), space, np.outer(psi, psi.conj())[None],
+                           0.0, stage.duration)
+    assert len(rows) == prop.products == 1712
     assert set(rows) == {np.dtype(np.float64)}
 
 
@@ -1020,10 +1023,10 @@ b = np.random.default_rng(2).normal(size=(space.dim ** 2, 2)).astype(complex)
 digest = lambda x: hashlib.sha1(x.tobytes()).hexdigest()
 if sys.argv[1] == "sparse-first":
     import scipy.sparse as sp
-first = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
+first, _ = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
 assert ("scipy.sparse" in sys.modules) == (sys.argv[1] == "sparse-first")
 import scipy.sparse as sp
-second = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
+second, _ = chebyshev_action(a, b, 0.5, w[-1] - w[0] + margin, margin)
 product = sp.csr_matrix((a[2], a[1], a[0]), shape=(space.dim ** 2,) * 2) @ b
 print(digest(first), digest(second), digest(product))
 """
@@ -1227,8 +1230,8 @@ def _dense_lindblad(build, delta, decay, space, rhos, t0, t1):
     sigma = np.exp(-1j * spread * t0)[:, None] * rhos.reshape(k, n * n).T
     w = np.linalg.eigvalsh(gen)
     margin = dissipative_margin(space, decay)
-    sigma = chebyshev_action(liouvillian(gen, space, decay), sigma, t1 - t0,
-                             w[-1] - w[0] + margin, margin)
+    sigma, _ = chebyshev_action(liouvillian(gen, space, decay), sigma, t1 - t0,
+                                w[-1] - w[0] + margin, margin)
     return (np.exp(1j * spread * t1)[:, None] * sigma).T.reshape(k, n, n)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from spincavity import hamiltonians
+from spincavity import dynamics, hamiltonians, protocols
 from spincavity.algebra import (
     DensityMatrix,
     PhysicsError,
@@ -561,11 +561,11 @@ def test_stage_records_one_per_drive_stage():
     # one record per drive stage, naming how it was propagated; records
     # carry no wall times
     assert list(StageRecord.__dataclass_fields__) == [
-        "engine", "frame", "dim", "method", "leak", "drift"]
+        "engine", "frame", "dim", "method", "leak", "drift", "products"]
     plan = plan_measure_reduce(4, LAM)
     records = run_plan(plan).diagnostics["stages"]
-    assert [(r.engine, r.frame, r.dim, r.method, r.leak) for r in records] == [
-        ("Effective", "effective", 81, "factored", None)] * 2
+    assert [(r.engine, r.frame, r.dim, r.method, r.leak, r.products) for r in records] == [
+        ("Effective", "effective", 81, "factored", None, None)] * 2
     assert all(r.drift <= 1e-12 for r in records)
 
     cavity = FullCavity(params=_cavity_params(), fock_cutoff=6,
@@ -574,8 +574,8 @@ def test_stage_records_one_per_drive_stage():
                        engine=cavity).diagnostics["stages"]
     # dim is the largest block propagated: the spin-1 multiplet of the
     # two active atoms times the 7 Fock levels
-    assert [(r.engine, r.frame, r.dim, r.method) for r in records] == [
-        ("FullCavity", "slow_frame", 21, "eigh")] * 2
+    assert [(r.engine, r.frame, r.dim, r.method, r.products) for r in records] == [
+        ("FullCavity", "slow_frame", 21, "eigh", None)] * 2
     assert all(0.0 <= r.leak < 1e-6 and r.drift <= 1e-12 for r in records)
 
     ion_params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0,
@@ -583,8 +583,37 @@ def test_stage_records_one_per_drive_stage():
     ion = FullIon(params=ion_params, fock_cutoff=6)
     (record,) = run_plan(plan_ghz_two_level(2, lambda_ion(1.0, 0.05, 2.0), delta=2.0),
                          engine=ion).diagnostics["stages"]
-    assert (record.engine, record.frame, record.dim, record.method) == (
-        "FullIon", "ion_interaction", 21, "eigh")
+    assert (record.engine, record.frame, record.dim, record.method, record.products) == (
+        "FullIon", "ion_interaction", 21, "eigh", None)
+
+
+def test_stage_records_count_the_chebyshev_products_the_kernel_took(monkeypatch):
+    # each decay stage's record carries the products its actions reported
+    # (substeps x (series length - 1)), known before the first one; the
+    # wrapped CSR kernel counts the calls that really happened, stage by
+    # stage
+    calls, kernel, evolve = [], dynamics._csr_kernel, protocols.evolve_lindblad
+
+    def wrapped(x, k):
+        product = kernel(x, k)
+
+        def counted(v, out):
+            calls[-1] += 1
+            product(v, out)
+
+        return counted
+
+    def stage(*args):
+        calls.append(0)
+        return evolve(*args)
+
+    monkeypatch.setattr(dynamics, "_csr_kernel", wrapped)
+    monkeypatch.setattr(protocols, "evolve_lindblad", stage)
+    engine = Lindblad(params=_cavity_params(), decay=DecaySpec(kappa=0.2), fock_cutoff=4)
+    records = run_plan(plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0),
+                       engine=engine).diagnostics["stages"]
+    assert len(records) == 2 and all(count > 0 for count in calls)
+    assert [r.products for r in records] == calls
 
 
 def test_full_cavity_thermal_start_is_the_weighted_mixture():
