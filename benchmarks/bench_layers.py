@@ -15,7 +15,11 @@ also records ``products``, the exact number of Chebyshev products (CSR
 kernel calls) one call takes, as the timed call's result reports it
 (``Propagation.products``, ``chebyshev_action``'s count, or the sum of
 ``StageRecord.products``): a series length that repeats from run to
-run, next to the times that do not.
+run, next to the times that do not.  Every layer that propagates one
+drive stage on the full or decay engine records ``groups``, the 2J of
+each spin group of the coupled basis the stage occupied, read from the
+timed call's result (``Propagation.groups`` or ``StageRecord.groups``;
+None where the package does not report them).
 
 Import:
 
@@ -125,6 +129,15 @@ End to end:
   --engine full --g 1 --delta 10 --fock-cutoff 14``, the coupled basis
   built anew each round as in a fresh process (Hilbert dimension
   30720).
+* ``cli_warm[qubit-11]``, ``cli_warm[ion-12]``, ``cli_warm[qutrit-8]``,
+  ``cli_warm[decay-ghz-6]``: the same kind of request with the coupled
+  basis already built (untimed, before the first round): ``protocol ghz
+  --n 11 --engine full --g 1 --delta 10 --fock-cutoff 14``, ``protocol
+  ghz --n 12 --system ion --engine full --delta 1 --fock-cutoff 10``,
+  ``protocol ghz-three-level --n 8 --engine full --g 1 --delta 10
+  --fock-cutoff 8`` and ``protocol ghz --n 6 --engine lindblad --g 1
+  --delta 6 --fock-cutoff 12 --kappa 0.01``, the largest requests whose
+  rotations of the states into the basis were measured on their own.
 """
 
 import contextlib
@@ -229,6 +242,13 @@ def _stage_products(result) -> int:
     return sum(stage.products for stage in result.diagnostics["stages"])
 
 
+def _groups(result):
+    """The 2J of the spin groups a Propagation or StageRecord reports its
+    stage occupied, as a list, or None where the package reports none."""
+    groups = getattr(result, "groups", None)
+    return None if groups is None else list(groups)
+
+
 IMPORT_PROBE = """
 import resource, sys, time
 start = time.perf_counter()
@@ -296,7 +316,8 @@ def test_lindblad_decay_sweep(record):
     rhos = _vacuum_rho(space)
     record.extra_info["liouville_dim"] = space.dim ** 2
     args = (build, 4.1, DecaySpec(0.2), space, rhos, t0, t1)
-    record.extra_info["products"] = record(evolve_lindblad, *args).products
+    prop = record(evolve_lindblad, *args)
+    record.extra_info.update(products=prop.products, groups=_groups(prop))
 
 
 def test_lindblad_criterion_9(record):
@@ -307,7 +328,7 @@ def test_lindblad_criterion_9(record):
     record.extra_info["liouville_dim"] = space.dim ** 2
     args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
     prop = record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
-    record.extra_info["products"] = prop.products
+    record.extra_info.update(products=prop.products, groups=_groups(prop))
 
 
 def test_lindblad_criterion_9_pairs(record):
@@ -319,10 +340,9 @@ def test_lindblad_criterion_9_pairs(record):
     vacuum = np.zeros((space.mode_dim, space.mode_dim))
     vacuum[0, 0] = 1.0
     rhos = np.kron(x @ x.conj().T / np.linalg.norm(x) ** 2, vacuum)[None]
-    record.extra_info["groups"] = len(coupled_basis(2, 3).groups)
     args = (build, 10.0, DecaySpec(0.2), space, rhos, t0, t1)
     prop = record.pedantic(evolve_lindblad, args, rounds=3, iterations=1)
-    record.extra_info["products"] = prop.products
+    record.extra_info.update(products=prop.products, groups=_groups(prop))
 
 
 @pytest.mark.parametrize("dtype", ["float64", "complex128"])
@@ -354,7 +374,7 @@ def test_exact_two_atom_qutrit(record):
     build, t0, t1 = _stage(plan, 1, space, 10.0)
     cols = basis_state(space, "gg", 0).amplitudes[:, None]
     record.extra_info["hilbert_dim"] = space.dim
-    record(evolve_exact, build, 10.0, space, cols, t0, t1)
+    record.extra_info["groups"] = _groups(record(evolve_exact, build, 10.0, space, cols, t0, t1))
 
 
 DRIVE_STAGES = {
@@ -375,7 +395,8 @@ def test_drive_stage(record, name):
     step = (plan, space, stage, engine, start, t0)
     _drive(*step)
     record.extra_info["hilbert_dim"] = space.dim
-    record(_drive, *step)
+    _, stage_record = record(_drive, *step)
+    record.extra_info["groups"] = _groups(stage_record)
 
 
 @pytest.mark.parametrize("planner, n_atoms", [(plan_ghz_two_level, 10),
@@ -490,3 +511,28 @@ def test_cli_protocol_ghz11_full(record):
     record.pedantic(lambda: codes.append(_cli_ghz11_full()), setup=coupled_basis.cache_clear,
                     rounds=5, iterations=1)
     assert codes == [0] * len(codes)
+
+
+WARM_REQUESTS = {
+    "qubit-11": ((11, 2), "protocol ghz --n 11 --engine full --g 1 --delta 10 --fock-cutoff 14"),
+    "ion-12": ((12, 2), "protocol ghz --n 12 --system ion --engine full --delta 1 "
+                        "--fock-cutoff 10"),
+    "qutrit-8": ((8, 3), "protocol ghz-three-level --n 8 --engine full --g 1 --delta 10 "
+                         "--fock-cutoff 8"),
+    "decay-ghz-6": ((6, 2), "protocol ghz --n 6 --engine lindblad --g 1 --delta 6 "
+                            "--fock-cutoff 12 --kappa 0.01"),
+}
+
+
+@pytest.mark.parametrize("name", list(WARM_REQUESTS))
+def test_cli_warm(record, name):
+    shape, request = WARM_REQUESTS[name]
+    coupled_basis(*shape)  # built before the first round, as in a long-lived process
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(request.split())
+
+    record.extra_info["atoms_dim"] = shape[1] ** shape[0]
+    rounds = 3 if name == "decay-ghz-6" else 10
+    assert record.pedantic(run, rounds=rounds, iterations=1) == 0

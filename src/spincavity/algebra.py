@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,13 @@ LEVEL_LABELS = "gefh"
 #: population allowed in the top two Fock levels before truncation is
 #: considered unfaithful
 LEAKAGE_TOL = 1e-6
+
+#: a CoupledBasis rotation of fewer multiply-adds than this (on the real
+#: view) multiplies every block in full: below it, finding the rows a
+#: state occupies costs more than skipping the rest saves (on one core,
+#: 25-40 us, as long as a full rotation of 2^19, N = 7 qubits by 16
+#: complex columns)
+ROTATE_SPARSE_WORK = 2**19
 
 #: leakage is only meaningful when the cutoff sits above the physical
 #: support; tiny mode spaces (e.g. a two-level mode used as an exact
@@ -324,13 +331,15 @@ class CoupledBasis:
     of each k-active pattern, so q is v on every (rows[p], cols[p]) and
     zero elsewhere.  States enter the basis through ``rotate`` and
     ``both_sides`` and leave it through ``rotate`` with ``back``; no other
-    module of the package reads the blocks.
+    module of the package reads the blocks.  A large rotation multiplies
+    only what the state occupies: its nonzero product rows going in, the
+    columns of the groups a stage propagated going back.
     """
 
     blocks: tuple
     groups: tuple
 
-    def rotate(self, x: np.ndarray, back: bool = False) -> np.ndarray:
+    def rotate(self, x: np.ndarray, back: bool = False, groups=None) -> np.ndarray:
         """q^T x, the coefficients of a complex x in the basis (q x with
         ``back``), on x's second-to-last axis.  Each block serves all of
         its patterns at once: one gather of their rows of x.view(float)
@@ -338,23 +347,72 @@ class CoupledBasis:
         made), one matmul by v^T, one scatter into their columns (from
         the columns, by v, into the rows with ``back``).  The one block
         of two-level atoms has the whole space as its rows and columns,
-        in order, so it reads x and writes the result as views."""
+        in order, so it writes the result in place.
+
+        From ROTATE_SPARSE_WORK multiply-adds up, only the rows of x that
+        can be nonzero are read: going in, the product rows of x that are
+        not exactly zero; going back, the columns of ``groups``
+        (SpinGroups of this basis; by default the nonzero rows of x).  A
+        block none of whose rows is live only zeroes its output rows, and
+        one of which at most a quarter is live multiplies only the live
+        rows of x of the patterns that hold them by the matching rows of
+        v^T (columns of v with ``back``), a copy of at most a quarter of
+        v; every other block takes the full product.  Either way each
+        entry is the sum of the same nonzero terms."""
         x = np.ascontiguousarray(x).view(float)
-        out = np.empty_like(x)
-        for v, rows, cols in self.blocks:
-            u, src, dst = (v, cols, rows) if back else (v.T, rows, cols)
-            if src.size == x.shape[-2]:
-                np.matmul(u, x, out=out)
-            else:
-                out[..., dst, :] = u @ x[..., src, :]
-        return out.view(complex)
+        live = None  # every block in full
+        if self._work * (x.size // x.shape[-2]) >= ROTATE_SPARSE_WORK:
+            if back and groups is not None:
+                live = np.zeros(x.shape[-2], dtype=bool)
+                for group in groups:
+                    live[group.start:group.stop] = True
+            else:  # the rows of x holding a nonzero entry
+                live = np.any(x, axis=tuple(range(x.ndim - 2)) + (x.ndim - 1,))
+        return self._rotate(x, back, live).view(complex)
 
     def both_sides(self, x: np.ndarray) -> np.ndarray:
         """q^T x q on the atom axes (1 and 3) of a complex (k, A, m, A, m)
-        stack."""
+        stack, one side after the other as ``rotate`` does it.  Above
+        ROTATE_SPARSE_WORK each side reads only its live rows, the atom
+        rows (or columns) of x holding a nonzero entry, both found
+        before the first rotation."""
         k, atoms, m = x.shape[:3]
-        y = self.rotate(x.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
-        return self.rotate(y).reshape(x.shape)
+        x = np.ascontiguousarray(x).view(float)
+        left = right = None
+        if self._work * (x.size // atoms) >= ROTATE_SPARSE_WORK:
+            left = np.any(x.reshape(k, atoms, -1), axis=2).any(axis=0)
+            right = np.any(x.reshape(-1, atoms * 2 * m), axis=0).reshape(atoms, -1).any(axis=1)
+        y = self._rotate(x.reshape(k, atoms, -1), False, left)
+        y = self._rotate(y.reshape(k, atoms * m, atoms, 2 * m), False, right)
+        return y.view(complex).reshape(k, atoms, m, atoms, m)
+
+    def _rotate(self, x: np.ndarray, back: bool, live) -> np.ndarray:
+        """rotate on the real view x, reading only the rows of x on its
+        second-to-last axis that the boolean ``live`` marks (all rows
+        when None)."""
+        out = np.empty_like(x)
+        for v, rows, cols in self.blocks:
+            u, src, dst = (v, cols, rows) if back else (v.T, rows, cols)
+            if live is not None:
+                used = live[src]  # (patterns, 2^k)
+                held = used.any(axis=1)
+                keep = used[held].any(axis=0)
+                if 4 * np.count_nonzero(held) * np.count_nonzero(keep) <= used.size:
+                    out[..., dst[~held], :] = 0.0
+                    if not keep.any():
+                        continue
+                    u, src, dst = u[:, keep], src[held][:, keep], dst[held]
+            if dst.size == x.shape[-2]:  # one pattern, every row in order
+                np.matmul(u, x if src.size == x.shape[-2] else x[..., src[0], :], out=out)
+            else:
+                out[..., dst, :] = u @ x[..., src, :]
+        return out
+
+    @cached_property
+    def _work(self) -> int:
+        """The multiply-adds of a full rotation per column of the real
+        view: each block's patterns times its 2^k x 2^k entries."""
+        return sum(rows.size * len(v) for v, rows, _ in self.blocks)
 
 
 def spin_raising(two_j: int) -> np.ndarray:
@@ -438,7 +496,9 @@ def coupled_basis_bytes(atom_count: int, atom_dim: int) -> int:
     * the blocks, one 2^k x 2^k float64 matrix per k: at most
       8 4^(N + 1) / 3 bytes (8 4^N for two-level atoms, level N alone);
     * the level N - 1 that level N grows from, 2 4^N bytes, freed after
-      the build;
+      the build; a rotation that reads a quarter of a block or less
+      (``CoupledBasis.rotate``) copies those rows of it in its place, at
+      most a quarter of 8 4^N bytes, or all of a block of k < N;
     * the blocks' index arrays, 16 d^N bytes;
     * 8 KiB per row of the largest block (2^N rows) for BLAS work
       buffers.  A rotation multiplies each block by the real view of its
@@ -488,10 +548,11 @@ def _grow(level: list, widths: dict) -> tuple:
 
 
 def mode_lowering(space: SpaceDescriptor) -> np.ndarray:
-    """Truncated lowering operator a|n> = sqrt(n)|n-1> on the mode factor alone."""
+    """Truncated lowering operator a|n> = sqrt(n)|n-1> on the mode factor
+    alone, real (float64) as every matrix element is."""
     if space.no_mode:
         raise ValueError("space has no bosonic mode")
-    return np.diag(np.sqrt(np.arange(1.0, space.mode_dim)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1.0, space.mode_dim)), 1)
 
 
 def boson_ops(space: SpaceDescriptor) -> tuple[Operator, Operator]:
@@ -510,11 +571,11 @@ def _displacement_partial_sums(a: np.ndarray, eta: float, order: int):
     up = sum_j c_j adag^(j+1) a^j  and  dn = sum_j c_j adag^j a^(j+1)
     with c_j = (i eta)^(2j+1) / (j! (j+1)!).  The up part pairs with
     exp(-i delta t), the dn part with exp(+i delta t) in the sideband
-    Hamiltonian.
+    Hamiltonian.  The sums are complex whatever the dtype of a.
     """
     adag = a.conj().T
-    up = np.zeros_like(a)
-    dn = np.zeros_like(a)
+    up = np.zeros(a.shape, dtype=complex)
+    dn = np.zeros(a.shape, dtype=complex)
     for j in range(order + 1):
         c = (1j * eta) ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1))
         aj = np.linalg.matrix_power(a, j)

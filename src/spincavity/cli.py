@@ -217,9 +217,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_numbers(config: RunConfig):
-    """Reject non-finite floats, fewer than one atom, a negative g, nbar
-    or seed, an eta outside [0, 1) and a decay rate off the decay engine,
-    on every engine and command."""
+    """Reject non-finite floats, fewer than one atom, a negative g, nbar,
+    seed or Fock cutoff, an eta outside [0, 1) and a decay rate off the
+    decay engine, on every engine and command (the Effective engine reads
+    no cutoff, but its report echoes it)."""
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -234,6 +235,8 @@ def _check_numbers(config: RunConfig):
         raise ConfigError(f"--nbar must be non-negative, got {config.nbar!r}")
     if config.seed is not None and config.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {config.seed}")
+    if config.fock_cutoff < 0:
+        raise ConfigError(f"--fock-cutoff must be non-negative, got {config.fock_cutoff}")
     if config.kappa != 0 and config.engine != "lindblad":
         raise ConfigError(f"--kappa {config.kappa:g} needs --engine lindblad; the "
                           f"{config.engine} engine has no cavity decay")

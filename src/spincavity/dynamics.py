@@ -32,9 +32,20 @@ Numerical policy:
   This is exact for every state; blocks that are exactly zero are
   skipped, and no d^N x d^N operator (not even the basis' own matrix)
   or generator of the whole d^N m space is formed.
+* The rotations pay only for what a stage occupies.  Going in they read
+  only the nonzero product rows of the states, going back only the
+  columns of the groups the stage propagated (``CoupledBasis.rotate``,
+  from ROTATE_SPARSE_WORK multiply-adds up): a GHZ stage from |g..g, 0>
+  occupies the one symmetric multiplet, N + 1 of the 2^N columns.
 * ``evolve_exact`` propagates each occupied block of a drive stage with
   one eigendecomposition, pushing every copy and every state column
-  through it at once.
+  through it at once.  The cavity blocks are real symmetric, so ``eigh``
+  takes LAPACK's real path and the real eigenvectors multiply the real
+  view of the complex columns; the ion blocks (e^{-i phi}) stay complex.
+  A block whose V is zero (every 2J = 0 group, where S+ = 0) is the
+  identity in the lab frame: its rows pass through with no
+  eigendecomposition.  ``evolve_lindblad`` takes the same real path in
+  ``eigvalsh``, but its (0, 0) pair still decays and keeps its action.
 * The cavity collapse operators a and adag only pick up a phase in the
   same frame, so the master equation is static there too.
   ``evolve_lindblad`` builds the Liouvillian L = -i[H0 + V, .] + D of
@@ -228,7 +239,10 @@ class Propagation:
     Hilbert-space block (2J + 1) m for evolve_exact, a Liouville-space
     block (2J + 1) m (2J' + 1) m for evolve_lindblad, 0 when every block
     was zero.  products is the number of Chebyshev products (CSR kernel
-    calls) evolve_lindblad took, None for evolve_exact.
+    calls) evolve_lindblad took, None for evolve_exact.  groups is the
+    2J of each spin group of the basis that the stage occupied (a
+    nonzero row of a column, or of a density matrix on either side), in
+    the basis' order.
     """
 
     states: np.ndarray
@@ -236,6 +250,7 @@ class Propagation:
     drift: float
     block_dim: int
     products: int | None = None
+    groups: tuple = ()
 
 
 def norm_drift(before: np.ndarray, after: np.ndarray) -> float:
@@ -279,10 +294,17 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
     V is a sum of collective atom operators times mode operators, so it
     is block diagonal in algebra.coupled_basis x I_mode, and every copy
     of a multiplet of spin J carries the same (2J + 1) m block.  The
-    columns go into that basis on the atom axis; each group of copies
+    columns go into that basis on the atom axis, reading only their
+    nonzero product rows (``CoupledBasis.rotate``); each group of copies
     holding anything nonzero is propagated with one eigendecomposition
-    of its block, every copy and every column at once, and the result
-    comes back.  ``columns`` (dim, k) are the members of one ensemble,
+    of its block, every copy and every column at once, the frame phases
+    e^{-+i H0 t} applied on its mode axis, and only the groups so
+    propagated come back.  A block whose V is zero (every 2J = 0 group,
+    where S+ = 0) has U = 1, so its rows pass through unchanged, with no
+    eigendecomposition.  The blocks of the cavity builders are real, so
+    ``eigh`` takes LAPACK's real path and the real eigenvectors act on
+    the complex columns through their real view (``_real_matmul``); the
+    ion blocks are complex.  ``columns`` (dim, k) are the members of one ensemble,
     each scaled by the square root of its weight, so leakage is checked
     on the weighted mixture.  Returns the block at t1, or the trajectory
     at the times ``t_eval`` (taken from the same eigendecompositions),
@@ -294,32 +316,45 @@ def evolve_exact(builder, delta: float, space: SpaceDescriptor,
     atoms, m, k = space.atoms_dim, space.mode_dim, columns.shape[1]
     h0 = -delta * np.arange(m)
     times = np.array([t1], dtype=float) if t_eval is None else np.asarray(t_eval, dtype=float)
-    start = np.exp(-1j * h0 * t0)[:, None] * columns.reshape(atoms, m, k)
-    coeffs = basis.rotate(start.reshape(atoms, m * k))
+    coeffs = basis.rotate(columns.reshape(atoms, m * k))
     out = np.zeros((len(times), atoms, m * k), dtype=complex)
-    block_dim = 0
+    block_dim, occupied = 0, []
     for group in basis.groups:
         rows = coeffs[group.start:group.stop]
         if not rows.any():
             continue
-        w, vecs = eigh(_block_generator(builder, group, delta, m))
-        block = (rows.reshape(group.copies, group.width, m, k)
+        block_dim = max(block_dim, group.width * m)
+        occupied.append(group)
+        gen = _block_generator(builder, group, delta, m)
+        if not np.any(gen - np.diag(np.diagonal(gen))):  # V = 0: U is the identity
+            out[:, group.start:group.stop] = rows
+            continue
+        w, vecs = eigh(gen)
+        block = ((rows.reshape(group.copies, group.width, m, k) * np.exp(-1j * h0 * t0)[:, None])
                  .transpose(1, 2, 0, 3).reshape(group.width * m, group.copies * k))
         phases = np.exp(-1j * np.outer(times - t0, w))[:, :, None]
-        traj = vecs @ (phases * (vecs.conj().T @ block))
-        out[:, group.start:group.stop] = (
-            traj.reshape(len(times), group.width, m, group.copies, k)
-            .transpose(0, 3, 1, 2, 4).reshape(len(times), group.stop - group.start, m * k))
-        block_dim = max(block_dim, group.width * m)
-    traj = (np.exp(1j * np.outer(times, h0))[:, None, :, None]
-            * basis.rotate(out, back=True).reshape(len(times), atoms, m, k))
-    traj = traj.reshape(len(times), atoms * m, k)
+        traj = _real_matmul(vecs, phases * _real_matmul(vecs.conj().T, block))
+        traj = (traj.reshape(len(times), group.width, m, group.copies, k)
+                * np.exp(1j * np.outer(times, h0))[:, None, :, None, None])
+        out[:, group.start:group.stop] = (traj.transpose(0, 3, 1, 2, 4)
+                                          .reshape(len(times), group.stop - group.start, m * k))
+    traj = basis.rotate(out, back=True, groups=occupied).reshape(len(times), atoms * m, k)
 
     drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(traj, axis=1))
     top = traj.reshape(len(times), atoms, m, -1)[:, :, -2:]
     worst = int(np.argmax(np.sum(np.abs(top) ** 2, axis=(1, 2, 3))))
     leak = check_leakage(space, traj[worst])
-    return Propagation(traj[0] if t_eval is None else traj, leak, drift, block_dim)
+    return Propagation(traj[0] if t_eval is None else traj, leak, drift, block_dim, None,
+                       tuple(group.two_j for group in occupied))
+
+
+def _real_matmul(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u @ x for a complex x (its last two axes); a real u multiplies
+    x's real view, real and imaginary parts as columns, so no complex
+    copy of u is made."""
+    if np.iscomplexobj(u):
+        return u @ x
+    return (u @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def evolve_td_multi(h_of_t, space: SpaceDescriptor, columns: np.ndarray, t0: float,
@@ -841,7 +876,7 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)
     _check_work(margin * (t1 - t0))  # a lower bound for every pair, before any is built
-    blocks = {}
+    blocks = {}  # the (generator, eigenvalues) of each occupied group
     block_dim = products = 0
     for i, left in enumerate(basis.groups):
         for right in basis.groups[i:]:
@@ -873,15 +908,19 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
             out[:, left.start:left.stop, :, right.start:right.stop] = x
             block_dim, products = max(block_dim, p * q), products + count
     del sigma, x  # every pair is read; x may be a view of sigma
-    # one side at a time, so each rotation frees the stack it read
-    out = basis.rotate(out.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
-    out = basis.rotate(out, back=True).reshape(k, atoms, m, atoms, m)
+    # one side at a time, so each rotation frees the stack it read; the
+    # adjoint fill leaves the same groups occupied on both sides
+    occupied = sorted(blocks, key=lambda group: group.start)
+    out = basis.rotate(out.reshape(k, atoms, -1), back=True,
+                       groups=occupied).reshape(k, atoms * m, atoms, m)
+    out = basis.rotate(out, back=True, groups=occupied).reshape(k, atoms, m, atoms, m)
     out *= np.exp(1j * spread * t1)
     out = out.reshape(rhos.shape)
 
     drift = norm_drift(traces, np.trace(out, axis1=1, axis2=2).real)
     leak = check_leakage_dm(space, out.sum(axis=0))
-    return Propagation(out, leak, drift, block_dim, products)
+    return Propagation(out, leak, drift, block_dim, products,
+                       tuple(group.two_j for group in occupied))
 
 
 def _real_columns(x: np.ndarray, group: SpinGroup, m: int) -> np.ndarray:

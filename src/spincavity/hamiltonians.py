@@ -39,6 +39,13 @@ block.  Without it they use the dense atoms-only S+ (d^N x d^N, summed
 over the atoms) and return the V of the whole space, which the
 acceptance suite and the tests use.
 
+Each block keeps the dtype of its physics: the ladder and
+algebra.mode_lowering are real, so the cavity blocks
+(``interaction_terms``, ``slow_terms``) are real symmetric float64 and
+the propagators factor them in real arithmetic, while the ion blocks
+carry the complex prefactor e^{-i phi} and stay complex128 (at
+phi = pi/2 its real part, about 6e-17, is kept, not rounded away).
+
 All builders treat |f> and |h> as spectators: the cavity and the drive
 couple only the g/e block.
 """

@@ -208,7 +208,9 @@ class StageRecord:
     the stage cannot leak); drift is the largest relative change of a
     column norm (pure engines) or of a branch trace (Lindblad); products
     is the number of Chebyshev products (CSR kernel calls) the stage took
-    (None for the pure engines).
+    (None for the pure engines); groups is the 2J of each spin group of
+    the coupled basis that the stage occupied, largest first
+    (``Propagation.groups``; None for Effective, which has no such basis).
     """
 
     engine: str
@@ -218,6 +220,7 @@ class StageRecord:
     leak: float | None
     drift: float | None
     products: int | None
+    groups: tuple | None
 
 
 @dataclass(frozen=True)
@@ -779,7 +782,7 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
         out = evolve_factored(space_run, stage.lam, stage.omega, stage.duration, columns)
         drift = norm_drift(np.linalg.norm(columns, axis=0), np.linalg.norm(out, axis=0))
         return _Columns(out.reshape(state.x.shape)), StageRecord(
-            name, "effective", plan.space.atoms_dim, "factored", None, drift, None)
+            name, "effective", plan.space.atoms_dim, "factored", None, drift, None, None)
     if not abs(engine.lam() - stage.lam) <= 1e-9 * max(1.0, abs(stage.lam)):
         raise ValueError(f"engine effective coupling {engine.lam()!r} does not match the "
                          f"plan's {stage.lam!r}; replan with the engine's parameters")
@@ -795,11 +798,12 @@ def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDriv
                                state.x, t_abs, t_end)
         return _Density(prop.states), StageRecord(
             name, FrameTag.INTERACTION_PICTURE.value, prop.block_dim, "chebyshev", prop.leak,
-            prop.drift, prop.products)
+            prop.drift, prop.products, prop.groups)
     prop = evolve_exact(builder, engine.params.delta, space_run, state.x.reshape(space_run.dim, -1),
                         t_abs, t_end)
     return _Columns(prop.states.reshape(state.x.shape)), StageRecord(
-        name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift, None)
+        name, engine.frame.value, prop.block_dim, "eigh", prop.leak, prop.drift, None,
+        prop.groups)
 
 
 def sample_outcome(result: ProtocolResult, seed: int) -> str:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spincavity import algebra
 from spincavity.algebra import (
     DensityMatrix,
     StateVector,
@@ -483,23 +484,91 @@ def test_coupled_basis_of_many_qutrits_holds_its_blocks_alone():
     assert held < 2**20
 
 
-def test_coupled_basis_rotations_multiply_by_q():
+def _support(rng, dim, support):
+    """A boolean mask of the rows a random test state occupies: one row,
+    about a sixth of them, or all."""
+    if support == "one":
+        mask = np.zeros(dim, dtype=bool)
+        mask[rng.integers(dim)] = True
+        return mask
+    if support == "sparse":
+        mask = rng.random(dim) < 1 / 6
+        mask[rng.integers(dim)] = True
+        return mask
+    return np.ones(dim, dtype=bool)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["default", "restricted"])
+@pytest.mark.parametrize("support", ["one", "sparse", "dense"])
+@pytest.mark.parametrize("atom_count, atom_dim", [(4, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
+def test_coupled_basis_rotations_multiply_by_q(monkeypatch, atom_count, atom_dim, support,
+                                               restricted):
     # qutrits gather and scatter each block's patterns through index
     # arrays; the one qubit block has the whole space in order as its rows
-    # and columns and is read and written as views
-    rng = np.random.default_rng(3)
-    for atom_count, atom_dim in [(3, 3), (4, 2)]:
-        basis = coupled_basis(atom_count, atom_dim)
-        q, dim = _dense_q(basis), atom_dim**atom_count
-        x = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
-        assert np.max(np.abs(basis.rotate(x) - q.T @ x)) <= 1e-13
-        assert np.max(np.abs(basis.rotate(x, back=True) - q @ x)) <= 1e-13
-        rho = (rng.normal(size=(2, dim * 2, dim * 2)) + 0j).reshape(2, dim, 2, dim, 2)
-        both = np.einsum("ai,kamcn,cj->kimjn", q, rho, q)
-        assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
-        # back one atom axis at a time, as evolve_lindblad leaves the basis
-        k, atoms, m = rho.shape[:3]
-        y = basis.rotate(both.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
-        assert np.max(np.abs(basis.rotate(y, back=True).reshape(rho.shape) - rho)) <= 1e-13
-    ((v, rows, cols),) = basis.blocks
+    # and columns and is written in place.  Restricted, every rotation
+    # reads only its live rows (the gate at 0): rotating in, the nonzero
+    # product rows; rotating back, the columns of the groups passed or
+    # found; both_sides, each side's nonzero atom rows.  Every way gives
+    # q^T x, q x and q^T x q
+    if restricted:
+        monkeypatch.setattr(algebra, "ROTATE_SPARSE_WORK", 0)
+    rng = np.random.default_rng([atom_count, atom_dim, len(support)])
+    basis = coupled_basis(atom_count, atom_dim)
+    q, dim = _dense_q(basis), atom_dim**atom_count
+    x = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    x[~_support(rng, dim, support)] = 0.0
+    assert np.max(np.abs(basis.rotate(x) - q.T @ x)) <= 1e-13
+    # back from the columns of some groups, named or found
+    picked = [g for g in basis.groups if rng.random() < 0.5] or [basis.groups[-1]]
+    if support == "dense":
+        picked = list(basis.groups)
+    coeffs = np.zeros_like(x)
+    for group in picked:
+        coeffs[group.start:group.stop] = x[group.start:group.stop] + 1.0
+    for groups in (picked, None):
+        back = basis.rotate(coeffs, back=True, groups=groups)
+        assert np.max(np.abs(back - q @ coeffs)) <= 1e-13
+    # a stack (k, A, m, A, m) with its own live atom rows on each side
+    rho = rng.normal(size=(2, dim, 2, dim, 2)) + 1j * rng.normal(size=(2, dim, 2, dim, 2))
+    rho[:, ~_support(rng, dim, support)] = 0.0
+    rho[:, :, :, ~_support(rng, dim, support)] = 0.0
+    left = (q.T @ rho.reshape(2, dim, -1)).reshape(2 * dim * 2, dim, 2)
+    both = (q.T @ left).reshape(rho.shape)  # q^T on each side
+    assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
+    # back one atom axis at a time, as evolve_lindblad leaves the basis
+    k, atoms, m = rho.shape[:3]
+    y = basis.rotate(both.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
+    assert np.max(np.abs(basis.rotate(y, back=True).reshape(rho.shape) - rho)) <= 1e-13
+
+
+def test_coupled_basis_qubit_block_is_the_whole_space_in_order():
+    ((v, rows, cols),) = coupled_basis(4, 2).blocks
     assert np.array_equal(rows[0], np.arange(16)) and np.array_equal(cols[0], np.arange(16))
+
+
+def test_restricted_rotations_read_a_quarter_of_the_block_or_less(monkeypatch):
+    # an all-g start occupies one product row and, in the basis, one
+    # column of the largest group: rotating it in reads one row of v^T,
+    # rotating back one column of v, and each product entry is one term,
+    # so both are exactly the full product's; a block with more than a
+    # quarter of its rows live takes the full product
+    basis = coupled_basis(11, 2)
+    ((v, _, _),) = basis.blocks
+    x = np.zeros((2048, 30), dtype=complex)
+    x[0] = np.arange(30) + 1j
+    reads = []
+    matmul = np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        reads.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    coeffs = basis.rotate(x)
+    back = basis.rotate(coeffs, back=True, groups=basis.groups[:1])
+    assert reads == [(2048, 1), (2048, 12)]
+    assert np.array_equal(coeffs, v[0][:, None] * x[0])
+    assert np.max(np.abs(back - x)) <= 1e-15
+    x[:600] = 1.0
+    basis.rotate(x)
+    assert reads[-1] == (2048, 2048)

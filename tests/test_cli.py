@@ -688,12 +688,25 @@ BAD_INPUT = [
      "config error: --n must be at least 1, got -1"),
     (("protocol", "--config", "{n_negative}"), "config error: --n must be at least 1, got -1"),
     (("protocol", "ghz", "--n", "0"), "config error: --n must be at least 1, got 0"),
+    # the Effective engine never reads the cutoff, so a negative one ran
+    # and was echoed in the report; the full engines refused it with
+    # SpaceDescriptor's wording
+    (("protocol", "ghz", "--n", "2", "--fock-cutoff", "-1", "--g", "1", "--delta", "10"),
+     "config error: --fock-cutoff must be non-negative, got -1"),
+    (("protocol", "ghz", "--n", "2", "--engine", "full", "--fock-cutoff", "-1", "--g", "1",
+      "--delta", "10"), "config error: --fock-cutoff must be non-negative, got -1"),
+    (("sweep", "ghz", "--n", "2", "--fock-cutoff", "-2", "--sweep-param", "delta",
+      "--sweep-from", "10", "--sweep-to", "20", "--sweep-steps", "2"),
+     "config error: --fock-cutoff must be non-negative, got -2"),
+    (("protocol", "--config", "{fock_cutoff_negative}"),
+     "config error: --fock-cutoff must be non-negative, got -1"),
 ]
 #: the config files BAD_INPUT names as "{<name>}"
 CONFIG_FILES = {f"sweep_{param}": {"protocol": "ghz", "sweep_param": param, "sweep_from": 1,
                                    "sweep_to": 2, "sweep_steps": 2}
                 for param in ("protocol", "fock_cutoff", "seed", "n")}
 CONFIG_FILES["n_negative"] = {"protocol": "ghz", "engine": "lindblad", "delta": 5, "n": -1}
+CONFIG_FILES["fock_cutoff_negative"] = {"protocol": "ghz", "n": 2, "fock_cutoff": -1}
 
 
 @pytest.mark.parametrize("argv, line", BAD_INPUT, ids=[
@@ -703,7 +716,9 @@ CONFIG_FILES["n_negative"] = {"protocol": "ghz", "engine": "lindblad", "delta": 
     "sweep-param-protocol", "sweep-param-fock-cutoff", "sweep-param-seed", "sweep-param-n",
     "seed-negative", "seed-negative-compare-frames", "seed-negative-sweep",
     "seed-negative-measure-reduce", "n-negative-lindblad", "n-negative-measure-reduce",
-    "n-negative-sweep-lindblad", "n-negative-config-file", "n-zero"])
+    "n-negative-sweep-lindblad", "n-negative-config-file", "n-zero",
+    "fock-cutoff-negative-effective", "fock-cutoff-negative-full", "fock-cutoff-negative-sweep",
+    "fock-cutoff-negative-config-file"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, line):
     missing = tmp_path / "absent" / "x.json"
     paths = {"missing": str(missing), "folder": str(missing.parent), "tmp": str(tmp_path)}

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from spincavity import dynamics
+from spincavity import algebra, dynamics
 from spincavity.algebra import (
     DensityMatrix,
     NormDriftError,
@@ -65,7 +65,7 @@ from spincavity.hamiltonians import (
     lambda_cavity,
     slow_terms,
 )
-from spincavity.protocols import CollectiveDrive, plan_ghz_two_level
+from spincavity.protocols import CollectiveDrive, plan_ghz_two_level, plan_two_atom_qutrit
 
 
 def _random_state(space, seed):
@@ -706,6 +706,63 @@ def test_exact_propagator_checks_leakage_on_the_weighted_mixture():
     assert prop.leak < 1e-6
     with pytest.raises(TruncationError):
         evolve_exact(v, 1.2, space, light[:, None], 0.0, 3.0)
+
+
+def test_zero_v_block_passes_through_without_an_eigendecomposition(monkeypatch):
+    # the |ff> leg of two-atom-qutrit's second stage: both atoms parked in
+    # f, the 2J = 0 group, where S+ = 0 and so V = 0.  evolve_exact turns
+    # it by the frame phases alone and takes no eigh; the decay engine's
+    # (0, 0) pair still decays, so it keeps its Chebyshev action
+    space = make_space(2, 3, 8)
+    t0 = 0.0
+    drives = []
+    for stage in plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0).stages:
+        if isinstance(stage, CollectiveDrive):
+            drives.append((t0, stage))
+            t0 += stage.duration
+    t0, stage = drives[1]
+    build = partial(interaction_terms, space, DriveParams(g=1.0, delta=10.0, omega=stage.omega))
+    rng = np.random.default_rng(11)
+    cols = np.zeros((space.dim, 2), dtype=complex)
+    for n in range(space.mode_dim - 2):
+        cols[basis_index(space, "ff", n)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    cols /= np.linalg.norm(cols)
+    calls = []
+    monkeypatch.setattr(dynamics, "eigh", lambda a: calls.append(a) or np.linalg.eigh(a))
+    prop = evolve_exact(build, 10.0, space, cols, t0, t0 + stage.duration)
+    assert calls == [] and prop.groups == (0,)
+    assert np.max(np.abs(prop.states - cols)) <= 1e-15
+    rho = (cols @ cols.conj().T)[None]
+    prop = evolve_lindblad(build, 10.0, DecaySpec(0.2), space, rho, t0, t0 + stage.duration)
+    assert prop.groups == (0,) and prop.products > 0
+    # the mode decays, so the photon number falls
+    fock = np.tile(np.arange(space.mode_dim), space.atoms_dim)
+    assert fock @ np.diag(prop.states[0]).real < fock @ np.diag(rho[0]).real
+
+
+@pytest.mark.parametrize("atom_count, atom_dim, cutoff", [(3, 2, 7), (2, 3, 7), (2, 4, 6)])
+def test_exact_propagators_rotate_only_the_occupied_rows_and_groups(monkeypatch, atom_count,
+                                                                    atom_dim, cutoff):
+    # states on a third of the product rows, in several spin groups: with
+    # every rotation restricted to what the stage occupies (the gate at 0)
+    # both propagators give what the full rotations give
+    space = make_space(atom_count, atom_dim, cutoff)
+    build = partial(interaction_terms, space, DriveParams(g=0.3, delta=5.0, omega=2.0))
+    rng = np.random.default_rng([atom_count, atom_dim])
+    cols = np.zeros((space.atoms_dim, space.mode_dim, 2), dtype=complex)
+    rows = rng.choice(space.atoms_dim, size=max(2, space.atoms_dim // 3), replace=False)
+    cols[rows, :2] = rng.normal(size=(len(rows), 2, 2)) + 1j * rng.normal(size=(len(rows), 2, 2))
+    cols = cols.reshape(space.dim, 2) / np.linalg.norm(cols)
+    rho = (cols @ cols.conj().T)[None]
+    full = evolve_exact(build, 5.0, space, cols, 0.3, 0.8)
+    full_rho = evolve_lindblad(build, 5.0, DecaySpec(0.1), space, rho, 0.3, 0.8)
+    assert len(full.groups) >= 2 and full_rho.groups == full.groups
+    monkeypatch.setattr(algebra, "ROTATE_SPARSE_WORK", 0)
+    prop = evolve_exact(build, 5.0, space, cols, 0.3, 0.8)
+    prop_rho = evolve_lindblad(build, 5.0, DecaySpec(0.1), space, rho, 0.3, 0.8)
+    assert prop.groups == full.groups and prop_rho.groups == full.groups
+    assert np.max(np.abs(prop.states - full.states)) <= 1e-13
+    assert np.max(np.abs(prop_rho.states - full_rho.states)) <= 1e-13
 
 
 def test_exact_propagator_rejects_non_hermitian_generator():

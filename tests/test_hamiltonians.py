@@ -15,6 +15,8 @@ from spincavity.algebra import (
     embed_atom_op,
     local_sp,
     make_space,
+    mode_lowering,
+    spin_raising,
 )
 from spincavity.hamiltonians import (
     DriveParams,
@@ -307,3 +309,26 @@ def test_kron_builders_equal_the_full_space_products(n_atoms, d, cutoff):
         built[f"series_{order}"] = ion_terms(space, series, FrameTag.ION_INTERACTION)
     for name, v in built.items():
         assert np.array_equal(v, expected[name]), name
+
+
+# ---------------------------------------------------------------------------
+# block dtypes
+
+
+def test_blocks_keep_the_dtype_of_their_physics():
+    # the ladder and the mode operators are real, so the cavity blocks are
+    # real symmetric and eigh takes LAPACK's real path; the ion blocks
+    # carry e^{-i phi}, whose real part at phi = pi/2 (about 6e-17) stays
+    space = make_space(3, 2, 5)
+    raising = spin_raising(3)
+    assert mode_lowering(space).dtype == np.float64
+    cavity = DriveParams(g=1.0, delta=10.0, omega=3.0)
+    for block in (interaction_terms(space, cavity, raising), slow_terms(space, cavity, raising)):
+        assert block.dtype == np.float64
+        assert np.array_equal(block, block.T)
+    ion = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0, lamb_dicke_order=2)
+    for frame in (FrameTag.ION_LAMB_DICKE, FrameTag.ION_INTERACTION):
+        block = ion_terms(space, ion, frame, raising)
+        assert block.dtype == np.complex128
+        assert np.max(np.abs(block - block.conj().T)) == 0.0
+        assert 0.0 < np.max(np.abs(block.imag)) < 1e-15

@@ -561,11 +561,11 @@ def test_stage_records_one_per_drive_stage():
     # one record per drive stage, naming how it was propagated; records
     # carry no wall times
     assert list(StageRecord.__dataclass_fields__) == [
-        "engine", "frame", "dim", "method", "leak", "drift", "products"]
+        "engine", "frame", "dim", "method", "leak", "drift", "products", "groups"]
     plan = plan_measure_reduce(4, LAM)
     records = run_plan(plan).diagnostics["stages"]
-    assert [(r.engine, r.frame, r.dim, r.method, r.leak, r.products) for r in records] == [
-        ("Effective", "effective", 81, "factored", None, None)] * 2
+    assert [(r.engine, r.frame, r.dim, r.method, r.leak, r.products, r.groups)
+            for r in records] == [("Effective", "effective", 81, "factored", None, None, None)] * 2
     assert all(r.drift <= 1e-12 for r in records)
 
     cavity = FullCavity(params=_cavity_params(), fock_cutoff=6,
@@ -573,9 +573,12 @@ def test_stage_records_one_per_drive_stage():
     records = run_plan(plan_two_atom_qutrit(lambda_cavity(1.0, 10.0), delta=10.0),
                        engine=cavity).diagnostics["stages"]
     # dim is the largest block propagated: the spin-1 multiplet of the
-    # two active atoms times the 7 Fock levels
+    # two active atoms times the 7 Fock levels.  The first stage starts in
+    # |gg>, on the spin-1 group alone; after the e -> f transfer the
+    # second also holds |fg>, |gf> (spin 1/2) and |ff> (spin 0)
     assert [(r.engine, r.frame, r.dim, r.method, r.products) for r in records] == [
         ("FullCavity", "slow_frame", 21, "eigh", None)] * 2
+    assert [r.groups for r in records] == [(2,), (2, 1, 0)]
     assert all(0.0 <= r.leak < 1e-6 and r.drift <= 1e-12 for r in records)
 
     ion_params = DriveParams(omega=1.0, delta=2.0, eta=0.05, phi=math.pi / 2.0,
@@ -583,8 +586,8 @@ def test_stage_records_one_per_drive_stage():
     ion = FullIon(params=ion_params, fock_cutoff=6)
     (record,) = run_plan(plan_ghz_two_level(2, lambda_ion(1.0, 0.05, 2.0), delta=2.0),
                          engine=ion).diagnostics["stages"]
-    assert (record.engine, record.frame, record.dim, record.method, record.products) == (
-        "FullIon", "ion_interaction", 21, "eigh", None)
+    assert (record.engine, record.frame, record.dim, record.method, record.products,
+            record.groups) == ("FullIon", "ion_interaction", 21, "eigh", None, (2,))
 
 
 def test_stage_records_count_the_chebyshev_products_the_kernel_took(monkeypatch):
