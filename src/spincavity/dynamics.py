@@ -35,8 +35,9 @@ Numerical policy:
 * The rotations pay only for what a stage occupies.  Going in they read
   only the nonzero product rows of the states, going back only the
   columns of the groups the stage propagated (``CoupledBasis.rotate``,
-  from ROTATE_SPARSE_WORK multiply-adds up): a GHZ stage from |g..g, 0>
-  occupies the one symmetric multiplet, N + 1 of the 2^N columns.
+  from algebra.ROTATE_SPARSE_WORK multiply-adds up): a GHZ stage from
+  |g..g, 0> occupies the one symmetric multiplet, N + 1 of the 2^N
+  columns.
 * ``evolve_exact`` propagates each occupied block of a drive stage with
   one eigendecomposition, pushing every copy and every state column
   through it at once.  The cavity blocks are real symmetric, so ``eigh``
