@@ -329,8 +329,8 @@ class CoupledBasis:
     each group in the order ``_grow`` builds them.  rows and cols
     (patterns x 2^k) are the flat product indices and the basis columns
     of each k-active pattern, so q is v on every (rows[p], cols[p]) and
-    zero elsewhere.  States enter the basis through ``rotate`` and
-    ``both_sides`` and leave it through ``rotate`` with ``back``; no other
+    zero elsewhere.  States enter the basis through ``rotate`` and leave
+    it through ``rotate`` with ``back``, one atom axis per call; no other
     module of the package reads the blocks.  A large rotation multiplies
     only what the state occupies: its nonzero product rows going in, the
     columns of the groups a stage propagated going back.
@@ -347,7 +347,9 @@ class CoupledBasis:
         made), one matmul by v^T, one scatter into their columns (from
         the columns, by v, into the rows with ``back``).  The one block
         of two-level atoms has the whole space as its rows and columns,
-        in order, so it writes the result in place.
+        in order, so it writes the result in place.  A density stack
+        (k, A, m, A, m) takes one call per atom axis: (k, A, m A m), then
+        (k, A m, A, m).
 
         From ROTATE_SPARSE_WORK multiply-adds up, only the rows of x that
         can be nonzero are read: going in, the product rows of x that are
@@ -368,28 +370,6 @@ class CoupledBasis:
                     live[group.start:group.stop] = True
             else:  # the rows of x holding a nonzero entry
                 live = np.any(x, axis=tuple(range(x.ndim - 2)) + (x.ndim - 1,))
-        return self._rotate(x, back, live).view(complex)
-
-    def both_sides(self, x: np.ndarray) -> np.ndarray:
-        """q^T x q on the atom axes (1 and 3) of a complex (k, A, m, A, m)
-        stack, one side after the other as ``rotate`` does it.  Above
-        ROTATE_SPARSE_WORK each side reads only its live rows, the atom
-        rows (or columns) of x holding a nonzero entry, both found
-        before the first rotation."""
-        k, atoms, m = x.shape[:3]
-        x = np.ascontiguousarray(x).view(float)
-        left = right = None
-        if self._work * (x.size // atoms) >= ROTATE_SPARSE_WORK:
-            left = np.any(x.reshape(k, atoms, -1), axis=2).any(axis=0)
-            right = np.any(x.reshape(-1, atoms * 2 * m), axis=0).reshape(atoms, -1).any(axis=1)
-        y = self._rotate(x.reshape(k, atoms, -1), False, left)
-        y = self._rotate(y.reshape(k, atoms * m, atoms, 2 * m), False, right)
-        return y.view(complex).reshape(k, atoms, m, atoms, m)
-
-    def _rotate(self, x: np.ndarray, back: bool, live) -> np.ndarray:
-        """rotate on the real view x, reading only the rows of x on its
-        second-to-last axis that the boolean ``live`` marks (all rows
-        when None)."""
         out = np.empty_like(x)
         for v, rows, cols in self.blocks:
             u, src, dst = (v, cols, rows) if back else (v.T, rows, cols)
@@ -406,7 +386,7 @@ class CoupledBasis:
                 np.matmul(u, x if src.size == x.shape[-2] else x[..., src[0], :], out=out)
             else:
                 out[..., dst, :] = u @ x[..., src, :]
-        return out
+        return out.view(complex)
 
     @cached_property
     def _work(self) -> int:

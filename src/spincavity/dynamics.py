@@ -26,9 +26,9 @@ Numerical policy:
   algebra.spin_raising(2J), known in closed form.  The propagators take
   the stage's builder, call it once per occupied block with that
   ladder, rotate the states into the basis on the atom axis
-  (CoupledBasis.rotate, or both_sides for density matrices; the basis
-  alone reads its Clebsch-Gordan blocks), propagate, and rotate back
-  (rotate with back=True, one atom axis at a time).
+  (CoupledBasis.rotate, one call per atom axis of a density matrix; the
+  basis alone reads its Clebsch-Gordan blocks), propagate, and rotate
+  back (rotate with back=True, the same way).
   This is exact for every state; blocks that are exactly zero are
   skipped, and no d^N x d^N operator (not even the basis' own matrix)
   or generator of the whole d^N m space is formed.
@@ -178,18 +178,11 @@ class ThermalSpec:
             )
 
     def probabilities(self) -> np.ndarray:
-        n = np.arange(self.cutoff + 1)
-        if self.nbar == 0:
-            probs = np.zeros(self.cutoff + 1)
-            probs[0] = 1.0
-            return probs
-        ratio = self.nbar / (1.0 + self.nbar)
-        return ratio**n / (1.0 + self.nbar)
+        ratio = self.nbar / (1.0 + self.nbar)  # 0.0**0 == 1.0 gives nbar = 0 its vacuum
+        return ratio ** np.arange(self.cutoff + 1) / (1.0 + self.nbar)
 
     def tail_mass(self) -> float:
         """Raw probability mass above the cutoff: (nbar/(1+nbar))^(cutoff+1)."""
-        if self.nbar == 0:
-            return 0.0
         return (self.nbar / (1.0 + self.nbar)) ** (self.cutoff + 1)
 
     @classmethod
@@ -213,17 +206,19 @@ class DecaySpec:
     """Cavity energy decay at rate kappa into a bath of occupancy nbar_bath.
 
     Collapse operators: sqrt(kappa (1 + nbar_bath)) a and
-    sqrt(kappa nbar_bath) adag.
+    sqrt(kappa nbar_bath) adag.  Both numbers must be finite and
+    non-negative.
     """
 
     kappa: float
     nbar_bath: float = 0.0
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        if self.nbar_bath < 0:
-            raise ValueError("nbar_bath must be non-negative")
+        for name, value in (("kappa", self.kappa), ("nbar_bath", self.nbar_bath)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -858,8 +853,9 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     the result in the coupled basis is exactly Hermitian.  The frame
     phases act on the mode axes alone, so they commute with the rotations
     and are applied in place on the rotated stacks.  sigma (and the last
-    pair's view of it) is dropped once every pair is read, and the way
-    back rotates one side at a time: the stacks ``stage_bytes`` counts.
+    pair's view of it) is dropped once every pair is read, and the ways
+    in and back rotate one side at a time (``CoupledBasis.rotate`` on
+    each atom axis): the stacks ``stage_bytes`` counts.
     products is the number of Chebyshev products the stage took, the sum
     of its actions' counts.
     """
@@ -872,7 +868,8 @@ def evolve_lindblad(builder, delta: float, decay: DecaySpec, space: SpaceDescrip
     h0 = -delta * np.arange(m)
     spread = np.subtract.outer(h0, h0)[:, None, :]  # e^{-i H0 t} . e^{i H0 t} on (n, n')
     traces = np.trace(rhos, axis1=1, axis2=2).real
-    sigma = basis.both_sides(rhos.reshape(k, atoms, m, atoms, m))
+    sigma = basis.rotate(rhos.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
+    sigma = basis.rotate(sigma).reshape(k, atoms, m, atoms, m)
     sigma *= np.exp(-1j * spread * t0)  # on the mode axes, so it commutes with the rotation
     out = np.zeros_like(sigma)
     margin = dissipative_margin(space, decay)

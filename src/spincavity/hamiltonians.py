@@ -107,6 +107,9 @@ class DriveParams:
     lamb_dicke_order: int = 0
 
     def __post_init__(self):
+        for name, value in (("g", self.g), ("delta", self.delta), ("phi", self.phi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.g < 0:
             raise ValueError("g must be non-negative")
         if not 0 <= self.omega < math.inf:

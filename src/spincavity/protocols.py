@@ -136,7 +136,6 @@ class LocalTransfer:
 
     matrix: np.ndarray
     atoms: object  # "all" or an atom index
-    name: str = ""
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
@@ -376,7 +375,7 @@ def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None =
         "ff": phase * (-1j)})
     drive1 = CollectiveDrive(k * math.pi / t1, t1, lam)
     drive2 = CollectiveDrive(2.0 * k_prime * math.pi / t2, t2, lam)
-    stages = (drive1, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive2)
+    stages = (drive1, LocalTransfer(swap_ef_matrix(3), "all"), drive2)
     return ProtocolPlan("two-atom-qutrit", stages, target.space, target,
                         _timings([(drive1, k), (drive2, k_prime)]))
 
@@ -451,7 +450,7 @@ def plan_ghz_three_level(n_atoms: int, lam: float, n_choice: int | None = None,
         "g" * n_atoms: 0.5 * np.exp(-1j * math.pi / 2.0),
         "e" * n_atoms: 0.5 * sign,
         "f" * n_atoms: np.exp(1j * math.pi / 4.0) * sign / math.sqrt(2.0)})
-    stages = (drive, LocalTransfer(swap_ef_matrix(3), "all", "swap_ef"), drive)
+    stages = (drive, LocalTransfer(swap_ef_matrix(3), "all"), drive)
     return ProtocolPlan("ghz-three-level", stages, target.space, target, _timings([(drive, n)] * 2))
 
 
@@ -474,7 +473,7 @@ def plan_measure_reduce(n_atoms: int, lam: float, n_choice: int | None = None,
         "e" * last + "f": -norm * sign,
         "f" * n_atoms: norm * np.exp(1j * math.pi / 4.0) * sign})
     stages = base.stages + (
-        LocalTransfer(reduce_rotation_matrix(), last, "reduce_rotation"),
+        LocalTransfer(reduce_rotation_matrix(), last),
         Measurement(last, "enumerate"),
     )
     return ProtocolPlan("measure-reduce", stages, base.space, target, base.timings)
@@ -499,9 +498,9 @@ def plan_ghz_four_level(n_atoms: int, lam: float, n_choice: int | None = None,
         "h" * n_atoms: 0.5 * sign})
     stages = (
         drive,
-        LocalTransfer(swap_ef_matrix(4), "all", "swap_ef"),
+        LocalTransfer(swap_ef_matrix(4), "all"),
         drive,
-        LocalTransfer(swap_gf_eh_matrix(4), "all", "swap_gf_eh"),
+        LocalTransfer(swap_gf_eh_matrix(4), "all"),
         drive,
     )
     return ProtocolPlan("ghz-four-level", stages, target.space, target, _timings([(drive, n)] * 2))
@@ -625,9 +624,8 @@ def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
 
     outs = [state.read_out(space_run, plan.target, b) for b in range(len(labels))]
     branches = tuple(Branch(label or "all", *out[:2]) for label, out in zip(labels, outs))
-    diagnostics = {"engine": type(engine).__name__, "absolute_duration": t_abs,
-                   "stages": tuple(records)}
-    return ProtocolResult(branches, tuple(out[2] for out in outs), plan.timings, diagnostics)
+    return ProtocolResult(branches, tuple(out[2] for out in outs), plan.timings,
+                          {"stages": tuple(records)})
 
 
 class _Branches:
@@ -823,24 +821,23 @@ def sample_outcome(result: ProtocolResult, seed: int) -> str:
 
 
 def drive_population_series(params: DriveParams, n_start: int, duration: float,
-                            sample_count: int = 1200, fock_cutoff: int = 10,
-                            atom_count: int = 2) -> TimeSeries:
-    """Population of |e..e> (any Fock level) along a full-cavity drive,
-    read in the frame co-rotating with the classical drive.
+                            sample_count: int = 1200, fock_cutoff: int = 10) -> TimeSeries:
+    """Population of |ee> (any Fock level) along a full-cavity drive of
+    two atoms, read in the frame co-rotating with the classical drive.
 
-    Starting from |g..g, n>, the co-rotating population oscillates at
+    Starting from |gg, n>, the co-rotating population oscillates at
     twice the effective collective rate, 2 lam = g^2/delta, with only a
     weak dependence on n; this is the observable behind the effective
     model's Rabi frequency and its photon-number independence.  Every
     sample comes from the same exact eigendecompositions of the stage.
     """
-    space = make_space(atom_count, 2, fock_cutoff)
-    psi0 = basis_state(space, "g" * atom_count, n_start).amplitudes[:, None]
+    space = make_space(2, 2, fock_cutoff)
+    psi0 = basis_state(space, "gg", n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
     traj = evolve_exact(partial(interaction_terms, space, params), params.delta, space, psi0,
                         0.0, duration, t_eval=times).states
 
-    e_all = basis_index(space.atoms_only(), "e" * atom_count, 0)
+    e_all = basis_index(space.atoms_only(), "ee", 0)
     omega = params.omega
     values = np.empty(sample_count)
     for i, t in enumerate(times):

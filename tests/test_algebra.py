@@ -508,8 +508,9 @@ def test_coupled_basis_rotations_multiply_by_q(monkeypatch, atom_count, atom_dim
     # and columns and is written in place.  Restricted, every rotation
     # reads only its live rows (the gate at 0): rotating in, the nonzero
     # product rows; rotating back, the columns of the groups passed or
-    # found; both_sides, each side's nonzero atom rows.  Every way gives
-    # q^T x, q x and q^T x q
+    # found; a density stack, each atom axis' nonzero rows, the right
+    # side's found on the half-rotated stack.  Every way gives q^T x,
+    # q x and q^T x q
     if restricted:
         monkeypatch.setattr(algebra, "ROTATE_SPARSE_WORK", 0)
     rng = np.random.default_rng([atom_count, atom_dim, len(support)])
@@ -528,15 +529,16 @@ def test_coupled_basis_rotations_multiply_by_q(monkeypatch, atom_count, atom_dim
     for groups in (picked, None):
         back = basis.rotate(coeffs, back=True, groups=groups)
         assert np.max(np.abs(back - q @ coeffs)) <= 1e-13
-    # a stack (k, A, m, A, m) with its own live atom rows on each side
+    # a stack (k, A, m, A, m) with its own live atom rows on each side,
+    # in and back one atom axis at a time, as evolve_lindblad takes it
     rho = rng.normal(size=(2, dim, 2, dim, 2)) + 1j * rng.normal(size=(2, dim, 2, dim, 2))
     rho[:, ~_support(rng, dim, support)] = 0.0
     rho[:, :, :, ~_support(rng, dim, support)] = 0.0
     left = (q.T @ rho.reshape(2, dim, -1)).reshape(2 * dim * 2, dim, 2)
     both = (q.T @ left).reshape(rho.shape)  # q^T on each side
-    assert np.max(np.abs(basis.both_sides(rho) - both)) <= 1e-13
-    # back one atom axis at a time, as evolve_lindblad leaves the basis
     k, atoms, m = rho.shape[:3]
+    y = basis.rotate(rho.reshape(k, atoms, -1)).reshape(k, atoms * m, atoms, m)
+    assert np.max(np.abs(basis.rotate(y).reshape(rho.shape) - both)) <= 1e-13
     y = basis.rotate(both.reshape(k, atoms, -1), back=True).reshape(k, atoms * m, atoms, m)
     assert np.max(np.abs(basis.rotate(y, back=True).reshape(rho.shape) - rho)) <= 1e-13
 

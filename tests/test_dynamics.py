@@ -391,6 +391,15 @@ def test_thermal_spec_rejects_negative_or_non_finite_nbar(nbar):
         ThermalSpec(nbar, 40)
 
 
+def test_thermal_spec_at_zero_nbar_is_the_vacuum_exactly():
+    # the Bose-Einstein formula itself: 0.0**0 == 1.0 and 0.0**(c + 1) == 0.0
+    spec = ThermalSpec(0.0, 5)
+    probs = spec.probabilities()
+    assert probs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(probs).any()
+    assert spec.tail_mass() == 0.0
+
+
 def test_thermal_spec_for_nbar_is_minimal():
     spec = ThermalSpec.for_nbar(1.0, tail=1e-11)
     assert spec.tail_mass() < 1e-11
@@ -435,10 +444,19 @@ def test_thermal_state_validation():
 
 
 def test_decay_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kappa must be non-negative$"):
         DecaySpec(kappa=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nbar_bath must be non-negative$"):
         DecaySpec(kappa=0.1, nbar_bath=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["kappa", "nbar_bath"])
+def test_decay_spec_refuses_non_finite_values(field, value):
+    # a NaN or infinite rate used to construct, and the decay stage then
+    # failed asking for "at least nan Chebyshev series terms"
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        DecaySpec(**{"kappa": 0.1, field: value})
 
 
 # ---------------------------------------------------------- evolve_lindblad

@@ -172,6 +172,15 @@ def test_drive_params_validation(field, value):
         DriveParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["g", "delta", "phi"])
+def test_drive_params_refuse_non_finite_values(field, value):
+    # these used to construct; an ion run at phi = nan then ended in
+    # numpy's "Eigenvalues did not converge"
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        DriveParams(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # coupling-rate formulas
 

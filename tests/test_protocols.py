@@ -563,7 +563,9 @@ def test_stage_records_one_per_drive_stage():
     assert list(StageRecord.__dataclass_fields__) == [
         "engine", "frame", "dim", "method", "leak", "drift", "products", "groups"]
     plan = plan_measure_reduce(4, LAM)
-    records = run_plan(plan).diagnostics["stages"]
+    result = run_plan(plan)
+    assert list(result.diagnostics) == ["stages"]  # each record names its engine
+    records = result.diagnostics["stages"]
     assert [(r.engine, r.frame, r.dim, r.method, r.leak, r.products, r.groups)
             for r in records] == [("Effective", "effective", 81, "factored", None, None, None)] * 2
     assert all(r.drift <= 1e-12 for r in records)
