@@ -237,7 +237,7 @@ def h_effective(space: SpaceDescriptor, lam: float) -> Operator:
 
 
 def h0_drive(space: SpaceDescriptor, omega: float) -> Operator:
-    """Classical-drive generator 2 omega sum_j sigma_z_j = omega sum_j (Sj+ + Sj-)."""
+    """Classical-drive generator omega sum_j (Sj+ + Sj-) = 2 omega S_x."""
     d = space.atom_dim
     return Operator(space, omega * _collective(space, local_sp(d) + local_sm(d)))
 

@@ -4,9 +4,10 @@ Each planner returns a ProtocolPlan: an ordered list of pulse stages
 (collective drives, instantaneous local transfers, a final measurement)
 together with the closed-form target state the schedule prepares.
 The planners differ only in their schedule and target legs: ``_target``
-builds every target from its legs' amplitudes, ``_ghz_drive`` every GHZ
-drive (checking lam), ``_timings`` the Timings of the first two drives,
-and ``_permutation`` the level swaps behind the transfers.
+builds every target from its legs' amplitudes, ``_drive_index`` picks
+every drive index, ``_ghz_drive`` every GHZ drive (checking lam),
+``_timings`` the Timings of the first two drives, and ``_permutation``
+the level swaps behind the transfers.
 
 Engines:
 
@@ -64,6 +65,7 @@ Every drive stage leaves a StageRecord in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -130,15 +132,28 @@ class CollectiveDrive:
             raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
 
 
+def _index(value, name: str) -> int:
+    """value as an int; TypeError, naming it, unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class LocalTransfer:
-    """An instantaneous local unitary on one atom or on all atoms."""
+    """An instantaneous local unitary (a square matrix) on one atom or on
+    all atoms."""
 
     matrix: np.ndarray
-    atoms: object  # "all" or an atom index
+    atoms: object  # "all" or an integer atom index
 
     def __post_init__(self):
+        if self.atoms != "all":
+            object.__setattr__(self, "atoms", _index(self.atoms, "atoms"))
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"transfer matrix must be square, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if not dev <= 1e-12:
             raise ValueError(f"transfer matrix is not unitary: deviation {dev:.3e}")
@@ -150,7 +165,8 @@ class Measurement:
     """Projective level measurement of one atom.
 
     mode "enumerate" keeps every outcome branch with its exact
-    probability; mode "postselect" keeps only ``outcome``.
+    probability; mode "postselect" keeps only ``outcome``.  The atom
+    index and the outcome level are stored as ints.
     """
 
     atom_index: int
@@ -158,6 +174,9 @@ class Measurement:
     outcome: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "atom_index", _index(self.atom_index, "atom_index"))
+        if self.outcome is not None:
+            object.__setattr__(self, "outcome", _index(self.outcome, "outcome"))
         if self.mode not in ("enumerate", "postselect"):
             raise ValueError("mode must be 'enumerate' or 'postselect'")
         if self.mode == "postselect" and self.outcome is None:
@@ -299,29 +318,17 @@ def _stage_time(t: float) -> float:
     return t
 
 
-def _drive_index(t: float, delta: float) -> float:
-    """10 |delta| t / pi, the drive index at which omega = k pi / t reaches
-    10 |delta|; ValueError when it is not finite."""
+def _drive_index(t: float, delta: float | None, step: int = 1, offset: float = 0.0) -> int:
+    """Smallest n >= 1 whose drive omega = (step n + offset) pi / t reaches
+    10 |delta|; 1 without a detuning.  ValueError when the drive index
+    10 |delta| t / pi is not finite."""
+    if delta is None or delta == 0:
+        return 1
     x = 10.0 * abs(delta) * t / math.pi
     if not math.isfinite(x):
         raise ValueError(f"drive index 10 |delta| t / pi is not finite "
                          f"(delta = {delta!r}, t = {t!r}); the coupling is too weak")
-    return x
-
-
-def _pick_k_even(t: float, delta: float | None) -> int:
-    """Smallest positive even k with omega = k pi / t >= 10 |delta|."""
-    if delta is None or delta == 0:
-        return 2
-    k = math.ceil(_drive_index(t, delta))
-    return k + (k % 2) if k > 0 else 2
-
-
-def _pick_k_any(t: float, delta: float | None) -> int:
-    """Smallest positive integer k with omega = k pi / t >= 10 |delta|."""
-    if delta is None or delta == 0:
-        return 1
-    return max(1, math.ceil(_drive_index(t, delta)))
+    return max(1, math.ceil((x - offset) / step))
 
 
 def _target(space: SpaceDescriptor, legs: dict) -> StateVector:
@@ -342,7 +349,7 @@ def _timings(drives: list) -> Timings:
     return Timings(first.duration, second.duration, first.omega, second.omega, k, k_prime)
 
 
-def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None = None,
+def plan_two_atom_qutrit(lam: float, k: int | None = None,
                          delta: float | None = None) -> ProtocolPlan:
     """Two qutrits to the three-leg maximally entangled state.
 
@@ -353,21 +360,19 @@ def plan_two_atom_qutrit(lam: float, k: int | None = None, k_prime: int | None =
 
     Target: e^{-i lam t1} (1/sqrt3) (e^{-i lam t2}|gg> - i e^{-i lam t2}|ee> - i|ff>).
 
-    When ``delta`` is given, default k (k') is the smallest even (any)
-    integer putting omega at or above 10 |delta|.
+    k' is always the smallest positive integer putting omega' at or
+    above 10 |delta| (1 without a detuning), and so is k among the even
+    integers when it is not given; Timings reports both.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
     t1 = _stage_time(ARCSIN_1_SQRT3 / lam)
     t2 = _stage_time(math.pi / (4.0 * lam))
     if k is None:
-        k = _pick_k_even(t1, delta)
+        k = 2 * _drive_index(t1, delta, 2)
     if k <= 0 or k % 2 != 0:
         raise ValueError("k must be a positive even integer")
-    if k_prime is None:
-        k_prime = _pick_k_any(t2 / 2.0, delta)  # omega' = 2 k' pi / t2 = k' pi / (t2/2)
-    if k_prime <= 0:
-        raise ValueError("k_prime must be a positive integer")
+    k_prime = _drive_index(t2 / 2.0, delta)  # omega' = 2 k' pi / t2 = k' pi / (t2/2)
     phase = np.exp(-1j * lam * t1) / math.sqrt(3.0)
     target = _target(make_space(2, 3, 0, no_mode=True), {
         "gg": phase * np.exp(-1j * lam * t2),
@@ -389,26 +394,17 @@ def _ghz_sign(n_atoms: int) -> float:
 def _ghz_drive(n_atoms: int, lam: float, n_choice: int | None,
                delta: float | None) -> tuple[CollectiveDrive, int]:
     """The GHZ drive and its index n: lam t = pi/4 with the
-    parity-dependent omega condition (omega t = n pi for even N,
-    (2n + 3/4) pi for odd N); lam must be positive and finite."""
+    parity-dependent omega condition (omega t = n pi, n >= 1, for even N;
+    (2n + 3/4) pi, n >= 0, for odd N); lam must be positive and finite."""
     if not 0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
     t = _stage_time(math.pi / (4.0 * lam))
-    if n_atoms % 2 == 0:
-        n = n_choice if n_choice is not None else _pick_k_any(t, delta)
-        if n <= 0:
-            raise ValueError("n_choice must be a positive integer")
-        omega = n * math.pi / t
-    else:
-        if n_choice is not None:
-            n = n_choice
-        elif delta is None or delta == 0:
-            n = 1
-        else:
-            n = max(1, math.ceil((_drive_index(t, delta) - 0.75) / 2.0))
-        if n < 0:
-            raise ValueError("n_choice must be non-negative")
-        omega = (2.0 * n + 0.75) * math.pi / t
+    step, offset, least, wording = ((1, 0.0, 1, "a positive integer") if n_atoms % 2 == 0
+                                    else (2, 0.75, 0, "non-negative"))
+    n = n_choice if n_choice is not None else _drive_index(t, delta, step, offset)
+    if n < least:
+        raise ValueError(f"n_choice must be {wording}")
+    omega = (step * n + offset) * math.pi / t
     return CollectiveDrive(omega, t, lam), n
 
 
@@ -524,6 +520,23 @@ class Effective:
     """Factored-propagator engine: exact, photon-number independent."""
 
 
+def _check_mode(engine) -> None:
+    """A mode-attached engine's own check: fock_cutoff an integer >= 0,
+    initial_mode an integer Fock level in 0..fock_cutoff or a ThermalSpec
+    whose cutoff fits."""
+    cutoff = _index(engine.fock_cutoff, "fock_cutoff")
+    if cutoff < 0:
+        raise ValueError(f"fock_cutoff must be non-negative, got {cutoff}")
+    mode = engine.initial_mode
+    if isinstance(mode, ThermalSpec):
+        lo, hi = 0, mode.cutoff
+    else:
+        lo = hi = _index(mode, "initial_mode")
+    if lo < 0 or hi > cutoff:
+        raise ValueError(f"initial mode levels {lo}..{hi} are not all within "
+                         f"the engine's Fock levels 0..{cutoff}")
+
+
 @dataclass(frozen=True)
 class FullCavity:
     """Propagates the driven cavity Hamiltonian on an attached Fock mode,
@@ -540,6 +553,7 @@ class FullCavity:
     frame: FrameTag = FrameTag.INTERACTION_PICTURE
 
     def __post_init__(self):
+        _check_mode(self)
         if self.frame not in (FrameTag.INTERACTION_PICTURE, FrameTag.SLOW_FRAME):
             raise ValueError(f"FullCavity cannot run frame {self.frame}")
 
@@ -559,6 +573,7 @@ class FullIon:
     frame: FrameTag = FrameTag.ION_INTERACTION
 
     def __post_init__(self):
+        _check_mode(self)
         if self.frame not in (FrameTag.ION_INTERACTION, FrameTag.ION_LAMB_DICKE):
             raise ValueError(f"FullIon cannot run frame {self.frame}")
 
@@ -581,6 +596,9 @@ class Lindblad:
     fock_cutoff: int = 12
     initial_mode: object = 0
 
+    def __post_init__(self):
+        _check_mode(self)
+
     def lam(self) -> float:
         return lambda_cavity(self.params.g, self.params.delta)
 
@@ -592,9 +610,10 @@ def run_plan(plan: ProtocolPlan, initial=None, engine=None) -> ProtocolResult:
     the pure engines, a density stack for Lindblad, as the module
     docstring describes) holds every branch, and run_plan keeps only
     their labels.  initial is None (all atoms in |g>), an atoms-only
-    StateVector, a full-space StateVector or, for Lindblad, a full-space
-    DensityMatrix; mode-attached engines put an atoms-only start next to
-    their initial_mode (Fock level or ThermalSpec).  Returns a
+    StateVector or a StateVector on the engine's full space, for every
+    engine; mode-attached engines put an atoms-only start next to their
+    initial_mode (Fock level or ThermalSpec).  A stage that is not a
+    CollectiveDrive, LocalTransfer or Measurement is a TypeError.  Returns a
     ProtocolResult whose fidelities compare each branch against
     plan.target on the atomic factor.
     """
@@ -727,43 +746,39 @@ def _initial_state(plan: ProtocolPlan, initial, engine):
     """Resolve (space_run, state) for every engine; the engine picks the
     state's class.
 
-    The start is the (dim, k) block of the initial ensemble's members,
-    each scaled by the square root of its weight (one unit column for a
-    pure start), as the one branch of a _Columns; Lindblad takes a
-    _Density of the density matrix C C^dag of that block, or of the
-    full-space DensityMatrix it was given.
+    initial is None (all atoms in |g>), an atoms-only StateVector, which
+    a mode-attached engine puts next to its initial_mode, or a StateVector
+    on the engine's own full space.  The start is the (dim, k) block of
+    the initial ensemble's members, each scaled by the square root of its
+    weight (one unit column for a pure start), as the one branch of a
+    _Columns; Lindblad takes a _Density of the density matrix C C^dag of
+    that block.
     """
-    mixed = isinstance(engine, Lindblad)
     if initial is None:
         initial = basis_state(plan.space, "g" * plan.space.atom_count)
-    if not isinstance(initial, (StateVector, DensityMatrix) if mixed else StateVector):
-        accepted = ", a full-space DensityMatrix," if mixed else ""
+    if not isinstance(initial, StateVector):
         raise TypeError(f"{type(engine).__name__} engine takes an atoms-only or "
-                        f"full-space StateVector{accepted} or None as initial")
+                        f"full-space StateVector or None as initial")
     if initial.space.atoms_only() != plan.space:
         raise ValueError("initial state's atoms do not match the plan's")
     space_run = (initial.space if isinstance(engine, Effective)
                  else plan.space.with_mode(engine.fock_cutoff))
-    if isinstance(initial, DensityMatrix) and initial.space == space_run:
-        return space_run, _Density(initial.matrix[None])
     if initial.space == space_run:
         cols = initial.amplitudes[:, None].copy()
-    elif isinstance(initial, StateVector) and initial.space.no_mode:
+    elif initial.space.no_mode:
         mode_prep = engine.initial_mode
         if isinstance(mode_prep, ThermalSpec):
             weights, ns = mode_prep.probabilities(), np.arange(mode_prep.cutoff + 1)
         else:
             weights, ns = np.ones(1), np.array([int(mode_prep)])
-        if ns[0] < 0 or ns[-1] > engine.fock_cutoff:
-            raise ValueError(f"initial mode levels {ns[0]}..{ns[-1]} are not all within "
-                             f"the engine's Fock levels 0..{engine.fock_cutoff}")
         # column j is sqrt(p_j) |atoms, n_j>
         mode = np.zeros((space_run.mode_dim, len(ns)), dtype=complex)
         mode[ns, np.arange(len(ns))] = np.sqrt(weights)
         cols = np.kron(initial.amplitudes[:, None], mode)
     else:
         raise ValueError("initial state does not match the engine's space")
-    return space_run, (_Density((cols @ cols.conj().T)[None]) if mixed else _Columns(cols[:, None]))
+    return space_run, (_Density((cols @ cols.conj().T)[None]) if isinstance(engine, Lindblad)
+                       else _Columns(cols[:, None]))
 
 
 def _drive(plan: ProtocolPlan, space_run: SpaceDescriptor, stage: CollectiveDrive,
@@ -829,22 +844,18 @@ def drive_population_series(params: DriveParams, n_start: int, duration: float,
     twice the effective collective rate, 2 lam = g^2/delta, with only a
     weak dependence on n; this is the observable behind the effective
     model's Rabi frequency and its photon-number independence.  Every
-    sample comes from the same exact eigendecompositions of the stage.
+    sample comes from the same exact eigendecompositions of the stage,
+    and the co-rotation exp(+i omega t sigma_x) on both atoms is applied
+    to the whole trajectory at once.
     """
     space = make_space(2, 2, fock_cutoff)
     psi0 = basis_state(space, "gg", n_start).amplitudes[:, None]
     times = np.linspace(0.0, duration, sample_count)
     traj = evolve_exact(partial(interaction_terms, space, params), params.delta, space, psi0,
-                        0.0, duration, t_eval=times).states
-
-    e_all = basis_index(space.atoms_only(), "ee", 0)
-    omega = params.omega
-    values = np.empty(sample_count)
-    for i, t in enumerate(times):
-        # single-atom co-rotation exp(+i H0 t): cos on the diagonal,
-        # +i sin off-diagonal in the g/e basis
-        c, s = math.cos(omega * t), math.sin(omega * t)
-        r1 = np.array([[c, 1j * s], [1j * s, c]])
-        rotated = apply_local(space, r1, "all", traj[i][:, 0]).reshape(space.atoms_dim, -1)
-        values[i] = float(np.sum(np.abs(rotated[e_all, :]) ** 2))
-    return TimeSeries(times, values)
+                        0.0, duration, t_eval=times).states.reshape(sample_count, 2, 2, -1)
+    # |ee> row of the single-atom co-rotation at each time: (i sin, cos)
+    # in the g/e basis, on each atom's axis
+    c, s = np.cos(params.omega * times), np.sin(params.omega * times)
+    row = np.stack([1j * s, c], axis=1)
+    rotated = np.einsum("ta,tb,tabm->tm", row, row, traj)
+    return TimeSeries(times, np.sum(np.abs(rotated) ** 2, axis=1))

@@ -232,6 +232,14 @@ def test_extract_frequency_non_uniform_times():
     assert abs(est - omega) / omega <= 1e-2
 
 
+def test_extract_frequency_refuses_non_uniform_times():
+    # the periodogram needs near-uniform steps: a longest step beyond 1.5
+    # times the shortest is refused, not resampled
+    t = np.concatenate([np.linspace(0.0, 150.0, 400), np.linspace(151.0, 300.0, 100)])
+    with pytest.raises(ValueError, match="near-uniform sampling"):
+        extract_frequency(TimeSeries(t, np.cos(0.07 * t)))
+
+
 def test_extract_frequency_flat_signal_raises():
     t = np.linspace(0.0, 100.0, 200)
     with pytest.raises(ValueError):

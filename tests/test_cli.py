@@ -130,6 +130,26 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert payload["protocol"] == "ghz"
 
 
+def _readme_cli_lines():
+    """Every spincavity command of README's "CLI usage" block, its
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI usage", 1)[1].split("```", 2)[1]
+    joined = block.replace("\\\n", " ")
+    lines = [line.split() for line in joined.splitlines() if line.startswith("spincavity ")]
+    assert lines, "README's CLI usage block has no spincavity line"
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys, line):
+    # run in tmp_path: --out files land there, and --config reads run.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"protocol": "ghz", "n": 2}))
+    code, _, err = _run(capsys, *line[1:])
+    assert code == 0, err
+
+
 def test_out_file_and_force(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = _run(capsys, "protocol", "ghz", "--out", str(path))

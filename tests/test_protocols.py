@@ -7,6 +7,7 @@ exponentiation of the generator, independent of the factored propagator.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,8 +68,9 @@ LAM = 0.025
 
 
 def test_qutrit_plan_timings():
-    plan = plan_two_atom_qutrit(LAM, k=2, k_prime=1)
+    plan = plan_two_atom_qutrit(LAM, k=2)
     t = plan.timings
+    assert (t.k, t.k_prime) == (2, 1)
     assert t.t1 == pytest.approx(24.619188346815492, rel=1e-12)
     assert t.t2 == pytest.approx(math.pi / (4.0 * LAM), rel=1e-12)
     # the drive rotation closes: omega t1 = k pi, omega' t2 = 2 k' pi
@@ -83,8 +85,6 @@ def test_qutrit_plan_validations():
         plan_two_atom_qutrit(LAM, k=3)  # odd
     with pytest.raises(ValueError):
         plan_two_atom_qutrit(LAM, k=0)
-    with pytest.raises(ValueError):
-        plan_two_atom_qutrit(LAM, k=2, k_prime=0)
     with pytest.raises(ValueError):
         plan_two_atom_qutrit(-LAM)
 
@@ -125,6 +125,41 @@ def test_planner_validations():
         plan_measure_reduce(5, LAM)
     with pytest.raises(ValueError):
         plan_ghz_four_level(3, LAM)
+
+
+@pytest.mark.parametrize("n_atoms, n_choice, wording", [
+    (4, 0, "n_choice must be a positive integer"), (5, -1, "n_choice must be non-negative")])
+def test_ghz_drive_refuses_an_index_below_its_parity_floor(n_atoms, n_choice, wording):
+    # even N needs n >= 1 (omega t = n pi); odd N takes n = 0 ((2n + 3/4) pi)
+    with pytest.raises(ValueError, match=wording):
+        plan_ghz_two_level(n_atoms, LAM, n_choice=n_choice)
+    assert plan_ghz_two_level(n_atoms, LAM, n_choice=n_choice + 1).timings.k == n_choice + 1
+
+
+def _closes_at_or_above(omega, lower_omega, index, floor, delta):
+    """omega reaches 10 |delta| (to 1e-12 relative) and the next smaller
+    index's lower_omega falls below it, unless index is the floor."""
+    bound = 10.0 * abs(delta)
+    return (omega >= bound * (1.0 - 1e-12)
+            and (index == floor or lower_omega < bound * (1.0 + 1e-12)))
+
+
+def test_drive_index_rule_is_the_smallest_closing_index():
+    # one rule picks every drive index: the smallest n >= 1 whose omega
+    # sits at or above 10 |delta|, over random lam and delta
+    rng = np.random.default_rng(29)
+    for lam, delta in zip(10.0 ** rng.uniform(-3, 0, 300),
+                          rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-2, 3, 300)):
+        t = plan_two_atom_qutrit(lam, delta=delta).timings
+        assert t.k % 2 == 0
+        assert _closes_at_or_above(t.omega, (t.k - 2) * math.pi / t.t1, t.k, 2, delta)
+        assert _closes_at_or_above(t.omega_prime, 2.0 * (t.k_prime - 1) * math.pi / t.t2,
+                                   t.k_prime, 1, delta)
+        even = plan_ghz_two_level(4, lam, delta=delta).timings
+        assert _closes_at_or_above(even.omega, (even.k - 1) * math.pi / even.t1, even.k, 1, delta)
+        odd = plan_ghz_two_level(5, lam, delta=delta).timings
+        assert _closes_at_or_above(odd.omega, (2.0 * (odd.k - 1) + 0.75) * math.pi / odd.t1,
+                                   odd.k, 1, delta)
 
 
 def test_planner_registry_names():
@@ -409,6 +444,19 @@ def test_run_plan_rejects_wrong_initial_type():
         run_plan(plan, initial=np.zeros(4))
 
 
+def test_run_plan_rejects_an_unknown_stage():
+    plan = plan_ghz_two_level(2, LAM)
+    with pytest.raises(TypeError, match="unknown stage 'pause'"):
+        run_plan(replace(plan, stages=plan.stages + ("pause",)))
+
+
+def test_run_plan_rejects_a_full_space_start_at_another_cutoff():
+    plan = plan_ghz_two_level(2, LAM)
+    initial = basis_state(plan.space.with_mode(4), "gg", 0)
+    with pytest.raises(ValueError, match="does not match the engine's space"):
+        run_plan(plan, initial=initial, engine=FullCavity(params=_cavity_params(), fock_cutoff=6))
+
+
 @pytest.mark.parametrize("space", [make_space(3, 2, 0, no_mode=True), make_space(2, 3, 4)],
                          ids=["three-atoms", "qutrits-with-mode"])
 def test_run_plan_rejects_initial_of_other_atoms(space):
@@ -453,11 +501,61 @@ def _mode_engine(kind, **kwargs):
                          ids=["below", "above", "far-above", "thermal-over-cutoff"])
 def test_mode_engine_initial_mode_validation(kind, initial_mode):
     # a Fock level outside 0..fock_cutoff, or a thermal preparation with
-    # more levels than the engine keeps, is refused before any stage runs
-    engine = _mode_engine(kind, fock_cutoff=6, initial_mode=initial_mode)
+    # more levels than the engine keeps, is refused when the engine is built
+    with pytest.raises(ValueError, match="not all within the engine's Fock levels 0..6"):
+        _mode_engine(kind, fock_cutoff=6, initial_mode=initial_mode)
+
+
+@pytest.mark.parametrize("kind", [FullCavity, FullIon, Lindblad])
+@pytest.mark.parametrize("fields, error, wording", [
+    ({"fock_cutoff": 2.5}, TypeError, "fock_cutoff must be an integer, got 2.5"),
+    ({"fock_cutoff": -1}, ValueError, "fock_cutoff must be non-negative"),
+    ({"initial_mode": 1.5}, TypeError, "initial_mode must be an integer, got 1.5"),
+    ({"initial_mode": "1"}, TypeError, "initial_mode must be an integer"),
+], ids=["fractional-cutoff", "negative-cutoff", "fractional-mode", "text-mode"])
+def test_mode_engine_refuses_its_mode_when_built(kind, fields, error, wording):
+    with pytest.raises(error, match=wording):
+        _mode_engine(kind, **fields)
+
+
+@pytest.mark.parametrize("kind", [FullCavity, FullIon, Lindblad])
+def test_mode_engine_accepts_integer_levels_of_any_integer_type(kind):
+    engine = _mode_engine(kind, fock_cutoff=np.int64(8), initial_mode=np.int32(2))
     plan = plan_ghz_two_level(2, engine.lam(), delta=engine.params.delta)
-    with pytest.raises(ValueError):
-        run_plan(plan, engine=engine)
+    expected = run_plan(plan, engine=_mode_engine(kind, fock_cutoff=8, initial_mode=2))
+    assert run_plan(plan, engine=engine).fidelities == expected.fidelities
+
+
+@pytest.mark.parametrize("make, error, wording", [
+    (lambda: Measurement(3.5), TypeError, "atom_index must be an integer, got 3.5"),
+    (lambda: Measurement(0, "postselect", 1.5), TypeError, "outcome must be an integer, got 1.5"),
+    (lambda: LocalTransfer(np.eye(3), atoms=2.7), TypeError, "atoms must be an integer, got 2.7"),
+    (lambda: LocalTransfer(np.eye(3), atoms="some"), TypeError, "atoms must be an integer"),
+    (lambda: LocalTransfer(np.eye(3)[:2], "all"), ValueError, r"square, got shape \(2, 3\)"),
+    (lambda: LocalTransfer(np.ones(3), "all"), ValueError, r"must be square, got shape \(3,\)"),
+], ids=["fractional-measured-atom", "fractional-outcome", "fractional-transfer-atom",
+        "text-transfer-atom", "wide-transfer", "vector-transfer"])
+def test_stages_refuse_non_integer_atoms_and_non_square_transfers(make, error, wording):
+    with pytest.raises(error, match=wording):
+        make()
+
+
+def test_stages_take_numpy_integer_atoms():
+    plan = plan_measure_reduce(4, LAM)
+    *head, rotation, _ = plan.stages
+    numpy_atoms = replace(plan, stages=tuple(head) + (
+        LocalTransfer(rotation.matrix, np.int64(3)), Measurement(np.int64(3))))
+    assert run_plan(numpy_atoms).fidelities == run_plan(plan).fidelities
+
+
+def test_postselected_outcome_is_a_level_not_a_mask():
+    # a bool outcome is level 1; as a numpy index it would have set the
+    # whole projector to ones and reported probability 2
+    plan = plan_ghz_two_level(2, LAM)
+    flag = Measurement(0, "postselect", True)
+    assert type(flag.outcome) is int
+    result = run_plan(replace(plan, stages=plan.stages + (flag,)))
+    assert result.branch("e").probability == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind, frame", [
@@ -489,8 +587,13 @@ def test_lindblad_accepts_full_space_initial():
     prepared = run_plan(plan, engine=replace(engine, initial_mode=1))
     assert given.fidelities == prepared.fidelities
     assert given.branch("all").probability == prepared.branch("all").probability
-    with pytest.raises(TypeError, match="StateVector, a full-space DensityMatrix, or None"):
+    with pytest.raises(TypeError, match="full-space StateVector or None"):
         run_plan(plan, engine=engine, initial=np.zeros(4))
+    # a density matrix is not a start for any engine
+    start = basis_state(plan.space.with_mode(6), "gg", 1).amplitudes
+    rho = DensityMatrix(plan.space.with_mode(6), np.outer(start, start.conj()))
+    with pytest.raises(TypeError, match="full-space StateVector or None"):
+        run_plan(plan, engine=engine, initial=rho)
 
 
 def _zero_decay_oracle_cases():
@@ -693,6 +796,27 @@ def test_drives_after_an_enumerated_measurement_match_the_postselected_runs(engi
 
 
 # ------------------------------------------------------ population series
+
+
+def test_drive_population_series_matches_the_per_sample_rotation():
+    # oracle: each sample's state rotated on both atoms by its own
+    # exp(+i omega t sigma_x), one apply_local per sample
+    params = DriveParams(g=1.0, delta=10.0, omega=2.7)
+    space = make_space(2, 2, 8)
+    series = drive_population_series(params, n_start=1, duration=30.0, sample_count=200,
+                                     fock_cutoff=8)
+    psi0 = basis_state(space, "gg", 1).amplitudes[:, None]
+    traj = dynamics.evolve_exact(partial(hamiltonians.interaction_terms, space, params),
+                                 params.delta, space, psi0, 0.0, 30.0, t_eval=series.times).states
+    e_all = basis_index(space.atoms_only(), "ee", 0)
+    expected = np.empty(len(series.times))
+    for i, t in enumerate(series.times):
+        c, s = math.cos(params.omega * t), math.sin(params.omega * t)
+        r1 = np.array([[c, 1j * s], [1j * s, c]])
+        rotated = dynamics.apply_local(space, r1, "all", traj[i][:, 0]).reshape(space.atoms_dim, -1)
+        expected[i] = float(np.sum(np.abs(rotated[e_all, :]) ** 2))
+    assert np.max(np.abs(series.values - expected)) <= 1e-14
+    assert np.ptp(expected) > 0.1
 
 
 def test_drive_population_series_frequency():
